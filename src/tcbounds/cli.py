@@ -53,23 +53,53 @@ def _load_json(path: str):
 
 
 def _require(data: dict, field: str, where: str):
+    if not isinstance(data, dict):
+        raise ScenarioError(f"{where}: expected a JSON object")
     if field not in data:
         raise ScenarioError(f"{where}: missing field {field!r}")
     return data[field]
 
 
-def load_graph(data, where: str = "graph") -> raag.SimpleGraph:
-    n = int(_require(data, "n", where))
-    edges = data.get("edges", [])
+def _int_field(data: dict, field: str, where: str) -> int:
+    value = _require(data, field, where)
     try:
-        return raag.SimpleGraph.from_edges(n, edges)
+        return int(value)
+    except (TypeError, ValueError):
+        raise ScenarioError(f"{where}: {field}: expected an integer, got {value!r}") from None
+
+
+def _string_list(data: dict, field: str, where: str) -> list[str]:
+    value = _require(data, field, where)
+    if not isinstance(value, list):
+        raise ScenarioError(f"{where}: {field}: expected a list of strings")
+    for i, item in enumerate(value, start=1):
+        if not isinstance(item, str):
+            raise ScenarioError(f"{where}: {field}: entry {i} must be a string, got {item!r}")
+    return value
+
+
+def load_graph(data, where: str = "graph") -> raag.SimpleGraph:
+    n = _int_field(data, "n", where)
+    edges = data.get("edges", [])
+    if not isinstance(edges, list):
+        raise ScenarioError(f"{where}: edges: expected a list of vertex pairs")
+    pairs = []
+    for i, edge in enumerate(edges, start=1):
+        if not isinstance(edge, list) or len(edge) != 2:
+            raise ScenarioError(f"{where}: edges: edge {i} must be a pair of vertices, got {edge!r}")
+        try:
+            pairs.append((int(edge[0]), int(edge[1])))
+        except (TypeError, ValueError):
+            raise ScenarioError(f"{where}: edges: edge {i} has a non-integer vertex: {edge!r}") from None
+    try:
+        return raag.SimpleGraph.from_edges(n, pairs)
     except raag.GraphError as exc:
         raise ScenarioError(f"{where}: {exc}") from None
 
 
 def load_presentation(data, where: str = "presentation") -> presentations.Presentation:
-    gens = _require(data, "generators", where)
-    rels = _require(data, "relators", where)
+    gens = _string_list(data, "generators", where)
+    rels = _string_list(data, "relators", where)
     try:
         return presentations.Presentation.from_strings(gens, rels)
     except (words.WordError, presentations.PresentationError) as exc:
@@ -85,8 +115,7 @@ def parse_scenario(path: str) -> Scenario:
     if kind == "raag":
         return Scenario("raag", load_graph(data, path), options)
     if kind == "braid":
-        n = int(_require(data, "n", path))
-        return Scenario("braid", n, options)
+        return Scenario("braid", _int_field(data, "n", path), options)
     if kind == "expr":
         try:
             expr = groupexpr.expr_from_json(_require(data, "expr", path))
@@ -142,7 +171,7 @@ def _render_text(doc: dict, indent: int = 0) -> list[str]:
 # Subcommand handlers
 
 def cmd_raag_z(args) -> int:
-    graph = load_graph(_load_json(args.file))
+    graph = load_graph(_load_json(args.file), args.file)
     z, witness = raag.z_number(graph)
     expr = groupexpr.Raag(graph)
     disjoint_k1, disjoint_k2 = _disjoint_witness(graph, witness)
@@ -178,7 +207,7 @@ def _disjoint_witness(graph, witness):
 
 
 def cmd_raag_bound(args) -> int:
-    graph = load_graph(_load_json(args.file))
+    graph = load_graph(_load_json(args.file), args.file)
     k1 = [int(x) for x in args.k1.split(",") if x]
     k2 = [int(x) for x in args.k2.split(",") if x]
     bound, cert = raag.clique_pair_bound(graph, k1, k2)
@@ -242,7 +271,7 @@ def _pbn_report(n: int, bound: int, cert) -> "bounds.BoundReport":
 
 
 def cmd_pres_abel(args) -> int:
-    pres = load_presentation(_load_json(args.file))
+    pres = load_presentation(_load_json(args.file), args.file)
     inv = presentations.abelianization(pres)
     doc = {
         "schema": "tcbounds/1",
@@ -260,7 +289,7 @@ def cmd_pres_abel(args) -> int:
 
 def cmd_pres_hom_check(args) -> int:
     data = _load_json(args.file)
-    pres = load_presentation(_require(data, "presentation", args.file))
+    pres = load_presentation(_require(data, "presentation", args.file), f"{args.file}: presentation")
     target = _require(data, "target_generators", args.file)
     image_map = _require(data, "images", args.file)
     images = []
@@ -312,6 +341,11 @@ def cmd_tree_ball(args) -> int:
 
 def cmd_tree_verify_lemma(args) -> int:
     """Check d(gw, v) = 2k-1 and d(gw, w) = 2k for all alternating words."""
+    if args.radius < 2 * args.k - 1:
+        raise ScenarioError(
+            f"--radius {args.radius} is too small for --k {args.k}: the deepest checked "
+            f"vertex gw lies at depth {2 * args.k - 1}"
+        )
     factors = (freeprod.Factor("free", 1), freeprod.Factor("free", 1))
     ball = freeprod.build_tree_ball(factors, args.radius, args.cap,
                                     max_vertices=args.max_ball)
@@ -361,7 +395,7 @@ def cmd_tc_report(args) -> int:
         elif name == "raag":
             if len(parts) < 2:
                 raise ScenarioError("--case raag needs a graph file")
-            graph = load_graph(_load_json(parts[1]))
+            graph = load_graph(_load_json(parts[1]), parts[1])
             z, witness = raag.z_number(graph)
             k1, k2 = _disjoint_witness(graph, witness)
             _, cert = raag.clique_pair_bound(graph, k1, k2)

@@ -3,20 +3,23 @@
 Elements are kept in syllable normal form (alternating nontrivial
 syllables from the two factors).  The tree of the free product A * B
 has one vertex per coset gA or gB and one edge per group element; a
-finite ball around the base edge is materialized by BFS, with factor
-elements enumerated up to a generator exponent cap.  Distances inside
-the ball are genuine BFS edge counts, which is what makes the ball an
-independent oracle for translation-length statements.
+finite ball around the base edge is materialized in BFS order as
+parent and child-range arrays, with factor elements enumerated up to a
+generator exponent cap.  Distances inside the ball are edge counts of
+the materialized tree (a BFS in ``distance_map``, parent links to the
+lowest common ancestor in ``tree_distance``), never the syllable
+formula, which is what makes the ball an independent oracle for
+translation-length statements.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from array import array
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Sequence
 
-from .words import Word, _free_reduce
+from .words import _free_reduce
 
 
 class FreeProductError(ValueError):
@@ -88,11 +91,6 @@ class Factor:
             out.extend(nxt)
             frontier = nxt
         return sorted(out)
-
-
-def free_factor_element(w: Word) -> tuple:
-    """Use a free-group word as a free-factor element."""
-    return w.letters
 
 
 Syllable = tuple[int, object]  # (factor tag 0 or 1, canonical factor element)
@@ -202,15 +200,37 @@ def hyperbolic_length(g: FPWord) -> int:
 A_SIDE = 0  # vertices gA; canonical rep ends with a B-syllable (or is empty)
 B_SIDE = 1  # vertices gB; canonical rep ends with an A-syllable (or is empty)
 
-_VertexKey = tuple[int, tuple[int, ...]]  # (side, element-index sequence)
+
+def _check_ball_size(counts: tuple[int, int], radius: int, max_vertices: int) -> None:
+    """Raise ResourceCapError if the ball has more than max_vertices
+    vertices, where an A-vertex has counts[0] children and a B-vertex
+    counts[1]; nothing is allocated."""
+    total = 2
+    below_v = below_w = 1  # vertices at the current depth under v and under w
+    for d in range(radius):
+        below_v *= counts[d % 2]
+        below_w *= counts[1 - d % 2]
+        total += below_v + below_w
+        if total > max_vertices:
+            raise ResourceCapError(
+                f"tree ball of radius {radius} exceeds {max_vertices} vertices; "
+                "lower the radius or exponent cap"
+            )
 
 
 class TreeBall:
     """A radius-R ball around the base edge (v, w) of the Bass-Serre tree.
 
-    Vertices are cosets gA / gB, keyed by the element-index sequence of
-    their shortest coset representative.  The ball of a tree is a tree,
-    so edges are exactly the BFS parent links plus the base edge.
+    Vertices are cosets gA / gB, numbered in BFS order from the base edge.
+    A vertex's shortest coset representative is the sequence of factor
+    elements along its path from v or w: each vertex of side s has one
+    child per element of factor s.  The ball of a tree is a tree, so
+    edges are exactly the parent links plus the base edge.
+
+    Storage is columnar and follows the BFS order: ``_parent``,
+    ``_depth`` and ``_side`` per vertex, and ``_first``, where the
+    children of p are the ids ``_first[p]`` to ``_first[p + 1] - 1``
+    (child i is the coset of element i of factor ``_side[p]``).
     """
 
     def __init__(self, factors: tuple[Factor, Factor], radius: int, cap: int,
@@ -227,64 +247,51 @@ class TreeBall:
             {e: i for i, e in enumerate(self.elements[0])},
             {e: i for i, e in enumerate(self.elements[1])},
         )
-        self._ids: dict[_VertexKey, int] = {}
-        self._keys: list[_VertexKey] = []
-        self._depth: list[int] = []
-        self._parent: list[int] = []
-        self._build(max_vertices)
-        self._children: list[list[int]] | None = None
-        self._dist_cache: dict[int, list[int]] = {}
+        counts = (len(self.elements[0]), len(self.elements[1]))
+        _check_ball_size(counts, radius, max_vertices)
+        self.v, self.w = 0, 1
+        self._build(counts)
 
     # -- construction -------------------------------------------------------
 
-    def _intern(self, key: _VertexKey, depth: int, parent: int) -> int:
-        vid = len(self._keys)
-        self._ids[key] = vid
-        self._keys.append(key)
-        self._depth.append(depth)
-        self._parent.append(parent)
-        return vid
-
-    def _neighbor_keys(self, key: _VertexKey) -> Iterator[_VertexKey]:
-        side, idxs = key
-        other = 1 - side
-        # appending a syllable from this vertex's own factor moves to a
-        # new coset of the other side; dropping the trailing syllable
-        # (i.e. taking the factor element to be trivial) moves toward
-        # the base edge.
-        append_side = side  # A-vertex gA: neighbours are g a B
-        for i in range(len(self.elements[append_side])):
-            yield (other, idxs + (i,))
-        yield (other, idxs[:-1])
-
-    def _build(self, max_vertices: int) -> None:
-        self.v = self._intern((A_SIDE, ()), 0, -1)
-        self.w = self._intern((B_SIDE, ()), 0, -1)
-        queue = deque([self.v, self.w])
-        while queue:
-            vid = queue.popleft()
-            depth = self._depth[vid]
-            if depth >= self.radius:
-                continue
-            for key in self._neighbor_keys(self._keys[vid]):
-                if key not in self._ids:
-                    if len(self._keys) >= max_vertices:
-                        raise ResourceCapError(
-                            f"tree ball exceeds {max_vertices} vertices; "
-                            "lower the radius or exponent cap"
-                        )
-                    queue.append(self._intern(key, depth + 1, vid))
+    def _build(self, counts: tuple[int, int]) -> None:
+        # In BFS order each depth is two blocks, the descendants of v and
+        # then those of w, and all vertices of a block share one side.
+        # The children of a block's vertices form the next depth's block,
+        # in their parents' order.
+        parent = array("i", (-1, -1))
+        depth = array("i", (0, 0))
+        side = array("b", (A_SIDE, B_SIDE))
+        first = array("i")
+        blocks = [(self.v, self.v + 1, A_SIDE), (self.w, self.w + 1, B_SIDE)]
+        for d in range(1, self.radius + 1):
+            next_blocks = []
+            for lo, hi, s in blocks:
+                c = counts[s]
+                start, size = len(parent), (hi - lo) * c
+                first.extend(range(start, start + size, c))
+                parents, children = array("i", range(lo, hi)), array("i", (0,)) * size
+                for i in range(c):
+                    children[i::c] = parents  # child i of each vertex in the block
+                parent += children
+                depth += array("i", (d,)) * size
+                side += array("b", (1 - s,)) * size
+                next_blocks.append((start, start + size, 1 - s))
+            blocks = next_blocks
+        n = len(parent)
+        first += array("i", (n,)) * (n + 1 - len(first))  # leaves, then the end sentinel
+        self._parent, self._depth, self._side, self._first = parent, depth, side, first
 
     # -- basic queries -------------------------------------------------------
 
     @property
     def vertex_count(self) -> int:
-        return len(self._keys)
+        return len(self._parent)
 
     @property
     def edge_count(self) -> int:
         # parent links (all vertices except the two roots) + base edge
-        return len(self._keys) - 1
+        return len(self._parent) - 1
 
     def edges(self) -> Iterator[tuple[int, int]]:
         yield (self.v, self.w)
@@ -293,18 +300,17 @@ class TreeBall:
                 yield (parent, vid)
 
     def side(self, vid: int) -> int:
-        return self._keys[vid][0]
+        return self._side[vid]
 
     def vertex_word(self, vid: int) -> FPWord:
         """The canonical coset representative as an FPWord."""
-        side, idxs = self._keys[vid]
-        # the rep's final syllable comes from the factor of the opposite
-        # side; tags alternate backwards from there
         syls = []
-        t = (len(idxs) - side) % 2
-        for i in idxs:
-            syls.append((t, self.elements[t][i]))
-            t = 1 - t
+        parent = self._parent[vid]
+        while parent >= 0:
+            tag = self._side[parent]
+            syls.append((tag, self.elements[tag][vid - self._first[parent]]))
+            vid, parent = parent, self._parent[parent]
+        syls.reverse()
         return FPWord(self.factors, tuple(syls))
 
     def coset_vertex(self, g: FPWord, side: int) -> int:
@@ -314,52 +320,54 @@ class TreeBall:
         syls = g.syllables
         if syls and syls[-1][0] == side:
             syls = syls[:-1]  # trailing syllable is absorbed by the coset
+        path = []
         for tag, elem in syls:
-            if elem not in self.element_index[tag]:
+            i = self.element_index[tag].get(elem)
+            if i is None:
                 raise FreeProductError(
                     f"syllable {elem!r} exceeds the exponent cap {self.cap} of this ball"
                 )
-        key = (side, tuple(self.element_index[tag][elem] for tag, elem in syls))
-        if key not in self._ids:
+            path.append(i)
+        if len(path) > self.radius:
             raise FreeProductError("coset vertex lies outside this ball")
-        return self._ids[key]
+        # the syllables alternate and end in the factor opposite to side,
+        # so the path starts at v exactly when its length has side's parity
+        vid = self.v if (len(path) - side) % 2 == 0 else self.w
+        for i in path:
+            vid = self._first[vid] + i
+        return vid
 
     # -- distances -----------------------------------------------------------
 
-    def _ensure_children(self) -> None:
-        if self._children is None:
-            children: list[list[int]] = [[] for _ in self._keys]
-            for vid, parent in enumerate(self._parent):
-                if parent >= 0:
-                    children[parent].append(vid)
-            self._children = children
-
     def distance_map(self, source: int) -> list[int]:
-        """BFS distances (edge counts) from a vertex to every ball vertex."""
-        if source in self._dist_cache:
-            return self._dist_cache[source]
-        self._ensure_children()
-        assert self._children is not None
-        dist = [-1] * len(self._keys)
+        """BFS distances (edge counts) from a vertex to every ball vertex.
+
+        The search runs depth by depth over the materialized edges: the
+        parent link, the child range and the base edge.
+        """
+        parent, first = self._parent, self._first
+        n = len(parent)
+        dist = [-1] * n
         dist[source] = 0
-        queue = deque([source])
-        while queue:
-            vid = queue.popleft()
-            d = dist[vid] + 1
-            neighbors = self._children[vid]
-            parent = self._parent[vid]
-            extra: tuple[int, ...]
-            if parent >= 0:
-                extra = (parent,)
-            elif vid == self.v:
-                extra = (self.w,)
-            else:
-                extra = (self.v,)
-            for nb in list(neighbors) + list(extra):
-                if dist[nb] < 0:
-                    dist[nb] = d
-                    queue.append(nb)
-        self._dist_cache[source] = dist
+        frontier = [source]
+        d = 0
+        while frontier:
+            d += 1
+            reached: list[int] = []
+            for vid in frontier:
+                up = parent[vid]
+                if up < 0:
+                    up = self.w if vid == self.v else self.v
+                if dist[up] < 0:
+                    dist[up] = d
+                    reached.append(up)
+                a = first[vid]
+                if a != n:  # every leaf's child range is empty and starts at n
+                    for child in range(a, first[vid + 1]):
+                        if dist[child] < 0:
+                            dist[child] = d
+                            reached.append(child)
+            frontier = reached
         return dist
 
     def to_dot(self) -> str:
@@ -382,20 +390,35 @@ def build_tree_ball(factors: tuple[Factor, Factor], radius: int, cap: int = 2,
 
 
 def tree_distance(ball: TreeBall, x: int, y: int) -> int:
-    """BFS edge count of the geodesic between two ball vertices."""
+    """Edge count of the geodesic between two ball vertices.
+
+    Climbs the parent links to the lowest common ancestor:
+    depth(x) + depth(y) - 2 depth(lca), or depth(x) + depth(y) + 1 when
+    x and y hang off different ends of the base edge.
+    """
     if not 0 <= x < ball.vertex_count or not 0 <= y < ball.vertex_count:
         raise FreeProductError("vertex outside ball")
-    d = ball.distance_map(x)[y]
-    if d < 0:
-        raise FreeProductError("vertices not connected inside the ball")
-    return d
+    parent, depth = ball._parent, ball._depth
+    dx, dy = depth[x], depth[y]
+    total = dx + dy
+    while dx > dy:
+        x, dx = parent[x], dx - 1
+    while dy > dx:
+        y, dy = parent[y], dy - 1
+    while x != y:
+        if dx == 0:
+            return total + 1
+        x, y, dx = parent[x], parent[y], dx - 1
+    return total - 2 * dx
 
 
 def hyperbolic_length_bfs(ball: TreeBall, g: FPWord) -> int:
     """Independent oracle: min over ball vertices x of d(x, g.x).
 
-    Only vertices whose translate stays inside the ball participate;
-    the ball must be large enough for the minimum to be attained.
+    Distances are edge counts in the materialized ball (tree_distance),
+    not the syllable formula.  Only vertices whose translate stays inside
+    the ball participate; the ball must be large enough for the minimum
+    to be attained.
     """
     best = None
     for vid in range(ball.vertex_count):

@@ -2,12 +2,14 @@
 
 These deliberately avoid the library's optimized code paths: the Smith
 reducer below works by blind elementary operations with no pivot
-strategy, conjugacy is decided by exhaustive conjugator search, and
-the two-clique number is maximized over all subset pairs.
+strategy, conjugacy is decided by exhaustive conjugator search, the
+two-clique number is maximized over all subset pairs, and tree balls
+are grown by BFS over explicit coset keys.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import combinations, product
 from math import gcd
 
@@ -180,3 +182,74 @@ def brute_force_z(n: int, edge_masks: list[int]) -> int:
             if u > best:
                 best = u
     return best
+
+
+# ---------------------------------------------------------------------------
+# Bass-Serre tree balls
+
+class DictTreeBall:
+    """A tree ball grown by BFS over coset keys interned in a dict.
+
+    A vertex key is (side, element indices of its shortest coset
+    representative); ids are BFS discovery order from the base edge
+    (v, w) = (0, 1), and distances are BFS over explicit children lists.
+    """
+
+    def __init__(self, factors, radius: int, cap: int):
+        self.elements = (factors[0].elements(cap), factors[1].elements(cap))
+        self.ids: dict[tuple, int] = {}
+        self.keys: list[tuple] = []
+        self.depth: list[int] = []
+        self.parent: list[int] = []
+        self.v = self._intern((0, ()), 0, -1)
+        self.w = self._intern((1, ()), 0, -1)
+        queue = deque([self.v, self.w])
+        while queue:
+            vid = queue.popleft()
+            if self.depth[vid] >= radius:
+                continue
+            side, idxs = self.keys[vid]
+            # an A-vertex gA neighbours g a B for each element a of A, and
+            # the coset one syllable shorter toward the base edge
+            neighbours = [(1 - side, idxs + (i,)) for i in range(len(self.elements[side]))]
+            neighbours.append((1 - side, idxs[:-1]))
+            for key in neighbours:
+                if key not in self.ids:
+                    queue.append(self._intern(key, self.depth[vid] + 1, vid))
+        self.children: list[list[int]] = [[] for _ in self.keys]
+        for vid, parent in enumerate(self.parent):
+            if parent >= 0:
+                self.children[parent].append(vid)
+
+    def _intern(self, key, depth: int, parent: int) -> int:
+        self.ids[key] = len(self.keys)
+        self.keys.append(key)
+        self.depth.append(depth)
+        self.parent.append(parent)
+        return self.ids[key]
+
+    def syllables(self, vid: int) -> tuple:
+        """The coset representative's syllables: tags alternate backwards
+        from the factor opposite the vertex's side."""
+        side, idxs = self.keys[vid]
+        t = (len(idxs) - side) % 2
+        out = []
+        for i in idxs:
+            out.append((t, self.elements[t][i]))
+            t = 1 - t
+        return tuple(out)
+
+    def distance_map(self, source: int) -> list[int]:
+        dist = [-1] * len(self.keys)
+        dist[source] = 0
+        queue = deque([source])
+        while queue:
+            vid = queue.popleft()
+            parent = self.parent[vid]
+            if parent < 0:
+                parent = self.w if vid == self.v else self.v
+            for nb in self.children[vid] + [parent]:
+                if dist[nb] < 0:
+                    dist[nb] = dist[vid] + 1
+                    queue.append(nb)
+        return dist

@@ -1,7 +1,13 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tcbounds
 from tcbounds.cli import (
     EXIT_OK,
     EXIT_RESOURCE,
@@ -22,6 +28,31 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_bad_file(capsys, tmp_path, doc, *argv):
+    """Run a subcommand on a JSON file and expect a one-line usage error."""
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *argv, str(f))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith(f"error: {f}: ")
+    return err
+
+
+DATA_LIMIT = 400 * 2**20  # bytes of RLIMIT_DATA for the CLI subprocesses below
+
+
+def run_limited(*argv):
+    """Run the CLI in a subprocess with at most DATA_LIMIT bytes of data."""
+    env = dict(os.environ, PYTHONPATH=str(Path(tcbounds.__file__).parents[1]))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_DATA, (DATA_LIMIT, DATA_LIMIT))
+
+    return subprocess.run([sys.executable, "-m", "tcbounds.cli", *argv], env=env,
+                          preexec_fn=limit, capture_output=True, text=True, timeout=300)
 
 
 def run_json(capsys, *argv):
@@ -59,6 +90,14 @@ class TestRaag:
         code, _, err = run(capsys, "raag", "z", str(f))
         assert code == EXIT_USAGE
         assert "line 1" in err
+
+    def test_vertex_count_not_an_integer(self, capsys, tmp_path):
+        err = run_bad_file(capsys, tmp_path, {"n": "abc", "edges": []}, "raag", "z")
+        assert "n: expected an integer, got 'abc'" in err
+
+    def test_edge_not_a_pair(self, capsys, tmp_path):
+        err = run_bad_file(capsys, tmp_path, {"n": 3, "edges": [[1]]}, "raag", "z")
+        assert "edges: edge 1 must be a pair of vertices" in err
 
 
 class TestBraid:
@@ -107,6 +146,11 @@ class TestPres:
         doc = run_json(capsys, "pres", "abel", str(f))
         assert doc["free_rank"] == 1
         assert doc["generator_images"]["y"] == [0]
+
+    def test_relator_not_a_string(self, capsys, tmp_path):
+        err = run_bad_file(capsys, tmp_path, {"generators": ["x"], "relators": [5]},
+                           "pres", "abel")
+        assert "relators: entry 1 must be a string, got 5" in err
 
     def test_hom_check_ok(self, capsys, tmp_path):
         f = tmp_path / "hom.json"
@@ -182,6 +226,28 @@ class TestTree:
         assert doc["verified"] is True
         assert doc["words_checked"] == 16 + 256
         assert doc["failures"] == []
+
+    def test_verify_lemma_radius_too_small(self, capsys):
+        # the deepest checked vertex gw sits at depth 2k - 1 = 5
+        code, _, err = run(capsys, "tree", "verify-lemma", "--k", "3", "--radius", "4")
+        assert code == EXIT_USAGE
+        assert err.count("\n") == 1
+        assert "--radius 4" in err and "--k 3" in err
+
+    def test_verify_lemma_defaults_fit_data_limit(self):
+        proc = run_limited("--json", "tree", "verify-lemma")
+        assert proc.returncode == EXIT_OK, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["words_checked"] == 4368
+        assert doc["verified"] is True
+
+    def test_verify_lemma_oversized_ball_refused_up_front(self):
+        # about 2 * 4^40 vertices: refused by the size check before any
+        # allocation, so the data limit is never reached
+        proc = run_limited("--json", "tree", "verify-lemma", "--radius", "40")
+        assert proc.returncode == EXIT_RESOURCE
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1 and "exceeds" in proc.stderr
 
 
 class TestTcReport:

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import DictTreeBall
 from tcbounds.freeprod import (
     A_SIDE,
     B_SIDE,
@@ -165,9 +166,67 @@ class TestTreeBall:
         with pytest.raises(ResourceCapError):
             build_tree_ball(ZZ, radius=6, cap=3, max_vertices=100)
 
+    def test_budget_is_exact(self):
+        # radius 2, cap 1 in Z * Z: 2 + 2 * (2 + 4) = 14 vertices
+        assert build_tree_ball(ZZ, radius=2, cap=1, max_vertices=14).vertex_count == 14
+        with pytest.raises(ResourceCapError):
+            build_tree_ball(ZZ, radius=2, cap=1, max_vertices=13)
+
     def test_to_dot_smoke(self):
         dot = build_tree_ball(ZZ, radius=1, cap=1).to_dot()
         assert dot.startswith("graph treeball {") and dot.endswith("}")
+
+
+ORACLE_PAIRS = {
+    "free1*free1": (Factor("free", 1), Factor("free", 1)),
+    "free2*abelian1": (Factor("free", 2), Factor("free_abelian", 1)),
+    "abelian2*free1": (Factor("free_abelian", 2), Factor("free", 1)),
+}
+
+
+@pytest.mark.parametrize("pair", sorted(ORACLE_PAIRS))
+@pytest.mark.parametrize("radius,cap", [(1, 1), (3, 2), (4, 1)])
+class TestBallAgainstDictOracle:
+    """The array-backed ball against a BFS over explicit coset keys."""
+
+    def test_same_vertices_and_parents(self, pair, radius, cap):
+        factors = ORACLE_PAIRS[pair]
+        ball = build_tree_ball(factors, radius, cap)
+        oracle = DictTreeBall(factors, radius, cap)
+        assert (ball.v, ball.w) == (oracle.v, oracle.w)
+        assert list(ball._parent) == oracle.parent
+        assert list(ball._depth) == oracle.depth
+        for vid, (side, _) in enumerate(oracle.keys):
+            assert ball.side(vid) == side
+            assert ball.vertex_word(vid).syllables == oracle.syllables(vid)
+            assert ball.coset_vertex(FPWord(factors, oracle.syllables(vid)), side) == vid
+
+    def test_same_bfs_distances(self, pair, radius, cap):
+        factors = ORACLE_PAIRS[pair]
+        ball = build_tree_ball(factors, radius, cap)
+        oracle = DictTreeBall(factors, radius, cap)
+        n = ball.vertex_count
+        for source in (ball.v, ball.w, 2, n // 2, n - 1):
+            assert ball.distance_map(source) == oracle.distance_map(source)
+
+    def test_child_ranges_point_back(self, pair, radius, cap):
+        ball = build_tree_ball(ORACLE_PAIRS[pair], radius, cap)
+        first, parent = ball._first, ball._parent
+        children = 0
+        for vid in range(ball.vertex_count):
+            for child in range(first[vid], first[vid + 1]):
+                assert parent[child] == vid
+                children += 1
+        assert children == ball.vertex_count - 2  # everything but v and w
+
+
+@pytest.mark.parametrize("factors", [ZZ, *ORACLE_PAIRS.values()])
+def test_lca_distance_matches_bfs(factors):
+    ball = build_tree_ball(factors, radius=3, cap=1)
+    oracle = DictTreeBall(factors, radius=3, cap=1)
+    for x in range(ball.vertex_count):
+        dist = oracle.distance_map(x)
+        assert [tree_distance(ball, x, y) for y in range(ball.vertex_count)] == dist
 
 
 ORACLE_BALL = build_tree_ball(ZZ, radius=6, cap=2)
