@@ -10,10 +10,9 @@ baseline lower bound cat <= TC.
 
 from __future__ import annotations
 
-from itertools import product as iter_product
 from typing import Sequence
 
-from . import freeprod, groupexpr, presentations, words
+from . import braids, freeprod, groupexpr, raag, words
 from .certificates import (
     BoundReport,
     CertStep,
@@ -22,7 +21,8 @@ from .certificates import (
     Provenance,
 )
 from .groupexpr import ChdResult, GroupExpr
-from .presentations import FreeHom, Presentation, abelianization, check_hom
+from .presentations import FreeHom, Presentation, abelianization
+from .raag import CliquePair, SimpleGraph
 from .words import Word, conjugate_in_free, primitive_root
 
 THEOREM_CITE = "conjugate-disjointness criterion (Grant-Lupton-Oprea)"
@@ -88,9 +88,7 @@ def verify_retraction_certificate(
 
 def verify_raag_retraction(graph, k1: Sequence[int], k2: Sequence[int]) -> DisjointnessCertificate:
     """The coordinate retraction certificate for disjoint cliques."""
-    from .raag import raag_presentation
-
-    pres = raag_presentation(graph)
+    pres = raag.raag_presentation(graph)
     a_gens = [f"x{v}" for v in k1]
     b_gens = [f"x{v}" for v in k2]
     images = {}
@@ -214,28 +212,48 @@ def tc_report(
     )
 
 
-def free_product_bound(g: GroupExpr, h: GroupExpr) -> Provenance:
-    """Lower-bound fragment TC(G * H) >= chd(G x H) (Dranishnikov wedge bound)."""
-    pair = groupexpr.chd(groupexpr.Product(g, h))
-    return Provenance(
-        f"TC({g.label()} * {h.label()}) >= chd({g.label()} x {h.label()}) "
-        "(free-product lower bound, Dranishnikov)",
-        pair.lower,
+def raag_report(graph: SimpleGraph) -> tuple[int, CliquePair, int, BoundReport]:
+    """(z, maximizing clique pair, certified bound, report) for a graph group.
+
+    The certificate uses the coordinate retraction for a disjoint clique
+    pair with the same union as the maximizing pair.
+    """
+    z, witness = raag.z_number(graph)
+    k1, k2 = _disjoint_cliques(witness)
+    bound, cert = raag.clique_pair_bound(graph, k1, k2)
+    report = tc_report(
+        groupexpr.Raag(graph),
+        [(groupexpr.FreeAbelian(len(k1)), groupexpr.FreeAbelian(len(k2)), cert)],
+        notes=(f"TC equals z = {z} for graph groups (Cohen-Pruidze); the upper half "
+               "is cited, not recomputed",),
     )
+    return z, witness, bound, report
 
 
-def complementary_certificate(a_label: str, b_label: str, reason: str,
-                              citation: str) -> DisjointnessCertificate:
-    """Certificate for complementary subgroups (A meets B trivially, AB = G):
-    writing g^-1 = alpha beta reduces gAg^-1 cap B to A cap B = 1."""
-    steps = (
-        CertStep(f"A = {a_label} and B = {b_label} are complementary: {reason}",
-                 "cited", citation),
-        CertStep("for complementary subgroups, gAg^-1 cap B = 1 for every g "
-                 "(write g^-1 = alpha beta and reduce to A cap B = 1)",
-                 "cited", "complementary-subgroup reduction (Grant-Lupton-Oprea)"),
+def _disjoint_cliques(witness: CliquePair) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Shrink a clique pair to disjoint cliques with the same union."""
+    k2 = tuple(witness.k2)
+    k1 = tuple(v for v in witness.k1 if v not in set(k2))
+    if not k1:  # identical cliques: split one vertex off
+        k1 = (k2[0],)
+        k2 = k2[1:]
+    if not k2:
+        k2 = (k1[0],)
+        k1 = k1[1:]
+    return k1, k2
+
+
+def pure_braid_report(n: int) -> tuple[int, BoundReport]:
+    """(certified bound 2n-3, report) for the pure braid group PB_n."""
+    bound, cert = braids.pb_tc_lower_bound(n)
+    b_expr = groupexpr.PureBraid(n - 1) if n >= 3 else groupexpr.Trivial()
+    report = tc_report(
+        groupexpr.PureBraid(n),
+        [(groupexpr.FreeAbelian(n - 1), b_expr, cert)],
+        notes=(f"TC(PB_{n}) = {bound} exactly (Farber-Yuzvinsky); shown as a cited "
+               "annotation, the interval above is what is certified here",),
     )
-    return DisjointnessCertificate("trusted-chain", a_label, b_label, steps)
+    return bound, report
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +321,15 @@ def _vertex_group(gens: tuple[str, str, str], rels: tuple[str, str]) -> Presenta
     return Presentation.from_strings(list(gens), list(rels))
 
 
-def higman_case_study(sample_syllables: int = 8, sample_cap: int = 2,
-                      bfs_radius: int = 6) -> BoundReport:
+# Step (2) of the Higman pipeline: alternating words up to this many
+# syllables and this exponent cap are classified, and those reaching at
+# most the BFS radius are also located on the tree ball.
+HIGMAN_SAMPLE_SYLLABLES = 8
+HIGMAN_SAMPLE_CAP = 2
+HIGMAN_BFS_RADIUS = 6
+
+
+def higman_case_study() -> BoundReport:
     """TC of Higman's acyclic four-generator group: exactly 4.
 
     Pipeline: (1) abelianization checks on the full presentation and
@@ -347,32 +372,22 @@ def higman_case_study(sample_syllables: int = 8, sample_cap: int = 2,
     ))
 
     # (2) hyperbolicity sampling in the two rank-1 free products
-    f1 = (freeprod.Factor("free", 1), freeprod.Factor("free", 1))
-    ball = freeprod.build_tree_ball(f1, radius=bfs_radius, cap=sample_cap)
-    dist_v = ball.distance_map(ball.v)
-    dist_w = ball.distance_map(ball.w)
-    exps = [e for e in range(-sample_cap, sample_cap + 1) if e]
     checked = 0
-    max_k = sample_syllables // 2
-    for k in range(1, max_k + 1):
-        for combo in iter_product(exps, repeat=2 * k):
-            syls = []
-            for pos, e in enumerate(combo):
-                tag = pos % 2
-                syls.append((tag, (((1, 1),) * e if e > 0 else ((1, -1),) * (-e))))
-            g = freeprod.FPWord(f1, tuple(syls))
+    for k in range(1, HIGMAN_SAMPLE_SYLLABLES // 2 + 1):
+        for combo, g in freeprod.alternating_words(k, HIGMAN_SAMPLE_CAP):
             if freeprod.is_elliptic(g):
                 raise CertificateError(f"alternating word {combo} reported elliptic")
             if freeprod.hyperbolic_length(g) != 2 * k:
                 raise CertificateError(f"alternating word {combo} has wrong length")
-            if 2 * k <= bfs_radius:
-                gw = ball.coset_vertex(g, freeprod.B_SIDE)
-                if dist_v[gw] != 2 * k - 1 or dist_w[gw] != 2 * k:
-                    raise CertificateError(f"BFS distances wrong for {combo}")
             checked += 1
+    _, failures = freeprod.verify_tree_lemma(HIGMAN_BFS_RADIUS // 2, HIGMAN_SAMPLE_CAP,
+                                             HIGMAN_BFS_RADIUS)
+    if failures:
+        raise CertificateError(f"BFS distances wrong for {tuple(failures[0])}")
     steps.append(CertStep(
         f"every cyclically alternating word in the rank-1 free products (up to "
-        f"{sample_syllables} syllables, exponents up to {sample_cap}; {checked} words) "
+        f"{HIGMAN_SAMPLE_SYLLABLES} syllables, exponents up to {HIGMAN_SAMPLE_CAP}; "
+        f"{checked} words) "
         "is hyperbolic on the Bass-Serre tree, with BFS distances d(gw, v) = 2k-1 and "
         "d(gw, w) = 2k on the materialized ball; an element of F(y,w) elliptic on the "
         "tree is therefore conjugate into F(y) or F(w), and likewise for F(x,z)",

@@ -15,7 +15,7 @@ from typing import Sequence
 
 from . import groupexpr
 from .certificates import CertStep, DisjointnessCertificate
-from .words import Word, _free_reduce, identity
+from .words import Word, _free_reduce, check_expanded_length
 
 DEFAULT_WORD_CAP = 64
 
@@ -75,6 +75,7 @@ def parse_braid(text: str, n: int) -> BraidWord:
             raise BraidError(f"bad braid token {token!r}; expected like s2 or s2^-1")
         i = int(m.group(1))
         e = int(m.group(2)) if m.group(2) else 1
+        check_expanded_length(len(letters) + abs(e), "braid word")
         letters.extend([(i, 1 if e > 0 else -1)] * abs(e))
     return BraidWord(n, tuple(letters))
 

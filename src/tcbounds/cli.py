@@ -15,9 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from itertools import product as iter_product
-from typing import Any
 
 from . import bounds, braids, freeprod, groupexpr, presentations, raag, words
 from .certificates import CertificateError
@@ -30,13 +27,6 @@ EXIT_RESOURCE = 3
 
 class ScenarioError(ValueError):
     """Malformed scenario input, with location information where known."""
-
-
-@dataclass
-class Scenario:
-    kind: str
-    payload: Any
-    options: dict
 
 
 def _load_json(path: str):
@@ -78,59 +68,97 @@ def _string_list(data: dict, field: str, where: str) -> list[str]:
     return value
 
 
-def load_graph(data, where: str = "graph") -> raag.SimpleGraph:
-    n = _int_field(data, "n", where)
-    edges = data.get("edges", [])
-    if not isinstance(edges, list):
-        raise ScenarioError(f"{where}: edges: expected a list of vertex pairs")
-    pairs = []
-    for i, edge in enumerate(edges, start=1):
-        if not isinstance(edge, list) or len(edge) != 2:
-            raise ScenarioError(f"{where}: edges: edge {i} must be a pair of vertices, got {edge!r}")
-        try:
-            pairs.append((int(edge[0]), int(edge[1])))
-        except (TypeError, ValueError):
-            raise ScenarioError(f"{where}: edges: edge {i} has a non-integer vertex: {edge!r}") from None
+def _parsed(where: str, parse, *args):
+    """parse(*args), with a malformed-input error reported at where."""
     try:
-        return raag.SimpleGraph.from_edges(n, pairs)
-    except raag.GraphError as exc:
+        return parse(*args)
+    except (raag.GraphError, groupexpr.ExprError, words.WordError,
+            presentations.PresentationError) as exc:
         raise ScenarioError(f"{where}: {exc}") from None
 
 
-def load_presentation(data, where: str = "presentation") -> presentations.Presentation:
+def load_graph(data, where: str) -> raag.SimpleGraph:
+    return _parsed(where, raag.SimpleGraph.from_json, data)
+
+
+def load_expr(data, where: str) -> groupexpr.GroupExpr:
+    return _parsed(where, groupexpr.expr_from_json, data)
+
+
+def load_presentation(data, where: str) -> presentations.Presentation:
     gens = _string_list(data, "generators", where)
     rels = _string_list(data, "relators", where)
-    try:
-        return presentations.Presentation.from_strings(gens, rels)
-    except (words.WordError, presentations.PresentationError) as exc:
-        raise ScenarioError(f"{where}: {exc}") from None
+    return _parsed(where, presentations.Presentation.from_strings, gens, rels)
 
 
-def parse_scenario(path: str) -> Scenario:
-    data = _load_json(path)
-    if not isinstance(data, dict):
-        raise ScenarioError(f"{path}: scenario must be a JSON object")
-    kind = _require(data, "kind", path)
-    options = data.get("options", {})
-    if kind == "raag":
-        return Scenario("raag", load_graph(data, path), options)
-    if kind == "braid":
-        return Scenario("braid", _int_field(data, "n", path), options)
-    if kind == "expr":
-        try:
-            expr = groupexpr.expr_from_json(_require(data, "expr", path))
-        except groupexpr.ExprError as exc:
-            raise ScenarioError(f"{path}: {exc}") from None
-        return Scenario("expr", expr, options)
+def load_hom(data, source: presentations.Presentation,
+             where: str) -> tuple[list[str], tuple[words.Word, ...]]:
+    """Target generator names and the images of the source generators from
+    {"target_generators": [names], "images": {generator: word}}.  Every
+    source generator needs an entry; "" is the identity."""
+    target = _string_list(data, "target_generators", where)
+    image_map = _require(data, "images", where)
+    if not isinstance(image_map, dict):
+        raise ScenarioError(f"{where}: images: expected an object mapping generators to words")
+    images = []
+    for name in source.generators:
+        if name not in image_map:
+            raise ScenarioError(f"{where}: images: no image for generator {name!r}")
+        images.append(_parsed(f"{where}: images: {name}", words.parse_word, image_map[name], target))
+    return target, tuple(images)
+
+
+# ---------------------------------------------------------------------------
+# Reports
+
+def scenario_report(data, where: str) -> bounds.BoundReport:
+    """The report for one scenario object; --case arguments are mapped onto
+    scenario objects by case_scenario and dispatched here too."""
+    kind = _require(data, "kind", where)
     if kind == "case-study":
-        case = _require(data, "case", path)
-        if case not in ("borromean", "higman"):
-            raise ScenarioError(f"{path}: unknown case study {case!r}")
-        return Scenario("case-study", case, options)
+        case = _require(data, "case", where)
+        if case == "borromean":
+            return bounds.borromean_case_study()
+        if case == "higman":
+            return bounds.higman_case_study()
+        raise ScenarioError(f"{where}: unknown case study {case!r}")
+    if kind == "braid":
+        return bounds.pure_braid_report(_int_field(data, "n", where))[1]
+    if kind == "raag":
+        return bounds.raag_report(load_graph(data, where))[3]
+    if kind == "expr":
+        return bounds.tc_report(load_expr(_require(data, "expr", where), where), [])
     if kind == "presentation":
-        pres = load_presentation(data, path)
-        return Scenario("presentation", (pres, data), options)
-    raise ScenarioError(f"{path}: unknown scenario kind {kind!r}")
+        return _presentation_report(data, where)
+    raise ScenarioError(f"{where}: unknown scenario kind {kind!r}")
+
+
+def case_scenario(case: list[str]) -> tuple[dict, str]:
+    """(scenario object, error location) for the arguments of --case."""
+    name, rest = case[0], case[1:]
+    if name in ("borromean", "higman"):
+        return {"kind": "case-study", "case": name}, "--case"
+    if name == "pbn":
+        if not rest:
+            raise ScenarioError("--case pbn needs a strand count, e.g. --case pbn 4")
+        return {"kind": "braid", "n": rest[0]}, "--case pbn"
+    if name == "raag":
+        if not rest:
+            raise ScenarioError("--case raag needs a graph file")
+        graph = _load_json(rest[0])
+        return ({**graph, "kind": "raag"} if isinstance(graph, dict) else graph), rest[0]
+    raise ScenarioError(f"unknown case {name!r}")
+
+
+def _presentation_report(data, where: str) -> bounds.BoundReport:
+    pres = load_presentation(data, where)
+    target, images = load_hom(_require(data, "hom", where), pres, f"{where}: hom")
+    p = presentations.FreeHom(pres, len(target), images)
+    beta = _parsed(f"{where}: beta", words.parse_word, _require(data, "beta", where), target)
+    cert = bounds.verify_split_extension_certificate(pres, p, _require(data, "a_generator", where), beta)
+    a_expr, b_expr, g_expr = (load_expr(_require(data, field, where), f"{where}: {field}")
+                              for field in ("a_expr", "b_expr", "group_expr"))
+    return bounds.tc_report(g_expr, [(a_expr, b_expr, cert)])
 
 
 # ---------------------------------------------------------------------------
@@ -171,17 +199,7 @@ def _render_text(doc: dict, indent: int = 0) -> list[str]:
 # Subcommand handlers
 
 def cmd_raag_z(args) -> int:
-    graph = load_graph(_load_json(args.file), args.file)
-    z, witness = raag.z_number(graph)
-    expr = groupexpr.Raag(graph)
-    disjoint_k1, disjoint_k2 = _disjoint_witness(graph, witness)
-    bound, cert = raag.clique_pair_bound(graph, disjoint_k1, disjoint_k2)
-    report = bounds.tc_report(
-        expr,
-        [(groupexpr.FreeAbelian(len(disjoint_k1)), groupexpr.FreeAbelian(len(disjoint_k2)), cert)],
-        notes=(f"TC equals z = {z} for graph groups (Cohen-Pruidze); the upper half "
-               "is cited, not recomputed",),
-    )
+    z, witness, bound, report = bounds.raag_report(load_graph(_load_json(args.file), args.file))
     doc = {
         "schema": "tcbounds/1",
         "z": z,
@@ -191,19 +209,6 @@ def cmd_raag_z(args) -> int:
     }
     emit(doc, args.json)
     return EXIT_OK
-
-
-def _disjoint_witness(graph, witness):
-    """Shrink a maximizing clique pair to disjoint cliques with the same union."""
-    k2 = tuple(witness.k2)
-    k1 = tuple(v for v in witness.k1 if v not in set(k2))
-    if not k1:  # identical cliques: split one vertex off
-        k1 = (k2[0],)
-        k2 = k2[1:]
-    if not k2:
-        k2 = (k1[0],)
-        k1 = k1[1:]
-    return k1, k2
 
 
 def cmd_raag_bound(args) -> int:
@@ -250,24 +255,11 @@ def cmd_braid_equal(args) -> int:
 
 
 def cmd_braid_tc_bound(args) -> int:
-    bound, cert = braids.pb_tc_lower_bound(args.n)
-    report = _pbn_report(args.n, bound, cert)
+    bound, report = bounds.pure_braid_report(args.n)
     doc = {"schema": "tcbounds/1", "n": args.n, "tc_lower_bound": bound,
            "report": report.to_json()}
     emit(doc, args.json)
     return EXIT_OK
-
-
-def _pbn_report(n: int, bound: int, cert) -> "bounds.BoundReport":
-    expr = groupexpr.PureBraid(n)
-    a_expr = groupexpr.FreeAbelian(n - 1)
-    b_expr = groupexpr.PureBraid(n - 1) if n >= 3 else groupexpr.Trivial()
-    return bounds.tc_report(
-        expr,
-        [(a_expr, b_expr, cert)],
-        notes=(f"TC(PB_{n}) = {bound} exactly (Farber-Yuzvinsky); shown as a cited "
-               "annotation, the interval above is what is certified here",),
-    )
 
 
 def cmd_pres_abel(args) -> int:
@@ -290,13 +282,7 @@ def cmd_pres_abel(args) -> int:
 def cmd_pres_hom_check(args) -> int:
     data = _load_json(args.file)
     pres = load_presentation(_require(data, "presentation", args.file), f"{args.file}: presentation")
-    target = _require(data, "target_generators", args.file)
-    image_map = _require(data, "images", args.file)
-    images = []
-    for name in pres.generators:
-        if name not in image_map:
-            raise ScenarioError(f"{args.file}: no image for generator {name!r}")
-        images.append(words.parse_word(image_map[name], target))
+    target, images = load_hom(data, pres, args.file)
     ok, witness = presentations.check_hom(pres, len(target), images)
     doc = {"schema": "tcbounds/1", "well_defined": ok}
     if not ok:
@@ -306,7 +292,7 @@ def cmd_pres_hom_check(args) -> int:
 
 
 def cmd_chd(args) -> int:
-    expr = groupexpr.expr_from_json(_load_json(args.file))
+    expr = load_expr(_load_json(args.file), args.file)
     result = groupexpr.chd(expr)
     doc = {
         "schema": "tcbounds/1",
@@ -346,25 +332,7 @@ def cmd_tree_verify_lemma(args) -> int:
             f"--radius {args.radius} is too small for --k {args.k}: the deepest checked "
             f"vertex gw lies at depth {2 * args.k - 1}"
         )
-    factors = (freeprod.Factor("free", 1), freeprod.Factor("free", 1))
-    ball = freeprod.build_tree_ball(factors, args.radius, args.cap,
-                                    max_vertices=args.max_ball)
-    dist_v = ball.distance_map(ball.v)
-    dist_w = ball.distance_map(ball.w)
-    exps = [e for e in range(-args.cap, args.cap + 1) if e]
-    failures = []
-    total = 0
-    for k in range(1, args.k + 1):
-        for combo in iter_product(exps, repeat=2 * k):
-            syls = tuple(
-                (pos % 2, ((1, 1),) * e if e > 0 else ((1, -1),) * (-e))
-                for pos, e in enumerate(combo)
-            )
-            g = freeprod.FPWord(factors, syls)
-            gw = ball.coset_vertex(g, freeprod.B_SIDE)
-            total += 1
-            if dist_v[gw] != 2 * k - 1 or dist_w[gw] != 2 * k:
-                failures.append(list(combo))
+    total, failures = freeprod.verify_tree_lemma(args.k, args.cap, args.radius, args.max_ball)
     doc = {
         "schema": "tcbounds/1",
         "k_max": args.k,
@@ -380,82 +348,13 @@ def cmd_tree_verify_lemma(args) -> int:
 
 def cmd_tc_report(args) -> int:
     if args.case:
-        parts = args.case
-        name = parts[0]
-        if name == "borromean":
-            report = bounds.borromean_case_study()
-        elif name == "higman":
-            report = bounds.higman_case_study()
-        elif name == "pbn":
-            if len(parts) < 2:
-                raise ScenarioError("--case pbn needs a strand count, e.g. --case pbn 4")
-            n = int(parts[1])
-            bound, cert = braids.pb_tc_lower_bound(n)
-            report = _pbn_report(n, bound, cert)
-        elif name == "raag":
-            if len(parts) < 2:
-                raise ScenarioError("--case raag needs a graph file")
-            graph = load_graph(_load_json(parts[1]), parts[1])
-            z, witness = raag.z_number(graph)
-            k1, k2 = _disjoint_witness(graph, witness)
-            _, cert = raag.clique_pair_bound(graph, k1, k2)
-            report = bounds.tc_report(
-                groupexpr.Raag(graph),
-                [(groupexpr.FreeAbelian(len(k1)), groupexpr.FreeAbelian(len(k2)), cert)],
-                notes=(f"TC = z = {z} exactly for graph groups (Cohen-Pruidze)",),
-            )
-        else:
-            raise ScenarioError(f"unknown case {name!r}")
-        emit(report.to_json(), args.json)
-        return EXIT_OK
-
-    if not args.file:
-        raise ScenarioError("tc-report needs --case or a scenario file")
-    scenario = parse_scenario(args.file)
-    if scenario.kind == "case-study":
-        report = (bounds.borromean_case_study() if scenario.payload == "borromean"
-                  else bounds.higman_case_study())
-    elif scenario.kind == "raag":
-        graph = scenario.payload
-        z, witness = raag.z_number(graph)
-        k1, k2 = _disjoint_witness(graph, witness)
-        _, cert = raag.clique_pair_bound(graph, k1, k2)
-        report = bounds.tc_report(
-            groupexpr.Raag(graph),
-            [(groupexpr.FreeAbelian(len(k1)), groupexpr.FreeAbelian(len(k2)), cert)],
-        )
-    elif scenario.kind == "braid":
-        n = scenario.payload
-        bound, cert = braids.pb_tc_lower_bound(n)
-        report = _pbn_report(n, bound, cert)
-    elif scenario.kind == "expr":
-        expr = scenario.payload
-        report = bounds.tc_report(expr, [])
-    elif scenario.kind == "presentation":
-        report = _presentation_report(scenario)
+        data, where = case_scenario(args.case)
+    elif args.file:
+        data, where = _load_json(args.file), args.file
     else:
-        raise ScenarioError(f"unsupported scenario kind {scenario.kind!r}")
-    emit(report.to_json(), args.json)
+        raise ScenarioError("tc-report needs --case or a scenario file")
+    emit(scenario_report(data, where).to_json(), args.json)
     return EXIT_OK
-
-
-def _presentation_report(scenario: Scenario):
-    pres, data = scenario.payload
-    hom = _require(data, "hom", "presentation scenario")
-    target = _require(hom, "target_generators", "hom")
-    image_map = _require(hom, "images", "hom")
-    images = tuple(
-        words.parse_word(image_map.get(name, ""), target) if image_map.get(name) else words.identity(len(target))
-        for name in pres.generators
-    )
-    p = presentations.FreeHom(pres, len(target), images)
-    a_gen = _require(data, "a_generator", "presentation scenario")
-    beta = words.parse_word(_require(data, "beta", "presentation scenario"), target)
-    cert = bounds.verify_split_extension_certificate(pres, p, a_gen, beta)
-    a_expr = groupexpr.expr_from_json(_require(data, "a_expr", "presentation scenario"))
-    b_expr = groupexpr.expr_from_json(_require(data, "b_expr", "presentation scenario"))
-    g_expr = groupexpr.expr_from_json(_require(data, "group_expr", "presentation scenario"))
-    return bounds.tc_report(g_expr, [(a_expr, b_expr, cert)])
 
 
 # ---------------------------------------------------------------------------
@@ -471,8 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="tree ball vertex cap")
     parser.add_argument("--max-word", type=int, default=braids.DEFAULT_WORD_CAP,
                         help="braid free-group image length cap")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for sampled property runs")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_raag = sub.add_parser("raag", help="right-angled Artin group computations")
@@ -551,7 +448,7 @@ def main(argv=None) -> int:
             groupexpr.ExprError, raag.GraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (braids.BraidResourceError, freeprod.ResourceCapError) as exc:
+    except (braids.BraidResourceError, words.ResourceCapError) as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (CertificateError,) as exc:

@@ -19,15 +19,11 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Sequence
 
-from .words import _free_reduce
+from .words import ResourceCapError, _free_reduce
 
 
 class FreeProductError(ValueError):
-    """Invalid syllable data or resource cap exceeded."""
-
-
-class ResourceCapError(FreeProductError):
-    """A configured enumeration cap was exceeded."""
+    """Invalid syllable data."""
 
 
 @dataclass(frozen=True)
@@ -387,6 +383,41 @@ def build_tree_ball(factors: tuple[Factor, Factor], radius: int, cap: int = 2,
                     max_vertices: int = 5_000_000) -> TreeBall:
     """Materialize the ball of the given radius around the base edge."""
     return TreeBall(factors, radius, cap, max_vertices)
+
+
+RANK1_FREE = (Factor("free", 1), Factor("free", 1))
+
+
+def alternating_words(k: int, cap: int) -> Iterator[tuple[tuple[int, ...], FPWord]]:
+    """All (exponents, x^e1 y^e2 ... y^e2k) in F(x) * F(y) with 0 < |ei| <= cap."""
+    exps = [e for e in range(-cap, cap + 1) if e]
+    for combo in product(exps, repeat=2 * k):
+        syls = tuple(
+            (pos % 2, ((1, 1),) * e if e > 0 else ((1, -1),) * (-e))
+            for pos, e in enumerate(combo)
+        )
+        yield combo, FPWord(RANK1_FREE, syls)
+
+
+def verify_tree_lemma(k_max: int, cap: int, radius: int,
+                      max_vertices: int = 5_000_000) -> tuple[int, list[list[int]]]:
+    """Check d(gw, v) = 2k-1 and d(gw, w) = 2k for every alternating word g
+    with 2k <= 2 k_max syllables, by BFS on the F(x) * F(y) tree ball.
+
+    Returns (words checked, exponent lists of the failing words).
+    """
+    ball = build_tree_ball(RANK1_FREE, radius, cap, max_vertices)
+    dist_v = ball.distance_map(ball.v)
+    dist_w = ball.distance_map(ball.w)
+    failures = []
+    total = 0
+    for k in range(1, k_max + 1):
+        for combo, g in alternating_words(k, cap):
+            gw = ball.coset_vertex(g, B_SIDE)
+            total += 1
+            if dist_v[gw] != 2 * k - 1 or dist_w[gw] != 2 * k:
+                failures.append(list(combo))
+    return total, failures
 
 
 def tree_distance(ball: TreeBall, x: int, y: int) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .raag import SimpleGraph
+from .raag import GraphError, SimpleGraph
 
 
 class ExprError(ValueError):
@@ -329,33 +329,43 @@ def expr_from_json(data) -> GroupExpr:
     if not isinstance(data, dict) or "kind" not in data:
         raise ExprError("expression node must be an object with a 'kind' field")
     kind = data["kind"]
+
+    def num(name, default=None):
+        value = data[name] if default is None else data.get(name, default)
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            raise ExprError(f"{kind}: {name}: expected an integer, got {value!r}") from None
+
+    def optional_num(name):
+        return num(name) if data.get(name) is not None else None
+
     try:
         match kind:
             case "trivial":
                 return Trivial()
             case "free":
-                return Free(int(data["rank"]))
+                return Free(num("rank"))
             case "free_abelian":
-                return FreeAbelian(int(data["rank"]))
+                return FreeAbelian(num("rank"))
             case "pure_braid":
-                return PureBraid(int(data["n"]))
+                return PureBraid(num("n"))
             case "bs12":
                 return BaumslagSolitar12()
             case "surface":
-                return SurfaceGroup(int(data["genus"]))
+                return SurfaceGroup(num("genus"))
             case "raag":
-                return Raag(SimpleGraph.from_edges(int(data["n"]), data.get("edges", [])))
+                return Raag(SimpleGraph.from_json(data))
             case "opaque":
-                lo = int(data.get("chd_lower", data.get("chd", 0)))
-                hi = int(data.get("chd_upper", data.get("chd", lo)))
+                lo = num("chd_lower", num("chd", 0))
                 return Opaque(
                     name=str(data.get("name", "opaque")),
                     chd_lower=lo,
-                    chd_upper=hi,
+                    chd_upper=num("chd_upper", num("chd", lo)),
                     justification=str(data.get("justification", "externally supplied")),
-                    duality_dim=data.get("duality_dim"),
-                    orientable_pd_dim=data.get("orientable_pd_dim"),
-                    geom_dim=data.get("geom_dim"),
+                    duality_dim=optional_num("duality_dim"),
+                    orientable_pd_dim=optional_num("orientable_pd_dim"),
+                    geom_dim=optional_num("geom_dim"),
                 )
             case "product":
                 return Product(expr_from_json(data["left"]), expr_from_json(data["right"]))
@@ -363,4 +373,6 @@ def expr_from_json(data) -> GroupExpr:
                 return FreeProduct(expr_from_json(data["left"]), expr_from_json(data["right"]))
     except KeyError as exc:
         raise ExprError(f"expression node {kind!r} missing field {exc}") from None
+    except GraphError as exc:
+        raise ExprError(f"raag: {exc}") from None
     raise ExprError(f"unknown expression kind {kind!r}")

@@ -204,9 +204,6 @@ class AbelianInvariants:
         """True if generator i (1-based) has nonzero image in H_1."""
         return any(self.generator_images[i - 1])
 
-    def dies(self, i: int) -> bool:
-        return not self.survives(i)
-
 
 def abelianization(p: Presentation) -> AbelianInvariants:
     """Abelianize via Smith normal form of the exponent matrix."""

@@ -46,6 +46,30 @@ class SimpleGraph:
         normalized = frozenset((min(u, v), max(u, v)) for u, v in edges)
         return SimpleGraph(n, normalized)
 
+    @staticmethod
+    def from_json(data) -> "SimpleGraph":
+        """Validate and build a graph from {"n": int, "edges": [[u, v], ...]}."""
+        if not isinstance(data, dict):
+            raise GraphError("expected a JSON object")
+        if "n" not in data:
+            raise GraphError("missing field 'n'")
+        try:
+            n = int(data["n"])
+        except (TypeError, ValueError):
+            raise GraphError(f"n: expected an integer, got {data['n']!r}") from None
+        edges = data.get("edges", [])
+        if not isinstance(edges, list):
+            raise GraphError("edges: expected a list of vertex pairs")
+        pairs = []
+        for i, edge in enumerate(edges, start=1):
+            if not isinstance(edge, list) or len(edge) != 2:
+                raise GraphError(f"edges: edge {i} must be a pair of vertices, got {edge!r}")
+            try:
+                pairs.append((int(edge[0]), int(edge[1])))
+            except (TypeError, ValueError):
+                raise GraphError(f"edges: edge {i} has a non-integer vertex: {edge!r}") from None
+        return SimpleGraph.from_edges(n, pairs)
+
     def adjacency_masks(self) -> list[int]:
         """adj[v] = bitmask of neighbours of v (bit i <-> vertex i+1)."""
         adj = [0] * (self.n + 1)

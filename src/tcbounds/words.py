@@ -18,6 +18,22 @@ class WordError(ValueError):
     """Raised for malformed letters, rank mismatches, or parse errors."""
 
 
+class ResourceCapError(ValueError):
+    """A configured size cap was exceeded."""
+
+
+# Longest word, in letters before free reduction, that the word and braid
+# parsers expand an exponent or commutator into.
+MAX_EXPANDED_LENGTH = 1_000_000
+
+
+def check_expanded_length(length: int, what: str) -> None:
+    if length > MAX_EXPANDED_LENGTH:
+        raise ResourceCapError(
+            f"{what} expands to {length} letters, more than the cap of {MAX_EXPANDED_LENGTH}"
+        )
+
+
 def _free_reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
     stack: list[Letter] = []
     for gen, sign in letters:
@@ -58,10 +74,7 @@ class Word:
     def __pow__(self, n: int) -> "Word":
         if n < 0:
             return self.inverse() ** (-n)
-        result = identity(self.rank)
-        for _ in range(n):
-            result = result * self
-        return result
+        return Word(_free_reduce(self.letters * n), self.rank)
 
     def conjugate_by(self, h: "Word") -> "Word":
         """h * self * h^-1."""
@@ -107,11 +120,6 @@ def cyclically_reduce(w: Word) -> tuple[Word, Word]:
         prefix.append(letters[0])
         letters = letters[1:-1]
     return Word(tuple(letters), w.rank), Word(tuple(prefix), w.rank)
-
-
-def is_cyclically_reduced(w: Word) -> bool:
-    core, _ = cyclically_reduce(w)
-    return core.letters == w.letters
 
 
 def conjugate_in_free(u: Word, v: Word) -> bool:
@@ -197,7 +205,9 @@ class _Parser:
     def parse_word(self) -> Word:
         w = identity(self.rank)
         while self.peek() is not None and self.peek() not in (",", "]"):
-            w = w * self.parse_term()
+            term = self.parse_term()
+            check_expanded_length(len(w) + len(term), "word")
+            w = w * term
         return w
 
     def parse_term(self) -> Word:
@@ -209,6 +219,7 @@ class _Parser:
             v = self.parse_word()
             if self.next() != "]":
                 raise WordError("expected ']' closing commutator")
+            check_expanded_length(2 * (len(u) + len(v)), "commutator")
             atom = commutator(u, v)
         else:
             if tok not in self.index:
@@ -216,12 +227,15 @@ class _Parser:
             atom = generator(self.index[tok], self.rank)
         if self.peek() is not None and self.peek().startswith("^"):
             exp = int(self.next()[1:])
+            check_expanded_length(len(atom) * abs(exp), "power")
             atom = atom**exp
         return atom
 
 
 def parse_word(text: str, alphabet: Sequence[str]) -> Word:
     """Parse a word like "x y x^-1 y^-2" or "[a,[b^-1,c]]" over named generators."""
+    if not isinstance(text, str):
+        raise WordError(f"expected a word, got {text!r}")
     parser = _Parser(_tokenize(text), alphabet)
     w = parser.parse_word()
     if parser.peek() is not None:

@@ -4,8 +4,6 @@ from tcbounds import groupexpr
 from tcbounds.bounds import (
     borromean_case_study,
     borromean_presentation,
-    complementary_certificate,
-    free_product_bound,
     higman_case_study,
     higman_presentation,
     tc_report,
@@ -161,23 +159,6 @@ class TestReportAssembly:
         assert data["exact"] is False
 
 
-class TestFreeProductBound:
-    def test_free_factors(self):
-        prov = free_product_bound(groupexpr.Free(1), groupexpr.Free(1))
-        assert prov.value == 2
-
-    def test_bs12_factors(self):
-        prov = free_product_bound(groupexpr.BaumslagSolitar12(),
-                                  groupexpr.BaumslagSolitar12())
-        assert prov.value == 4
-
-    def test_complementary_certificate_is_cited(self):
-        cert = complementary_certificate("G1", "G2", "free factors",
-                                         "normal form in free products")
-        assert cert.variant == "trusted-chain"
-        assert not cert.fully_machine_verified
-
-
 class TestBorromeanCaseStudy:
     def test_interval(self):
         report = borromean_case_study()
@@ -198,15 +179,19 @@ class TestBorromeanCaseStudy:
         assert pres.relators == (r1, r2)
 
 
+@pytest.fixture(scope="module")
+def higman_report():
+    return higman_case_study()
+
+
 class TestHigmanCaseStudy:
-    def test_exactly_four(self):
-        report = higman_case_study()
+    def test_exactly_four(self, higman_report):
+        report = higman_report
         assert (report.lower, report.upper) == (4, 4)
         assert report.exact
 
-    def test_certificate_mixes_statuses(self):
-        report = higman_case_study()
-        (cert,) = report.certificates
+    def test_certificate_mixes_statuses(self, higman_report):
+        (cert,) = higman_report.certificates
         assert cert.variant == "trusted-chain"
         machine = [s for s in cert.steps if s.status == "machine-verified"]
         cited = [s for s in cert.steps if s.status == "cited"]
@@ -214,16 +199,10 @@ class TestHigmanCaseStudy:
         assert len(cited) == 3
         assert all(s.citation for s in cited)
 
-    def test_acyclicity_note(self):
-        report = higman_case_study()
-        assert any("acyclic" in n for n in report.notes)
+    def test_acyclicity_note(self, higman_report):
+        assert any("acyclic" in n for n in higman_report.notes)
 
     def test_presentation(self):
         pres = higman_presentation()
         assert pres.generators == ("x", "y", "z", "w")
         assert len(pres.relators) == 4
-
-    def test_small_sample_still_passes(self):
-        report = higman_case_study(sample_syllables=4, sample_cap=1,
-                                   bfs_radius=4)
-        assert report.exact and report.lower == 4

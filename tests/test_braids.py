@@ -18,6 +18,7 @@ from tcbounds.braids import (
     pb_tc_lower_bound,
     permutation,
 )
+from tcbounds.words import MAX_EXPANDED_LENGTH, ResourceCapError
 
 
 def braid(text, n=4):
@@ -61,6 +62,14 @@ class TestParsing:
     def test_round_trip_str(self):
         b = braid("s1 s3^-1 s2")
         assert parse_braid(str(b), 4) == b
+
+    @pytest.mark.parametrize("text", [
+        f"s1^-{MAX_EXPANDED_LENGTH + 1}",
+        f"s1^{MAX_EXPANDED_LENGTH // 2} s2^{MAX_EXPANDED_LENGTH // 2 + 1}",
+    ])
+    def test_expansion_cap(self, text):
+        with pytest.raises(ResourceCapError):
+            braid(text)
 
 
 class TestPermutation:

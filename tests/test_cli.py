@@ -15,6 +15,7 @@ from tcbounds.cli import (
     EXIT_VERIFICATION,
     main,
 )
+from tcbounds.words import MAX_EXPANDED_LENGTH
 
 
 @pytest.fixture
@@ -201,6 +202,14 @@ class TestChd:
         code, _, err = run(capsys, "chd", str(f))
         assert code == EXIT_USAGE
 
+    def test_rank_not_an_integer(self, capsys, tmp_path):
+        err = run_bad_file(capsys, tmp_path, {"kind": "free", "rank": "abc"}, "chd")
+        assert "free: rank: expected an integer, got 'abc'" in err
+
+    def test_raag_edge_not_a_pair(self, capsys, tmp_path):
+        err = run_bad_file(capsys, tmp_path, {"kind": "raag", "n": 3, "edges": [[1]]}, "chd")
+        assert "raag: edges: edge 1 must be a pair of vertices" in err
+
 
 class TestTree:
     def test_ball(self, capsys):
@@ -250,6 +259,21 @@ class TestTree:
         assert proc.stderr.count("\n") == 1 and "exceeds" in proc.stderr
 
 
+BORROMEAN = {"generators": ["a", "b", "c"], "relators": ["[a,[b^-1,c]]", "[b,[c^-1,a]]"]}
+
+
+def presentation_scenario(images):
+    return {
+        "kind": "presentation", **BORROMEAN,
+        "hom": {"target_generators": ["u", "v"], "images": images},
+        "a_generator": "a", "beta": "v",
+        "a_expr": {"kind": "free_abelian", "rank": 1},
+        "b_expr": {"kind": "opaque", "name": "B", "chd": 2, "justification": "not free"},
+        "group_expr": {"kind": "opaque", "name": "G", "chd": 2, "justification": "link group",
+                       "geom_dim": 2},
+    }
+
+
 class TestTcReport:
     def test_case_borromean(self, capsys):
         doc = run_json(capsys, "tc-report", "--case", "borromean")
@@ -291,6 +315,70 @@ class TestTcReport:
     def test_no_input(self, capsys):
         code, _, err = run(capsys, "tc-report")
         assert code == EXIT_USAGE
+
+    def test_scenario_presentation(self, capsys, tmp_path):
+        f = tmp_path / "scenario.json"
+        f.write_text(json.dumps(presentation_scenario({"a": "u", "b": "v", "c": ""})))
+        doc = run_json(capsys, "tc-report", str(f))
+        assert (doc["tc_lower"], doc["tc_upper"]) == (3, 4)
+
+    def test_scenario_images_not_an_object(self, capsys, tmp_path):
+        err = run_bad_file(capsys, tmp_path, presentation_scenario([1]), "tc-report")
+        assert "hom: images: expected an object" in err
+
+    def test_scenario_image_not_a_word(self, capsys, tmp_path):
+        err = run_bad_file(capsys, tmp_path, presentation_scenario({"a": 5}), "tc-report")
+        assert "hom: images: a: expected a word, got 5" in err
+
+    @pytest.mark.parametrize("command", ["tc-report", "hom-check"])
+    def test_missing_image_is_an_error(self, capsys, tmp_path, command):
+        images = {"a": "u", "b": "v"}
+        if command == "tc-report":
+            err = run_bad_file(capsys, tmp_path, presentation_scenario(images), "tc-report")
+        else:
+            doc = {"presentation": BORROMEAN, "target_generators": ["u", "v"], "images": images}
+            err = run_bad_file(capsys, tmp_path, doc, "pres", "hom-check")
+        assert "images: no image for generator 'c'" in err
+
+    def test_case_pbn_not_an_integer(self, capsys, tmp_path):
+        err = run_bad_file(capsys, tmp_path, {"kind": "braid", "n": "abc"}, "tc-report")
+        code, out, case_err = run(capsys, "tc-report", "--case", "pbn", "abc")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert case_err == err.replace(str(tmp_path / "bad.json"), "--case pbn")
+
+    @pytest.mark.parametrize("case, scenario", [
+        (["borromean"], {"kind": "case-study", "case": "borromean"}),
+        (["higman"], {"kind": "case-study", "case": "higman"}),
+        (["pbn", "4"], {"kind": "braid", "n": 4}),
+        (["raag", "GRAPH"], {"kind": "raag", "n": 3, "edges": [[1, 2], [2, 3]]}),
+    ])
+    def test_case_matches_scenario_file(self, capsys, tmp_path, path3_file, case, scenario):
+        f = tmp_path / "scenario.json"
+        f.write_text(json.dumps(scenario))
+        case = [path3_file if arg == "GRAPH" else arg for arg in case]
+        from_case = run(capsys, "--json", "tc-report", "--case", *case)
+        assert from_case[0] == EXIT_OK
+        assert from_case == run(capsys, "--json", "tc-report", str(f))
+
+    def test_raag_report_matches_raag_z(self, capsys, path3_file):
+        report = run_json(capsys, "tc-report", "--case", "raag", path3_file)
+        assert report == run_json(capsys, "raag", "z", path3_file)["report"]
+        assert report["notes"] == ["TC equals z = 3 for graph groups (Cohen-Pruidze); "
+                                   "the upper half is cited, not recomputed"]
+
+
+class TestExponentCap:
+    def test_braid_word(self, capsys):
+        code, out, err = run(capsys, "braid", "perm", "--n", "3", f"s1^{MAX_EXPANDED_LENGTH + 1}")
+        assert (code, out) == (EXIT_RESOURCE, "")
+        assert err.count("\n") == 1 and f"cap of {MAX_EXPANDED_LENGTH}" in err
+
+    def test_relator(self, capsys, tmp_path):
+        f = tmp_path / "pres.json"
+        f.write_text(json.dumps({"generators": ["x"], "relators": [f"x^-{MAX_EXPANDED_LENGTH + 1}"]}))
+        code, out, err = run(capsys, "pres", "abel", str(f))
+        assert (code, out) == (EXIT_RESOURCE, "")
+        assert err.count("\n") == 1 and f"cap of {MAX_EXPANDED_LENGTH}" in err
 
 
 class TestOutputDiscipline:

@@ -99,7 +99,7 @@ class TestAbelianization:
         assert inv.free_rank == 1
         assert inv.torsion == ()
         assert inv.survives(1)  # x maps to a generator
-        assert inv.dies(2)  # y maps to 0
+        assert not inv.survives(2)  # y maps to 0
 
     def test_torsion(self):
         p = Presentation.from_strings(["x"], ["x^4"])

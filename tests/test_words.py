@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tcbounds.words import (
+    MAX_EXPANDED_LENGTH,
+    ResourceCapError,
     Word,
     WordError,
     commutator,
@@ -145,6 +147,22 @@ class TestParseFormat:
 
     def test_rank_zero(self):
         assert parse_word("", ()).is_identity
+
+    @pytest.mark.parametrize("text", [
+        f"a^{MAX_EXPANDED_LENGTH + 1}",
+        f"[a^{MAX_EXPANDED_LENGTH // 4 + 1}, b^{MAX_EXPANDED_LENGTH // 4}]",
+        f"a^{MAX_EXPANDED_LENGTH // 2} b^{MAX_EXPANDED_LENGTH // 2 + 1}",
+    ])
+    def test_expansion_cap(self, text):
+        with pytest.raises(ResourceCapError):
+            w(text)
+
+    @given(random_word(), st.integers(-4, 4))
+    def test_power_is_repeated_product(self, u, n):
+        expected = identity(2)
+        for _ in range(abs(n)):
+            expected = expected * (u if n > 0 else u.inverse())
+        assert u**n == expected
 
 
 class TestPrimitiveRoot:
