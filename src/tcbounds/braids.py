@@ -15,17 +15,13 @@ from typing import Sequence
 
 from . import groupexpr
 from .certificates import CertStep, DisjointnessCertificate
-from .words import Word, _free_reduce, check_expanded_length
+from .words import ResourceCapError, Word, _free_reduce, _word, check_expanded_length
 
 DEFAULT_WORD_CAP = 64
 
 
 class BraidError(ValueError):
     """Invalid braid data."""
-
-
-class BraidResourceError(BraidError):
-    """Free-group image growth exceeded the configured word cap."""
 
 
 @dataclass(frozen=True)
@@ -134,10 +130,10 @@ def free_group_action(b: BraidWord, word_cap: int = DEFAULT_WORD_CAP) -> tuple[W
         _act_letter(images, i, s)
         longest = max(len(w) for w in images)
         if longest > word_cap:
-            raise BraidResourceError(
+            raise ResourceCapError(
                 f"free-group image length {longest} exceeds cap {word_cap}"
             )
-    return tuple(Word(w, b.n) for w in images)
+    return tuple(_word(w, b.n) for w in images)
 
 
 def braid_equal(u: BraidWord, v: BraidWord, word_cap: int = DEFAULT_WORD_CAP) -> bool:
@@ -163,16 +159,6 @@ class LinkingMatrix:
 
     n: int
     entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        if len(self.entries) != self.n or any(len(row) != self.n for row in self.entries):
-            raise BraidError("linking matrix must be n x n")
-        for i in range(self.n):
-            if self.entries[i][i] != 0:
-                raise BraidError("linking matrix diagonal must be zero")
-            for j in range(self.n):
-                if self.entries[i][j] != self.entries[j][i]:
-                    raise BraidError("linking matrix must be symmetric")
 
     def lk(self, i: int, j: int) -> int:
         return self.entries[i - 1][j - 1]

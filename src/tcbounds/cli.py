@@ -211,10 +211,16 @@ def cmd_raag_z(args) -> int:
     return EXIT_OK
 
 
+def _vertex_list(text: str, flag: str) -> list[int]:
+    try:
+        return [int(x) for x in text.split(",") if x]
+    except ValueError:
+        raise ScenarioError(f"{flag}: expected comma-separated vertices, got {text!r}") from None
+
+
 def cmd_raag_bound(args) -> int:
+    k1, k2 = _vertex_list(args.k1, "--k1"), _vertex_list(args.k2, "--k2")
     graph = load_graph(_load_json(args.file), args.file)
-    k1 = [int(x) for x in args.k1.split(",") if x]
-    k2 = [int(x) for x in args.k2.split(",") if x]
     bound, cert = raag.clique_pair_bound(graph, k1, k2)
     doc = {
         "schema": "tcbounds/1",
@@ -360,8 +366,16 @@ def cmd_tc_report(args) -> int:
 # ---------------------------------------------------------------------------
 # Argument parsing
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors exit with EXIT_USAGE, not 2; subparsers inherit this."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="tcbounds",
         description="Certified topological-complexity bounds for aspherical groups",
     )
@@ -448,7 +462,7 @@ def main(argv=None) -> int:
             groupexpr.ExprError, raag.GraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (braids.BraidResourceError, words.ResourceCapError) as exc:
+    except words.ResourceCapError as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (CertificateError,) as exc:

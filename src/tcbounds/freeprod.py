@@ -100,16 +100,8 @@ class FPWord:
     syllables: tuple[Syllable, ...]
 
     def __post_init__(self) -> None:
-        prev = None
-        for tag, elem in self.syllables:
-            if tag not in (0, 1):
-                raise FreeProductError(f"bad factor tag {tag}")
-            if tag == prev:
-                raise FreeProductError("adjacent syllables from the same factor")
-            if self.factors[tag].is_identity(elem):
-                raise FreeProductError("identity syllable in normal form")
-            self.factors[tag].validate(elem)
-            prev = tag
+        if normal_form(self.factors, self.syllables).syllables != self.syllables:
+            raise FreeProductError("syllables are not in normal form; use normal_form()")
 
     @property
     def syllable_length(self) -> int:
@@ -122,35 +114,34 @@ class FPWord:
     def __mul__(self, other: "FPWord") -> "FPWord":
         if self.factors != other.factors:
             raise FreeProductError("mismatched factor data")
-        return normal_form(self.factors, self.syllables + other.syllables)
+        return _merge(self.factors, self.syllables + other.syllables)
 
     def inverse(self) -> "FPWord":
         inv = tuple((t, self.factors[t].invert(e)) for t, e in reversed(self.syllables))
-        return FPWord(self.factors, inv)
-
-    def __pow__(self, n: int) -> "FPWord":
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = FPWord(self.factors, ())
-        for _ in range(n):
-            result = result * self
-        return result
-
-    def conjugate_by(self, h: "FPWord") -> "FPWord":
-        return h * self * h.inverse()
+        return _fpword(self.factors, inv)
 
 
-def fp_identity(factors: tuple[Factor, Factor]) -> FPWord:
-    return FPWord(factors, ())
+def _fpword(factors: tuple[Factor, Factor], syllables: tuple[Syllable, ...]) -> FPWord:
+    """An FPWord from syllables already in normal form; no check."""
+    g = object.__new__(FPWord)
+    object.__setattr__(g, "factors", factors)
+    object.__setattr__(g, "syllables", syllables)
+    return g
 
 
 def normal_form(factors: tuple[Factor, Factor], raw: Sequence[Syllable]) -> FPWord:
     """Merge same-factor neighbours and drop identity syllables."""
-    stack: list[Syllable] = []
     for tag, elem in raw:
         if tag not in (0, 1):
             raise FreeProductError(f"bad factor tag {tag}")
         factors[tag].validate(elem)
+    return _merge(factors, raw)
+
+
+def _merge(factors: tuple[Factor, Factor], raw: Sequence[Syllable]) -> FPWord:
+    """normal_form on syllables whose tags and elements are already valid."""
+    stack: list[Syllable] = []
+    for tag, elem in raw:
         if factors[tag].is_identity(elem):
             continue
         while stack and stack[-1][0] == tag:
@@ -161,7 +152,7 @@ def normal_form(factors: tuple[Factor, Factor], raw: Sequence[Syllable]) -> FPWo
             elem = merged
         if elem is not None:
             stack.append((tag, elem))
-    return FPWord(factors, tuple(stack))
+    return _fpword(factors, tuple(stack))
 
 
 def cyclic_normal_form(g: FPWord) -> FPWord:
@@ -175,7 +166,7 @@ def cyclic_normal_form(g: FPWord) -> FPWord:
             syl = middle
         else:
             syl = [(tag, merged)] + middle
-    return FPWord(g.factors, tuple(syl))
+    return _fpword(g.factors, tuple(syl))
 
 
 def is_elliptic(g: FPWord) -> bool:
@@ -307,7 +298,7 @@ class TreeBall:
             syls.append((tag, self.elements[tag][vid - self._first[parent]]))
             vid, parent = parent, self._parent[parent]
         syls.reverse()
-        return FPWord(self.factors, tuple(syls))
+        return _fpword(self.factors, tuple(syls))
 
     def coset_vertex(self, g: FPWord, side: int) -> int:
         """The vertex g*A (side 0) or g*B (side 1)."""
@@ -396,7 +387,7 @@ def alternating_words(k: int, cap: int) -> Iterator[tuple[tuple[int, ...], FPWor
             (pos % 2, ((1, 1),) * e if e > 0 else ((1, -1),) * (-e))
             for pos, e in enumerate(combo)
         )
-        yield combo, FPWord(RANK1_FREE, syls)
+        yield combo, _fpword(RANK1_FREE, syls)
 
 
 def verify_tree_lemma(k_max: int, cap: int, radius: int,

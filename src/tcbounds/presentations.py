@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .words import Word, WordError, exponent_sum, identity, parse_word
+from .words import Word, exponent_sum, identity, parse_word
 
 
 class PresentationError(ValueError):
@@ -268,12 +268,6 @@ def apply_images(w: Word, target_rank: int, images: Sequence[Word]) -> Word:
         img = images[g - 1]
         result = result * (img if s == 1 else img.inverse())
     return result
-
-
-def apply_hom(h: FreeHom, w: Word) -> Word:
-    if w.rank != h.source.rank:
-        raise WordError("word is not over the source generators")
-    return h(w)
 
 
 def check_hom(

@@ -99,10 +99,6 @@ class CliquePair:
     k2: tuple[int, ...]
     union_size: int
 
-    def __post_init__(self) -> None:
-        if self.union_size != len(set(self.k1) | set(self.k2)):
-            raise GraphError("union size does not match the clique pair")
-
 
 def maximal_cliques(graph: SimpleGraph, vertex_limit: int = DEFAULT_VERTEX_LIMIT) -> list[tuple[int, ...]]:
     """All inclusion-maximal cliques, each sorted, via Bron-Kerbosch with pivot."""

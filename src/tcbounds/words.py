@@ -3,6 +3,8 @@
 Words are stored as tuples of (generator index, sign) letters, always
 freely reduced.  Generator indices are 1-based; rank 0 (the trivial
 group) is allowed.  All values are immutable and all operations pure.
+Letters are checked where they enter (``Word(...)``, ``generator``,
+``reduce``, ``parse_word``); words derived from them skip the check.
 """
 
 from __future__ import annotations
@@ -66,19 +68,15 @@ class Word:
     def __mul__(self, other: "Word") -> "Word":
         if self.rank != other.rank:
             raise WordError("cannot multiply words of different rank")
-        return Word(_free_reduce(self.letters + other.letters), self.rank)
+        return _word(_free_reduce(self.letters + other.letters), self.rank)
 
     def inverse(self) -> "Word":
-        return Word(tuple((g, -s) for g, s in reversed(self.letters)), self.rank)
+        return _word(tuple((g, -s) for g, s in reversed(self.letters)), self.rank)
 
     def __pow__(self, n: int) -> "Word":
         if n < 0:
             return self.inverse() ** (-n)
-        return Word(_free_reduce(self.letters * n), self.rank)
-
-    def conjugate_by(self, h: "Word") -> "Word":
-        """h * self * h^-1."""
-        return h * self * h.inverse()
+        return _word(_free_reduce(self.letters * n), self.rank)
 
     @property
     def is_identity(self) -> bool:
@@ -88,8 +86,16 @@ class Word:
         return format_word(self)
 
 
+def _word(letters: tuple[Letter, ...], rank: int) -> Word:
+    """A Word from letters that are already reduced and in range; no check."""
+    w = object.__new__(Word)
+    object.__setattr__(w, "letters", letters)
+    object.__setattr__(w, "rank", rank)
+    return w
+
+
 def identity(rank: int) -> Word:
-    return Word((), rank)
+    return _word((), rank)
 
 
 def generator(i: int, rank: int, sign: int = 1) -> Word:
@@ -101,7 +107,9 @@ def reduce(raw: Sequence[Letter], rank: int) -> Word:
     for gen, sign in raw:
         if not 1 <= gen <= rank:
             raise WordError(f"generator index {gen} out of range for rank {rank}")
-    return Word(_free_reduce(raw), rank)
+        if sign not in (-1, 1):
+            raise WordError(f"letter sign must be +1 or -1, got {sign}")
+    return _word(_free_reduce(raw), rank)
 
 
 def commutator(u: Word, v: Word) -> Word:
@@ -114,12 +122,11 @@ def cyclically_reduce(w: Word) -> tuple[Word, Word]:
     The core is cyclically reduced: its first and last letters do not
     cancel each other.
     """
-    letters = list(w.letters)
-    prefix: list[Letter] = []
-    while len(letters) >= 2 and letters[0][0] == letters[-1][0] and letters[0][1] == -letters[-1][1]:
-        prefix.append(letters[0])
-        letters = letters[1:-1]
-    return Word(tuple(letters), w.rank), Word(tuple(prefix), w.rank)
+    letters = w.letters
+    i, j = 0, len(letters)
+    while j - i >= 2 and letters[i][0] == letters[j - 1][0] and letters[i][1] == -letters[j - 1][1]:
+        i, j = i + 1, j - 1
+    return _word(letters[i:j], w.rank), _word(letters[:i], w.rank)
 
 
 def conjugate_in_free(u: Word, v: Word) -> bool:
@@ -161,7 +168,7 @@ def primitive_root(w: Word) -> Word:
             continue
         candidate = core.letters[:d]
         if candidate * (n // d) == core.letters:
-            return Word(candidate, w.rank)
+            return _word(candidate, w.rank)
     return core
 
 

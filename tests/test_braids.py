@@ -7,7 +7,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from tcbounds.braids import (
     BraidError,
-    BraidResourceError,
     BraidWord,
     alpha_generator,
     braid_equal,
@@ -18,7 +17,7 @@ from tcbounds.braids import (
     pb_tc_lower_bound,
     permutation,
 )
-from tcbounds.words import MAX_EXPANDED_LENGTH, ResourceCapError
+from tcbounds.words import MAX_EXPANDED_LENGTH, ResourceCapError, Word
 
 
 def braid(text, n=4):
@@ -110,6 +109,11 @@ class TestFreeGroupAction:
     def test_inverse_word_inverts_action(self, b):
         assert braid_equal(b * b.inverse(), BraidWord(4, ()))
 
+    @given(random_braid(max_len=8))
+    def test_images_are_reduced_words(self, b):
+        for x in free_group_action(b, word_cap=3**8):  # each letter at most triples a length
+            assert Word(x.letters, x.rank) == x
+
     def test_braid_relations(self):
         # far commutation and the braid relation, via the faithful action
         assert braid_equal(braid("s1 s3"), braid("s3 s1"))
@@ -117,7 +121,7 @@ class TestFreeGroupAction:
         assert not braid_equal(braid("s1"), braid("s2"))
 
     def test_word_cap(self):
-        with pytest.raises(BraidResourceError):
+        with pytest.raises(ResourceCapError):
             free_group_action(braid("s1 s2^-1") ** 30, word_cap=16)
 
 
@@ -169,6 +173,12 @@ class TestLinking:
             for j, k in enumerate(exps, start=1):
                 b = b * alpha_generator(n, j) ** k
             assert linking_matrix(b).last_column() == tuple(exps)
+
+    @given(random_pure_braid())
+    def test_symmetric_with_zero_diagonal(self, b):
+        e = linking_matrix(b).entries
+        assert all(e[i][i] == 0 for i in range(b.n))
+        assert all(e[i][j] == e[j][i] for i in range(b.n) for j in range(b.n))
 
     @given(random_pure_braid(), random_braid(max_len=4))
     @example(b=BraidWord(4, ((1, -1),) * 2), c=BraidWord(4, ((2, -1),)))

@@ -80,6 +80,14 @@ class TestRaag:
         assert code == EXIT_USAGE
         assert "clique" in err
 
+    @pytest.mark.parametrize("k1, k2, message", [
+        ("a", "2", "--k1: expected comma-separated vertices, got 'a'"),
+        ("1", "2,a", "--k2: expected comma-separated vertices, got '2,a'"),
+    ])
+    def test_bound_vertex_list_not_integers(self, capsys, path3_file, k1, k2, message):
+        code, out, err = run(capsys, "raag", "bound", path3_file, "--k1", k1, "--k2", k2)
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "raag", "z", "/nonexistent.json")
         assert code == EXIT_USAGE
@@ -379,6 +387,29 @@ class TestExponentCap:
         code, out, err = run(capsys, "pres", "abel", str(f))
         assert (code, out) == (EXIT_RESOURCE, "")
         assert err.count("\n") == 1 and f"cap of {MAX_EXPANDED_LENGTH}" in err
+
+
+class TestUsageErrors:
+    """argparse's own errors exit 1, not 2 (which means a failed verification)."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["braid", "perm"], "the following arguments are required: --n, word"),
+        (["braid", "perm", "--n", "x", "s1"], "argument --n: invalid int value: 'x'"),
+        (["braid", "perm", "--n", "3", "--bogus", "s1"], "unrecognized arguments: --bogus"),
+    ])
+    def test_usage_error_exits_1(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == EXIT_USAGE
+        assert err.startswith("usage: tcbounds")
+        assert err.endswith(f"error: {message}\n")
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["braid", "perm", "--help"])
+        assert exc.value.code == EXIT_OK
+        assert capsys.readouterr().out.startswith("usage: tcbounds braid perm")
 
 
 class TestOutputDiscipline:

@@ -9,9 +9,9 @@ from tcbounds.freeprod import (
     Factor,
     FreeProductError,
     ResourceCapError,
+    alternating_words,
     build_tree_ball,
     cyclic_normal_form,
-    fp_identity,
     hyperbolic_length,
     hyperbolic_length_bfs,
     is_elliptic,
@@ -91,16 +91,38 @@ class TestGroupLaws:
     def test_associative(self, g, h, k):
         assert (g * h) * k == g * (h * k)
 
-    @given(random_fp())
-    def test_power(self, g):
-        assert g**3 == g * g * g
-        assert g**-2 == (g.inverse()) ** 2
+
+def random_f2a():
+    """Normal forms in F_2 * Z: merges reduce free and add abelian syllables."""
+    elements = [f.elements(2) + [f.identity()] for f in F2A]
+    syllable = st.integers(0, 1).flatmap(lambda t: st.tuples(st.just(t), st.sampled_from(elements[t])))
+    return st.lists(syllable, max_size=6).map(lambda raw: normal_form(F2A, raw))
+
+
+class TestDerivedWordsAreValid:
+    """Normal forms built without a check pass the checked constructor."""
+
+    @given(random_f2a(), random_f2a())
+    def test_derived_words(self, g, h):
+        for x in (g * h, g.inverse(), cyclic_normal_form(g * h)):
+            assert FPWord(x.factors, x.syllables) == x
+
+    def test_alternating_words(self):
+        for k in (1, 2):
+            for _, g in alternating_words(k, 2):
+                assert FPWord(g.factors, g.syllables) == g
+
+    def test_vertex_words(self):
+        ball = build_tree_ball(F2A, radius=3, cap=2)
+        for vid in range(ball.vertex_count):
+            g = ball.vertex_word(vid)
+            assert FPWord(g.factors, g.syllables) == g
 
 
 class TestConjugacyGeometry:
     def test_single_syllable_elliptic(self):
         assert is_elliptic(zz_word(5))
-        assert is_elliptic(fp_identity(ZZ))
+        assert is_elliptic(FPWord(ZZ, ()))
 
     def test_conjugate_of_syllable_elliptic(self):
         g = zz_word(1, 1) * zz_word(3) * zz_word(1, 1).inverse()

@@ -1,0 +1,85 @@
+"""Golden reports: the --json stdout of fixed CLI runs, byte for byte.
+
+Each run goes through ``tcbounds.cli.main`` in-process and its stdout is
+compared with ``tests/golden/<name>.json``.  After an intended change to
+a report, regenerate the files with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and review the diff.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from tcbounds.cli import EXIT_OK, main
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+# Input files, written to a temporary directory; "@name" in a run's
+# arguments stands for the path of input "name".
+INPUTS = {
+    "graph": {"n": 5, "edges": [[1, 2], [2, 3], [3, 4], [4, 5], [5, 1], [1, 3]]},
+    "presentation": {"generators": ["a", "b", "c"],
+                     "relators": ["a^4 b^2", "a^2 b^6 c^3", "[a,b]"]},
+    "hom": {
+        "presentation": {"generators": ["a", "b", "c"],
+                         "relators": ["[a,[b^-1,c]]", "[b,[c^-1,a]]"]},
+        "target_generators": ["u", "v"],
+        "images": {"a": "u", "b": "v", "c": ""},
+    },
+    "expr": {"kind": "product",
+             "left": {"kind": "bs12"},
+             "right": {"kind": "raag", "n": 4, "edges": [[1, 2], [2, 3], [3, 4]]}},
+}
+
+RUNS = {
+    "tc-report-borromean": ["tc-report", "--case", "borromean"],
+    "tc-report-higman": ["tc-report", "--case", "higman"],
+    "tc-report-pbn-4": ["tc-report", "--case", "pbn", "4"],
+    "raag-z": ["raag", "z", "@graph"],
+    "raag-bound": ["raag", "bound", "@graph", "--k1", "4,5", "--k2", "1,2,3"],
+    "braid-tc-bound-5": ["braid", "tc-bound", "--n", "5"],
+    "braid-equal": ["braid", "equal", "--n", "4", "s1 s2 s1 s3^-1", "s2 s1 s2 s3^-1"],
+    "pres-abel": ["pres", "abel", "@presentation"],
+    "pres-hom-check": ["pres", "hom-check", "@hom"],
+    "chd": ["chd", "@expr"],
+    "tree-ball": ["tree", "ball", "--radius", "3", "--cap", "2", "--kind", "free_abelian"],
+    "tree-verify-lemma": ["tree", "verify-lemma", "--k", "2", "--radius", "5"],
+}
+
+
+def run_json(name: str, input_dir: Path) -> int:
+    """Exit code of one golden run with --json; the report goes to stdout."""
+    for key, doc in INPUTS.items():
+        (input_dir / f"{key}.json").write_text(json.dumps(doc))
+    argv = [str(input_dir / f"{a[1:]}.json") if a.startswith("@") else a for a in RUNS[name]]
+    return main(["--json", *argv])
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_golden_report(name, tmp_path, capsys):
+    code = run_json(name, tmp_path)
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert out == (GOLDEN_DIR / f"{name}.json").read_text()
+
+
+if __name__ == "__main__":
+    import contextlib
+    import io
+    import tempfile
+
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in sorted(RUNS):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code = run_json(name, Path(tmp))
+            if code != EXIT_OK:
+                sys.exit(f"{name}: exit {code}")
+            (GOLDEN_DIR / f"{name}.json").write_text(buf.getvalue())
+            print(f"wrote {name}.json")

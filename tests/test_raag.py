@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from tcbounds.raag import (
     CliquePair,
@@ -30,6 +31,14 @@ def path(n):
 
 def cycle(n):
     return SimpleGraph.from_edges(n, [(i, i % n + 1) for i in range(1, n + 1)])
+
+
+@st.composite
+def random_graph(draw, max_n=7):
+    n = draw(st.integers(1, max_n))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return SimpleGraph.from_edges(n, [e for e, k in zip(pairs, keep) if k])
 
 
 class TestSimpleGraph:
@@ -127,6 +136,11 @@ class TestZNumber:
             z, pair = z_number(g)
             assert g.is_clique(pair.k1) and g.is_clique(pair.k2)
             assert len(set(pair.k1) | set(pair.k2)) == z
+
+    @given(random_graph())
+    def test_witness_union_size(self, g):
+        z, pair = z_number(g)
+        assert pair.union_size == len(set(pair.k1) | set(pair.k2)) == z
 
     def test_oracle_agreement_random(self):
         rng = random.Random(5)

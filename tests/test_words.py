@@ -176,6 +176,22 @@ class TestPrimitiveRoot:
         assert primitive_root(identity(2)).is_identity
 
 
+class TestDerivedWordsAreValid:
+    """Words built without a check pass the checked constructor."""
+
+    @given(random_word(), random_word(), st.integers(-4, 4))
+    def test_derived_words(self, u, v, n):
+        derived = (u * v, u.inverse(), u**n, *cyclically_reduce(u * v),
+                   primitive_root(u), primitive_root(u**n))
+        for x in derived:
+            assert Word(x.letters, x.rank) == x
+
+
+def test_reduce_rejects_bad_sign():
+    with pytest.raises(WordError):
+        reduce([(1, 2)], 2)
+
+
 def test_generator_out_of_range():
     with pytest.raises(WordError):
         generator(2, 1)
