@@ -336,7 +336,8 @@ def higman_case_study() -> BoundReport:
     the three-generator vertex groups; (2) hyperbolicity of alternating
     words in the rank-1 free products F(y)*F(w) and F(x)*F(z), sampled
     exhaustively up to a syllable/exponent cap with BFS cross-checks on
-    the tree ball; (3) the two amalgam conjugacy-reduction lemmas,
+    the tree ball, and the cited fact that an elliptic element is
+    conjugate into a factor; (3) the two amalgam conjugacy-reduction lemmas,
     carried as cited steps; (4) chd(H_xy x H_zw) = 4 by the duality
     product rule; (5) upper bound 4 from the aspherical presentation
     2-complex.
@@ -379,18 +380,30 @@ def higman_case_study() -> BoundReport:
             if freeprod.hyperbolic_length(g) != 2 * k:
                 raise CertificateError(f"alternating word {combo} is not hyperbolic of length {2 * k}")
             checked += 1
-    _, failures = freeprod.verify_tree_lemma(HIGMAN_BFS_RADIUS // 2, HIGMAN_SAMPLE_CAP,
-                                             HIGMAN_BFS_RADIUS)
+    steps.append(CertStep(
+        f"every cyclically alternating word g in the rank-1 free products (up to "
+        f"{HIGMAN_SAMPLE_SYLLABLES} syllables, exponents up to {HIGMAN_SAMPLE_CAP}; "
+        f"{checked} words) has a cyclic normal form of 2k syllables, so it is "
+        "hyperbolic on the Bass-Serre tree with translation length 2k",
+        "machine-verified",
+    ))
+    bfs_checked, failures = freeprod.verify_tree_lemma(
+        HIGMAN_BFS_RADIUS // 2, HIGMAN_SAMPLE_CAP, HIGMAN_BFS_RADIUS)
     if failures:
         raise CertificateError(f"BFS distances wrong for {tuple(failures[0])}")
     steps.append(CertStep(
-        f"every cyclically alternating word in the rank-1 free products (up to "
-        f"{HIGMAN_SAMPLE_SYLLABLES} syllables, exponents up to {HIGMAN_SAMPLE_CAP}; "
-        f"{checked} words) "
-        "is hyperbolic on the Bass-Serre tree, with BFS distances d(gw, v) = 2k-1 and "
-        "d(gw, w) = 2k on the materialized ball; an element of F(y,w) elliptic on the "
-        "tree is therefore conjugate into F(y) or F(w), and likewise for F(x,z)",
+        f"for the {bfs_checked} of these words with at most {HIGMAN_BFS_RADIUS} syllables, "
+        f"BFS on the materialized radius-{HIGMAN_BFS_RADIUS} tree ball gives "
+        "d(gw, v) = 2k-1 and d(gw, w) = 2k",
         "machine-verified",
+    ))
+    steps.append(CertStep(
+        "the vertex stabilizers of the Bass-Serre tree of a free product are the "
+        "conjugates of its factors, so an element of F(y,w) = F(y) * F(w) elliptic on "
+        "the tree is conjugate into F(y) or F(w); F(x,z) = F(x) * F(z) is isomorphic to "
+        "F(y,w) (both are free products of two infinite cyclic groups), so the same "
+        "holds for F(x,z) with F(x) and F(z)",
+        "cited", "vertex stabilizers of the Bass-Serre tree (Serre, Trees, I.4)",
     ))
 
     # (3) the amalgam conjugacy-reduction lemmas, used twice each

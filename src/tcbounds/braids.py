@@ -128,7 +128,8 @@ def free_group_action(b: BraidWord, word_cap: int = DEFAULT_WORD_CAP) -> tuple[W
     images: list[tuple] = [((k, 1),) for k in range(1, b.n + 1)]
     for i, s in b.letters:
         _act_letter(images, i, s)
-        longest = max(len(w) for w in images)
+        # only x_i and x_{i+1} changed, and every other image is within the cap
+        longest = max(len(images[i - 1]), len(images[i]))
         if longest > word_cap:
             raise ResourceCapError(
                 f"free-group image length {longest} exceeds cap {word_cap}"

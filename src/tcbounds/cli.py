@@ -6,14 +6,15 @@ abel|hom-check, chd, tree ball|verify-lemma, tc-report.  JSON output
 text is rendered from the same JSON document, never computed
 separately.
 
-Exit codes: 0 success, 1 usage or parse error, 2 verification failure,
-3 resource cap exceeded.
+Exit codes: 0 success, 1 usage or parse error (or stdout closed before
+the report was written), 2 verification failure, 3 resource cap exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import bounds, braids, freeprod, groupexpr, presentations, raag, words
@@ -473,5 +474,18 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
 
+def run() -> None:
+    """The command-line entry: exit with main()'s code, or with 1 and no
+    traceback when the reader of stdout goes away early (``| head``)."""
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit: send that to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -6,8 +6,7 @@ has one vertex per coset gA or gB and one edge per group element; a
 finite ball around the base edge is materialized in BFS order as
 parent and child-range arrays, with factor elements enumerated up to a
 generator exponent cap.  Distances inside the ball are edge counts of
-the materialized tree (a BFS in ``distance_map``, parent links to the
-lowest common ancestor in ``tree_distance``), never the syllable
+the materialized tree (a BFS in ``distance_map``), never the syllable
 formula, which is what makes the ball an independent oracle for
 translation-length statements.
 """
@@ -169,11 +168,6 @@ def cyclic_normal_form(g: FPWord) -> FPWord:
     return _fpword(g.factors, tuple(syl))
 
 
-def is_elliptic(g: FPWord) -> bool:
-    """True iff g is conjugate into one of the factors (fixes a tree vertex)."""
-    return cyclic_normal_form(g).syllable_length <= 1
-
-
 def hyperbolic_length(g: FPWord) -> int:
     """Translation length on the Bass-Serre tree: 0 for elliptic elements,
     otherwise the syllable count of the cyclic normal form."""
@@ -214,10 +208,10 @@ class TreeBall:
     child per element of factor s.  The ball of a tree is a tree, so
     edges are exactly the parent links plus the base edge.
 
-    Storage is columnar and follows the BFS order: ``_parent``,
-    ``_depth`` and ``_side`` per vertex, and ``_first``, where the
-    children of p are the ids ``_first[p]`` to ``_first[p + 1] - 1``
-    (child i is the coset of element i of factor ``_side[p]``).
+    Storage is columnar and follows the BFS order: ``_parent`` and
+    ``_side`` per vertex, and ``_first``, where the children of p are the
+    ids ``_first[p]`` to ``_first[p + 1] - 1`` (child i is the coset of
+    element i of factor ``_side[p]``).
     """
 
     def __init__(self, factors: tuple[Factor, Factor], radius: int, cap: int,
@@ -247,11 +241,10 @@ class TreeBall:
         # The children of a block's vertices form the next depth's block,
         # in their parents' order.
         parent = array("i", (-1, -1))
-        depth = array("i", (0, 0))
         side = array("b", (A_SIDE, B_SIDE))
         first = array("i")
         blocks = [(self.v, self.v + 1, A_SIDE), (self.w, self.w + 1, B_SIDE)]
-        for d in range(1, self.radius + 1):
+        for _ in range(self.radius):
             next_blocks = []
             for lo, hi, s in blocks:
                 c = counts[s]
@@ -261,13 +254,12 @@ class TreeBall:
                 for i in range(c):
                     children[i::c] = parents  # child i of each vertex in the block
                 parent += children
-                depth += array("i", (d,)) * size
                 side += array("b", (1 - s,)) * size
                 next_blocks.append((start, start + size, 1 - s))
             blocks = next_blocks
         n = len(parent)
         first += array("i", (n,)) * (n + 1 - len(first))  # leaves, then the end sentinel
-        self._parent, self._depth, self._side, self._first = parent, depth, side, first
+        self._parent, self._side, self._first = parent, side, first
 
     # -- basic queries -------------------------------------------------------
 
@@ -326,32 +318,32 @@ class TreeBall:
 
     # -- distances -----------------------------------------------------------
 
-    def distance_map(self, source: int) -> list[int]:
-        """BFS distances (edge counts) from a vertex to every ball vertex.
+    def distance_map(self, source: int, max_depth: int) -> dict[int, int]:
+        """BFS distances (edge counts) from a vertex to the ball vertices at
+        most max_depth edges away, keyed by vertex id.
 
         The search runs depth by depth over the materialized edges: the
-        parent link, the child range and the base edge.
+        parent link, the child range and the base edge, and stops after
+        depth max_depth.  A ball of a tree is convex, so every distance it
+        reports is the distance in the whole tree.
         """
         parent, first = self._parent, self._first
         n = len(parent)
-        dist = [-1] * n
-        dist[source] = 0
+        dist = {source: 0}
         frontier = [source]
-        d = 0
-        while frontier:
-            d += 1
+        for d in range(1, max_depth + 1):
             reached: list[int] = []
             for vid in frontier:
                 up = parent[vid]
                 if up < 0:
                     up = self.w if vid == self.v else self.v
-                if dist[up] < 0:
+                if up not in dist:
                     dist[up] = d
                     reached.append(up)
                 a = first[vid]
                 if a != n:  # every leaf's child range is empty and starts at n
                     for child in range(a, first[vid + 1]):
-                        if dist[child] < 0:
+                        if child not in dist:
                             dist[child] = d
                             reached.append(child)
             frontier = reached
@@ -395,66 +387,19 @@ def verify_tree_lemma(k_max: int, cap: int, radius: int,
     """Check d(gw, v) = 2k-1 and d(gw, w) = 2k for every alternating word g
     with 2k <= 2 k_max syllables, by BFS on the F(x) * F(y) tree ball.
 
-    Returns (words checked, exponent lists of the failing words).
+    The BFS stops at depth 2 k_max, the largest distance the check reads;
+    a vertex it does not reach fails the check.  Returns (words checked,
+    exponent lists of the failing words).
     """
     ball = build_tree_ball(RANK1_FREE, radius, cap, max_vertices)
-    dist_v = ball.distance_map(ball.v)
-    dist_w = ball.distance_map(ball.w)
+    dist_v = ball.distance_map(ball.v, 2 * k_max)
+    dist_w = ball.distance_map(ball.w, 2 * k_max)
     failures = []
     total = 0
     for k in range(1, k_max + 1):
         for combo, g in alternating_words(k, cap):
             gw = ball.coset_vertex(g, B_SIDE)
             total += 1
-            if dist_v[gw] != 2 * k - 1 or dist_w[gw] != 2 * k:
+            if dist_v.get(gw, -1) != 2 * k - 1 or dist_w.get(gw, -1) != 2 * k:
                 failures.append(list(combo))
     return total, failures
-
-
-def tree_distance(ball: TreeBall, x: int, y: int) -> int:
-    """Edge count of the geodesic between two ball vertices.
-
-    Climbs the parent links to the lowest common ancestor:
-    depth(x) + depth(y) - 2 depth(lca), or depth(x) + depth(y) + 1 when
-    x and y hang off different ends of the base edge.
-    """
-    if not 0 <= x < ball.vertex_count or not 0 <= y < ball.vertex_count:
-        raise FreeProductError("vertex outside ball")
-    parent, depth = ball._parent, ball._depth
-    dx, dy = depth[x], depth[y]
-    total = dx + dy
-    while dx > dy:
-        x, dx = parent[x], dx - 1
-    while dy > dx:
-        y, dy = parent[y], dy - 1
-    while x != y:
-        if dx == 0:
-            return total + 1
-        x, y, dx = parent[x], parent[y], dx - 1
-    return total - 2 * dx
-
-
-def hyperbolic_length_bfs(ball: TreeBall, g: FPWord) -> int:
-    """Independent oracle: min over ball vertices x of d(x, g.x).
-
-    Distances are edge counts in the materialized ball (tree_distance),
-    not the syllable formula.  Only vertices whose translate stays inside
-    the ball participate; the ball must be large enough for the minimum
-    to be attained.
-    """
-    best = None
-    for vid in range(ball.vertex_count):
-        side = ball.side(vid)
-        rep = ball.vertex_word(vid)
-        try:
-            image = ball.coset_vertex(g * rep, side)
-        except FreeProductError:
-            continue
-        d = tree_distance(ball, vid, image)
-        if best is None or d < best:
-            best = d
-            if best == 0:
-                break
-    if best is None:
-        raise FreeProductError("ball too small to evaluate the length")
-    return best

@@ -3,8 +3,9 @@
 These deliberately avoid the library's optimized code paths: the Smith
 reducer below works by blind elementary operations with no pivot
 strategy, conjugacy is decided by exhaustive conjugator search, the
-two-clique number is maximized over all subset pairs, and tree balls
-are grown by BFS over explicit coset keys.
+two-clique number is maximized over all subset pairs, tree balls are
+grown by BFS over explicit coset keys, and braid images are measured
+all at once after every letter.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ from collections import deque
 from itertools import combinations, product
 from math import gcd
 
-from tcbounds.words import Word, identity, reduce as free_reduce
+from tcbounds.braids import _act_letter
+from tcbounds.freeprod import FreeProductError, cyclic_normal_form
+from tcbounds.words import ResourceCapError, Word, identity, reduce as free_reduce
 
 
 # ---------------------------------------------------------------------------
@@ -253,3 +256,78 @@ class DictTreeBall:
                     dist[nb] = dist[vid] + 1
                     queue.append(nb)
         return dist
+
+
+def is_elliptic(g) -> bool:
+    """True iff the FPWord g is conjugate into one of the factors (fixes a
+    tree vertex)."""
+    return cyclic_normal_form(g).syllable_length <= 1
+
+
+def tree_depth(ball, x: int) -> int:
+    """Edges from ball vertex x up its parent links to v or w."""
+    d = 0
+    while ball._parent[x] >= 0:
+        x, d = ball._parent[x], d + 1
+    return d
+
+
+def tree_distance(ball, x: int, y: int) -> int:
+    """Edge count of the geodesic between two vertices of a TreeBall.
+
+    Climbs the parent links to the lowest common ancestor:
+    depth(x) + depth(y) - 2 depth(lca), or depth(x) + depth(y) + 1 when
+    x and y hang off different ends of the base edge.
+    """
+    parent = ball._parent
+    dx, dy = tree_depth(ball, x), tree_depth(ball, y)
+    total = dx + dy
+    while dx > dy:
+        x, dx = parent[x], dx - 1
+    while dy > dx:
+        y, dy = parent[y], dy - 1
+    while x != y:
+        if dx == 0:
+            return total + 1
+        x, y, dx = parent[x], parent[y], dx - 1
+    return total - 2 * dx
+
+
+def hyperbolic_length_bfs(ball, g) -> int:
+    """min over ball vertices x of d(x, g.x), for an FPWord g.
+
+    Distances are edge counts in the materialized ball (tree_distance),
+    not the syllable formula.  Only vertices whose translate stays inside
+    the ball participate; the ball must be large enough for the minimum
+    to be attained.
+    """
+    best = None
+    for vid in range(ball.vertex_count):
+        side = ball.side(vid)
+        try:
+            image = ball.coset_vertex(g * ball.vertex_word(vid), side)
+        except FreeProductError:
+            continue
+        d = tree_distance(ball, vid, image)
+        if best is None or d < best:
+            best = d
+            if best == 0:
+                break
+    if best is None:
+        raise FreeProductError("ball too small to evaluate the length")
+    return best
+
+
+# ---------------------------------------------------------------------------
+# Braids
+
+def free_group_action_all_images(b, word_cap: int) -> tuple[Word, ...]:
+    """braids.free_group_action with the cap checked against the longest
+    of all n images after every letter."""
+    images = [((k, 1),) for k in range(1, b.n + 1)]
+    for i, s in b.letters:
+        _act_letter(images, i, s)
+        longest = max(len(w) for w in images)
+        if longest > word_cap:
+            raise ResourceCapError(f"free-group image length {longest} exceeds cap {word_cap}")
+    return tuple(Word(w, b.n) for w in images)

@@ -195,9 +195,14 @@ class TestHigmanCaseStudy:
         assert cert.variant == "trusted-chain"
         machine = [s for s in cert.steps if s.status == "machine-verified"]
         cited = [s for s in cert.steps if s.status == "cited"]
-        assert len(machine) == 2
-        assert len(cited) == 3
+        assert len(machine) == 3
+        assert len(cited) == 4
         assert all(s.citation for s in cited)
+        # each check states the count that ran; the elliptic-element fact is cited
+        assert "69904 words" in machine[1].description
+        assert "4368 of these words" in machine[2].description
+        assert not any("elliptic" in s.description for s in machine)
+        assert any("elliptic" in s.description for s in cited)
 
     def test_acyclicity_note(self, higman_report):
         assert any("acyclic" in n for n in higman_report.notes)

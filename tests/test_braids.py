@@ -5,6 +5,7 @@ from operator import mul
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from oracles import free_group_action_all_images
 from tcbounds.braids import (
     BraidError,
     BraidWord,
@@ -123,6 +124,20 @@ class TestFreeGroupAction:
     def test_word_cap(self):
         with pytest.raises(ResourceCapError):
             free_group_action(braid("s1 s2^-1") ** 30, word_cap=16)
+
+    @given(st.integers(2, 6).flatmap(lambda n: random_braid(n, max_len=20)), st.integers(0, 24))
+    @settings(max_examples=200, deadline=None)
+    def test_cap_check_matches_all_images(self, b, cap):
+        # the two rewritten images alone decide the cap: the same images,
+        # or the same error message
+        try:
+            want = free_group_action_all_images(b, cap)
+        except ResourceCapError as exc:
+            with pytest.raises(ResourceCapError) as got:
+                free_group_action(b, cap)
+            assert str(got.value) == str(exc)
+        else:
+            assert free_group_action(b, cap) == want
 
 
 class TestAlphaGenerators:

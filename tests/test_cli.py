@@ -42,18 +42,18 @@ def run_bad_file(capsys, tmp_path, doc, *argv):
     return err
 
 
-DATA_LIMIT = 400 * 2**20  # bytes of RLIMIT_DATA for the CLI subprocesses below
+CLI = [sys.executable, "-m", "tcbounds.cli"]
+CLI_ENV = dict(os.environ, PYTHONPATH=str(Path(tcbounds.__file__).parents[1]))
 
 
-def run_limited(*argv):
-    """Run the CLI in a subprocess with at most DATA_LIMIT bytes of data."""
-    env = dict(os.environ, PYTHONPATH=str(Path(tcbounds.__file__).parents[1]))
+def run_limited(data_limit_mib, *argv):
+    """Run the CLI in a subprocess with at most data_limit_mib MiB of data."""
 
     def limit():
-        resource.setrlimit(resource.RLIMIT_DATA, (DATA_LIMIT, DATA_LIMIT))
+        resource.setrlimit(resource.RLIMIT_DATA, (data_limit_mib * 2**20,) * 2)
 
-    return subprocess.run([sys.executable, "-m", "tcbounds.cli", *argv], env=env,
-                          preexec_fn=limit, capture_output=True, text=True, timeout=300)
+    return subprocess.run([*CLI, *argv], env=CLI_ENV, preexec_fn=limit,
+                          capture_output=True, text=True, timeout=300)
 
 
 def run_json(capsys, *argv):
@@ -252,7 +252,9 @@ class TestTree:
         assert "--radius 4" in err and "--k 3" in err
 
     def test_verify_lemma_defaults_fit_data_limit(self):
-        proc = run_limited("--json", "tree", "verify-lemma")
+        # the radius-10 ball's parent, side and child-range columns, with a
+        # BFS that stops at depth 2k: about 51 MiB
+        proc = run_limited(96, "--json", "tree", "verify-lemma")
         assert proc.returncode == EXIT_OK, proc.stderr
         doc = json.loads(proc.stdout)
         assert doc["words_checked"] == 4368
@@ -261,7 +263,7 @@ class TestTree:
     def test_verify_lemma_oversized_ball_refused_up_front(self):
         # about 2 * 4^40 vertices: refused by the size check before any
         # allocation, so the data limit is never reached
-        proc = run_limited("--json", "tree", "verify-lemma", "--radius", "40")
+        proc = run_limited(400, "--json", "tree", "verify-lemma", "--radius", "40")
         assert proc.returncode == EXIT_RESOURCE
         assert proc.stdout == ""
         assert proc.stderr.count("\n") == 1 and "exceeds" in proc.stderr
@@ -413,6 +415,23 @@ class TestUsageErrors:
 
 
 class TestOutputDiscipline:
+    @pytest.mark.parametrize("argv", [
+        ["--json", "braid", "tc-bound", "--n", "12"],  # fits stdout's buffer
+        ["tree", "ball", "--radius", "5", "--cap", "2", "--dot"],  # does not
+    ])
+    def test_closed_stdout_exits_1_quietly(self, argv):
+        # stdout block-buffered, as it is for a pipe unless PYTHONUNBUFFERED is set
+        env = {k: v for k, v in CLI_ENV.items() if k != "PYTHONUNBUFFERED"}
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before anything is written
+        try:
+            proc = subprocess.run([*CLI, *argv], env=env, stdout=write_end,
+                                  stderr=subprocess.PIPE, text=True, timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+
     def test_json_deterministic(self, capsys, path3_file):
         first = run(capsys, "--json", "raag", "z", path3_file)
         second = run(capsys, "--json", "raag", "z", path3_file)

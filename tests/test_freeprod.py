@@ -1,7 +1,9 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import DictTreeBall
+from oracles import DictTreeBall, hyperbolic_length_bfs, is_elliptic, tree_depth, tree_distance
 from tcbounds.freeprod import (
     A_SIDE,
     B_SIDE,
@@ -9,14 +11,13 @@ from tcbounds.freeprod import (
     Factor,
     FreeProductError,
     ResourceCapError,
+    TreeBall,
     alternating_words,
     build_tree_ball,
     cyclic_normal_form,
     hyperbolic_length,
-    hyperbolic_length_bfs,
-    is_elliptic,
     normal_form,
-    tree_distance,
+    verify_tree_lemma,
 )
 
 ZZ = (Factor("free_abelian", 1), Factor("free_abelian", 1))
@@ -157,8 +158,8 @@ class TestTreeBall:
     def test_mixed_factors(self):
         ball = build_tree_ball(F2A, radius=2, cap=1)
         # v has 4 neighbours (a, a^-1, b, b^-1 cosets), w has 2
-        dist_v = ball.distance_map(ball.v)
-        assert sum(1 for d in dist_v if d == 1) == 5  # 4 cosets + w
+        dist_v = ball.distance_map(ball.v, 2 * 2 + 1)
+        assert sum(1 for d in dist_v.values() if d == 1) == 5  # 4 cosets + w
 
     def test_vertex_word_round_trip(self):
         ball = build_tree_ball(ZZ, radius=4, cap=2)
@@ -217,7 +218,7 @@ class TestBallAgainstDictOracle:
         oracle = DictTreeBall(factors, radius, cap)
         assert (ball.v, ball.w) == (oracle.v, oracle.w)
         assert list(ball._parent) == oracle.parent
-        assert list(ball._depth) == oracle.depth
+        assert [tree_depth(ball, vid) for vid in range(ball.vertex_count)] == oracle.depth
         for vid, (side, _) in enumerate(oracle.keys):
             assert ball.side(vid) == side
             assert ball.vertex_word(vid).syllables == oracle.syllables(vid)
@@ -229,7 +230,11 @@ class TestBallAgainstDictOracle:
         oracle = DictTreeBall(factors, radius, cap)
         n = ball.vertex_count
         for source in (ball.v, ball.w, 2, n // 2, n - 1):
-            assert ball.distance_map(source) == oracle.distance_map(source)
+            full = dict(enumerate(oracle.distance_map(source)))
+            for limit in range(2 * radius + 2):
+                within = {vid: d for vid, d in full.items() if d <= limit}
+                assert ball.distance_map(source, limit) == within
+            assert within == full  # no two ball vertices are over 2 radius + 1 apart
 
     def test_child_ranges_point_back(self, pair, radius, cap):
         ball = build_tree_ball(ORACLE_PAIRS[pair], radius, cap)
@@ -262,3 +267,14 @@ class TestLengthOracle:
         if any(abs(e[0]) > 2 for _, e in g.syllables):
             return  # outside this ball's exponent cap
         assert hyperbolic_length_bfs(ball, g) == hyperbolic_length(g)
+
+
+def test_lemma_fails_when_the_search_stops_short(monkeypatch):
+    # a BFS one level shorter than 2 k_max never reaches gw from w for the
+    # longest words, and those words, exactly, must fail
+    bounded = TreeBall.distance_map
+    monkeypatch.setattr(TreeBall, "distance_map",
+                        lambda ball, source, max_depth: bounded(ball, source, max_depth - 1))
+    total, failures = verify_tree_lemma(2, 1, 3)
+    assert total == 2 ** 2 + 2 ** 4  # exponents +-1, k = 1 and k = 2
+    assert sorted(map(tuple, failures)) == sorted(product((-1, 1), repeat=4))
