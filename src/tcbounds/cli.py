@@ -466,6 +466,9 @@ def main(argv=None) -> int:
     except words.ResourceCapError as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except MemoryError:
+        print("resource cap exceeded: out of memory", file=sys.stderr)
+        return EXIT_RESOURCE
     except (CertificateError,) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION

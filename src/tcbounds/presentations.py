@@ -1,10 +1,11 @@
 """Finite group presentations, abelianization, and maps to free groups.
 
 Abelianization goes through the Smith normal form of the relator
-exponent matrix, computed over arbitrary-precision integers.  The
-result carries generator images in the abelianized group, so claims
-like "powers of x survive while powers of y are trivial" are directly
-checkable.
+exponent matrix, computed over arbitrary-precision integers by one loop
+that repivots on the smallest remainder and keeps the divisibility
+chain as an invariant.  The result carries generator images in the
+abelianized group, so claims like "powers of x survive while powers of
+y are trivial" are directly checkable.
 """
 
 from __future__ import annotations
@@ -64,104 +65,61 @@ def _snf_with_left_transform(matrix: Sequence[Sequence[int]]) -> tuple[list[int]
 
     Returns (diagonal, U) where diag(d_1, d_2, ...) = U * M * V for
     unimodular U, V (V is not tracked), with d_1 | d_2 | ... and all
-    d_i >= 0.  Pivot choice: minimal nonzero absolute value, ties by
-    row-major position.
+    d_i >= 0.
+
+    One pass per diagonal position k.  The pivot is the smallest nonzero
+    |entry| of the trailing block (ties by row-major position).  Its
+    column and row are reduced by floor quotients; while a remainder is
+    left, the smallest one becomes the pivot.  Once both are clear, a
+    trailing entry the pivot does not divide has its row added into row
+    k, which leaves a smaller remainder.  So on leaving position k the
+    pivot divides every trailing entry, and the divisibility chain holds
+    as an invariant with no separate pass.
     """
     m = len(matrix)
     n = len(matrix[0]) if m else 0
     a = [list(row) for row in matrix]
     u = [[int(i == j) for j in range(m)] for i in range(m)]
 
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-
     def add_row(dst, src, c):
         a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
         u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
 
-    def add_col(dst, src, c):
-        for row in a:
-            row[dst] += c * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    size = min(m, n)
-    k = 0
-    while k < size:
-        # pivot: minimal nonzero |entry| in the trailing submatrix
-        pivot = None
-        for i in range(k, m):
-            for j in range(k, n):
-                if a[i][j] and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
+    for k in range(min(m, n)):
+        nonzero = [(abs(a[i][j]), i, j) for i in range(k, m) for j in range(k, n) if a[i][j]]
+        if not nonzero:
             break
-        swap_rows(k, pivot[0])
-        swap_cols(k, pivot[1])
-        # clear row and column k; entries may regrow, so iterate
+        _, pi, pj = min(nonzero)
         while True:
-            dirty = False
+            a[k], a[pi] = a[pi], a[k]
+            u[k], u[pi] = u[pi], u[k]
+            for row in a:
+                row[k], row[pj] = row[pj], row[k]
+            p = a[k][k]
             for i in range(k + 1, m):
-                if a[i][k]:
-                    q = a[i][k] // a[k][k]
+                q = a[i][k] // p
+                if q:
                     add_row(i, k, -q)
-                    if a[i][k]:
-                        swap_rows(i, k)
-                    dirty = True
             for j in range(k + 1, n):
-                if a[k][j]:
-                    q = a[k][j] // a[k][k]
-                    add_col(j, k, -q)
-                    if a[k][j]:
-                        swap_cols(j, k)
-                    dirty = True
-            if not dirty:
+                q = a[k][j] // p
+                if q:
+                    for row in a:
+                        row[j] -= q * row[k]
+            rest = [(abs(a[i][k]), i, k) for i in range(k + 1, m) if a[i][k]]
+            rest += [(abs(a[k][j]), k, j) for j in range(k + 1, n) if a[k][j]]
+            if rest:
+                _, pi, pj = min(rest)
+                continue
+            bad = next((i for i in range(k + 1, m) for x in a[i][k + 1:] if x % p), None)
+            if bad is None:
                 break
+            add_row(k, bad, 1)
+            pi = pj = k
         if a[k][k] < 0:
-            negate_row(k)
-        k += 1
+            a[k] = [-x for x in a[k]]
+            u[k] = [-x for x in u[k]]
 
-    # enforce the divisibility chain d_i | d_{i+1}
-    changed = True
-    while changed:
-        changed = False
-        for i in range(size - 1):
-            d, e = a[i][i], a[i + 1][i + 1]
-            if d and e % d == 0:
-                continue
-            if d == 0 and e != 0:
-                swap_rows(i, i + 1)
-                swap_cols(i, i + 1)
-                changed = True
-                continue
-            if d == 0 and e == 0:
-                continue
-            # fold the pair (d, e) into (gcd, lcm)
-            add_col(i, i + 1, 1)
-            while True:
-                q = a[i + 1][i] // a[i][i] if a[i][i] else 0
-                if a[i][i] and a[i + 1][i] % a[i][i] == 0:
-                    add_row(i + 1, i, -q)
-                    break
-                add_row(i + 1, i, -q)
-                swap_rows(i, i + 1)
-            # clear the off-diagonal entry in row i
-            if a[i][i + 1]:
-                add_col(i + 1, i, -(a[i][i + 1] // a[i][i]))
-            if a[i][i] < 0:
-                negate_row(i)
-            if a[i + 1][i + 1] < 0:
-                negate_row(i + 1)
-            changed = True
-
-    diag = [abs(a[i][i]) for i in range(size)]
+    diag = [a[i][i] for i in range(min(m, n))]
     return diag, u
 
 

@@ -11,6 +11,7 @@ onto the free abelian subgroup spanned by K2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -22,7 +23,7 @@ class GraphError(ValueError):
     """Invalid graph data or size limit exceeded."""
 
 
-DEFAULT_VERTEX_LIMIT = 64
+VERTEX_LIMIT = 64
 
 
 @dataclass(frozen=True)
@@ -85,10 +86,15 @@ class SimpleGraph:
                 raise GraphError(f"vertex {v} out of range")
         return all((u, v) in self.edges for u, v in combinations(vs, 2))
 
+    @cached_property
+    def cliques(self) -> tuple[tuple[int, ...], ...]:
+        """The maximal cliques, enumerated once per graph."""
+        return tuple(maximal_cliques(self))
+
     def clique_number(self) -> int:
         if self.n == 0:
             return 0
-        return max(len(c) for c in maximal_cliques(self))
+        return max(len(c) for c in self.cliques)
 
 
 @dataclass(frozen=True)
@@ -100,10 +106,10 @@ class CliquePair:
     union_size: int
 
 
-def maximal_cliques(graph: SimpleGraph, vertex_limit: int = DEFAULT_VERTEX_LIMIT) -> list[tuple[int, ...]]:
+def maximal_cliques(graph: SimpleGraph) -> list[tuple[int, ...]]:
     """All inclusion-maximal cliques, each sorted, via Bron-Kerbosch with pivot."""
-    if graph.n > vertex_limit:
-        raise GraphError(f"graph has {graph.n} vertices, limit is {vertex_limit}")
+    if graph.n > VERTEX_LIMIT:
+        raise GraphError(f"graph has {graph.n} vertices, limit is {VERTEX_LIMIT}")
     adj = graph.adjacency_masks()
     nbr = [0] * graph.n
     for v in range(1, graph.n + 1):
@@ -132,12 +138,12 @@ def maximal_cliques(graph: SimpleGraph, vertex_limit: int = DEFAULT_VERTEX_LIMIT
     return sorted(out)
 
 
-def z_number(graph: SimpleGraph, vertex_limit: int = DEFAULT_VERTEX_LIMIT) -> tuple[int, CliquePair]:
+def z_number(graph: SimpleGraph) -> tuple[int, CliquePair]:
     """max |K1 union K2| over clique pairs, with a lexicographically
     minimal witness among the maximizing pairs of maximal cliques."""
     if graph.n < 1:
         raise GraphError("graph must have at least one vertex")
-    cliques = maximal_cliques(graph, vertex_limit)
+    cliques = graph.cliques
     masks = [sum(1 << (v - 1) for v in c) for c in cliques]
     best = -1
     witness = None

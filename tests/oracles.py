@@ -125,8 +125,7 @@ def determinantal_divisors(matrix) -> tuple[int, ...]:
     size = min(m, n)
 
     def minor(rows, cols):
-        sub = [[matrix[i][j] for j in cols] for i in rows]
-        return _det(sub)
+        return bareiss_det([[matrix[i][j] for j in cols] for i in rows])
 
     invariants = []
     prev = 1
@@ -143,16 +142,51 @@ def determinantal_divisors(matrix) -> tuple[int, ...]:
     return tuple(invariants + [0] * (size - len(invariants)))
 
 
-def _det(a) -> int:
+def bareiss_det(matrix) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination: every division is exact, so entries stay minors."""
+    a = [list(row) for row in matrix]
     n = len(a)
-    if n == 1:
-        return a[0][0]
-    total = 0
-    for j in range(n):
-        if a[0][j]:
-            sub = [row[:j] + row[j + 1:] for row in a[1:]]
-            total += (-1) ** j * a[0][j] * _det(sub)
-    return total
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if n else 1
+
+
+def abelian_images_error(exponents, free_rank: int, torsion, images) -> str:
+    """What is wrong with generator images as a presentation of
+    H_1 = Z/t_1 x ... x Z/t_k x Z^free_rank; "" when nothing is.
+
+    exponents has one row per relator and one column per generator;
+    images[i] lists generator i's coordinates, torsion ones first.  The
+    images must kill every relator and generate the group; a surjection
+    between isomorphic finitely generated abelian groups is an
+    isomorphism, so with the right invariants this pins the images down.
+    """
+    moduli = list(torsion) + [0] * free_rank
+    k = len(moduli)
+    if any(len(v) != k for v in images):
+        return "generator images have the wrong shape"
+    for row in exponents:
+        for c, m in enumerate(moduli):
+            s = sum(e * img[c] for e, img in zip(row, images))
+            if s % m if m else s:
+                return f"relator {row} does not die under the generator images"
+    if k:
+        lattice = [[img[c] for img in images] + [m * (c == r) for r, m in enumerate(moduli)]
+                   for c in range(k)]
+        if any(d != 1 for d in naive_smith(lattice)):
+            return "generator images do not generate the reported group"
+    return ""
 
 
 # ---------------------------------------------------------------------------

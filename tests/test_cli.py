@@ -268,6 +268,13 @@ class TestTree:
         assert proc.stdout == ""
         assert proc.stderr.count("\n") == 1 and "exceeds" in proc.stderr
 
+    def test_verify_lemma_out_of_memory_exits_resource(self):
+        # the defaults need about 51 MiB of data; at 40 MiB the ball build
+        # runs out of memory partway through
+        proc = run_limited(40, "--json", "tree", "verify-lemma")
+        assert proc.returncode == EXIT_RESOURCE
+        assert proc.stderr == "resource cap exceeded: out of memory\n"
+
 
 BORROMEAN = {"generators": ["a", "b", "c"], "relators": ["[a,[b^-1,c]]", "[b,[c^-1,a]]"]}
 

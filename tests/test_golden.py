@@ -25,6 +25,9 @@ INPUTS = {
     "graph": {"n": 5, "edges": [[1, 2], [2, 3], [3, 4], [4, 5], [5, 1], [1, 3]]},
     "presentation": {"generators": ["a", "b", "c"],
                      "relators": ["a^4 b^2", "a^2 b^6 c^3", "[a,b]"]},
+    # Smith reduction of this one repivots on a remainder and then folds a
+    # trailing entry the pivot does not divide
+    "fold-presentation": {"generators": ["a", "b", "c"], "relators": ["a^6 b^4", "c^9"]},
     "hom": {
         "presentation": {"generators": ["a", "b", "c"],
                          "relators": ["[a,[b^-1,c]]", "[b,[c^-1,a]]"]},
@@ -45,6 +48,7 @@ RUNS = {
     "braid-tc-bound-5": ["braid", "tc-bound", "--n", "5"],
     "braid-equal": ["braid", "equal", "--n", "4", "s1 s2 s1 s3^-1", "s2 s1 s2 s3^-1"],
     "pres-abel": ["pres", "abel", "@presentation"],
+    "pres-abel-fold": ["pres", "abel", "@fold-presentation"],
     "pres-hom-check": ["pres", "hom-check", "@hom"],
     "chd": ["chd", "@expr"],
     "tree-ball": ["tree", "ball", "--radius", "3", "--cap", "2", "--kind", "free_abelian"],

@@ -1,21 +1,35 @@
+import os
 import random
+import resource
+import subprocess
+import sys
+from math import gcd
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+import tcbounds
 from tcbounds.bounds import borromean_presentation, higman_presentation
 from tcbounds.presentations import (
     AbelianInvariants,
     FreeHom,
     Presentation,
     PresentationError,
+    _snf_with_left_transform,
     abelianization,
     check_hom,
     smith_normal_form,
 )
 from tcbounds.words import generator, identity, parse_word
 
-from oracles import determinantal_divisors, naive_smith
+from oracles import abelian_images_error, bareiss_det, determinantal_divisors, naive_smith
+
+# A seeded 10 x 10 matrix with entries in [-3, 3]: a reducer that swaps in
+# each remainder as soon as it appears lets entries grow without bound on it.
+BLOWUP_CASE = ("import random; from tcbounds.presentations import smith_normal_form as s; "
+               "r = random.Random(0); "
+               "print(s([[r.randint(-3, 3) for _ in range(10)] for _ in range(10)]))")
 
 
 class TestSmithNormalForm:
@@ -66,6 +80,32 @@ class TestSmithNormalForm:
     @settings(max_examples=50, deadline=None)
     def test_oracle_equivalence_hypothesis(self, mat):
         assert smith_normal_form(mat) == naive_smith(mat)
+
+    def test_large_random_matrices(self):
+        rng = random.Random(11)
+        for _ in range(12):
+            m, n = rng.randint(12, 20), rng.randint(12, 20)
+            mat = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+            diag, u = _snf_with_left_transform(mat)
+            assert tuple(diag) == naive_smith(mat), mat
+            assert bareiss_det(u) in (1, -1)
+            # U M = D V^-1 and a row of a unimodular matrix has gcd 1, so
+            # row i of U M has gcd d_i, and the rows past the diagonal vanish
+            um = [[sum(x * mat[k][j] for k, x in enumerate(row)) for j in range(n)] for row in u]
+            for i, row in enumerate(um):
+                assert gcd(*row) == (diag[i] if i < len(diag) else 0)
+
+    def test_blowup_case_finishes_in_small_memory(self):
+        def limit():
+            resource.setrlimit(resource.RLIMIT_DATA, (64 * 2**20,) * 2)
+
+        env = dict(os.environ, PYTHONPATH=str(Path(tcbounds.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", BLOWUP_CASE], env=env, preexec_fn=limit,
+                              capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        r = random.Random(0)
+        mat = [[r.randint(-3, 3) for _ in range(10)] for _ in range(10)]
+        assert proc.stdout == f"{naive_smith(mat)}\n"
 
 
 HIGMAN = higman_presentation()
@@ -124,6 +164,36 @@ class TestAbelianization:
         inv = abelianization(p)
         assert inv.free_rank == 2
         assert inv.survives(1) and inv.survives(2)
+
+
+@st.composite
+def presentations(draw):
+    g = draw(st.integers(2, 8))
+    relators = []
+    for _ in range(draw(st.integers(1, 8))):
+        letters = draw(st.lists(st.tuples(st.integers(1, g), st.integers(-4, 4).filter(bool)),
+                                min_size=1, max_size=6))
+        w = identity(g)
+        for i, e in letters:
+            w = w * generator(i, g) ** e
+        assume(not w.is_identity)
+        relators.append(w)
+    return Presentation(tuple(f"x{i}" for i in range(1, g + 1)), tuple(relators))
+
+
+class TestAbelianizationImages:
+    @given(presentations())
+    @settings(max_examples=60, deadline=None)
+    def test_images_present_h1(self, p):
+        inv = abelianization(p)
+        exponents = p.exponent_matrix()
+        # H_1 = Z^g / (row space): invariants of the transposed exponent matrix
+        cols = [list(c) for c in zip(*exponents)]
+        diag = naive_smith(cols)
+        assert inv.torsion == tuple(d for d in diag if d > 1)
+        assert inv.free_rank == p.rank - sum(1 for d in diag if d)
+        assert abelian_images_error(exponents, inv.free_rank, inv.torsion,
+                                    inv.generator_images) == ""
 
 
 class TestValidation:

@@ -79,7 +79,7 @@ class TestMaximalCliques:
 
     def test_vertex_limit(self):
         with pytest.raises(GraphError):
-            maximal_cliques(empty(10), vertex_limit=5)
+            maximal_cliques(empty(65))
 
     def test_every_maximal_clique_found(self):
         # cross-check against direct enumeration on random graphs
