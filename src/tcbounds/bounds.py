@@ -1,5 +1,5 @@
-"""The bound engine: certificate verification, report assembly, and the
-packaged case studies (Borromean rings group, Higman's group).
+"""The bound engine: every disjointness certificate and report, including
+the packaged case studies (Borromean rings group, Higman's group).
 
 Lower bounds all flow through one criterion: if conjugates of A always
 meet B trivially inside G, then TC(G) >= chd(A x B) (Grant-Lupton-
@@ -10,6 +10,7 @@ baseline lower bound cat <= TC.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Sequence
 
 from . import braids, freeprod, groupexpr, raag, words
@@ -20,7 +21,7 @@ from .certificates import (
     DisjointnessCertificate,
     Provenance,
 )
-from .groupexpr import ChdResult, GroupExpr
+from .groupexpr import GroupExpr
 from .presentations import FreeHom, Presentation, abelianization
 from .raag import CliquePair, SimpleGraph
 from .words import Word, conjugate_in_free, primitive_root
@@ -86,21 +87,24 @@ def verify_retraction_certificate(
     )
 
 
-def verify_raag_retraction(graph, k1: Sequence[int], k2: Sequence[int]) -> DisjointnessCertificate:
-    """The coordinate retraction certificate for disjoint cliques."""
-    pres = raag.raag_presentation(graph)
-    a_gens = [f"x{v}" for v in k1]
-    b_gens = [f"x{v}" for v in k2]
-    images = {}
-    k2_list = list(k2)
-    for v in range(1, graph.n + 1):
-        name = f"x{v}"
-        if v in k2_list:
-            pos = k2_list.index(v)
-            images[name] = tuple(1 if q == pos else 0 for q in range(len(k2_list)))
-        else:
-            images[name] = (0,) * len(k2_list)
-    return verify_retraction_certificate(pres, a_gens, b_gens, images)
+def clique_pair_bound(graph: SimpleGraph, k1: Sequence[int], k2: Sequence[int]
+                      ) -> tuple[int, DisjointnessCertificate]:
+    """(|K1| + |K2| = chd(Z^m x Z^n), certificate) for disjoint cliques.
+
+    The certificate machine-checks the coordinate retraction onto the
+    free abelian subgroup spanned by K2, which kills every other generator.
+    """
+    s1, s2 = sorted(set(k1)), sorted(set(k2))
+    if set(s1) & set(s2):
+        raise raag.GraphError("cliques must be disjoint")
+    if not graph.is_clique(s1):
+        raise raag.GraphError(f"K1 = {s1} is not a clique")
+    if not graph.is_clique(s2):
+        raise raag.GraphError(f"K2 = {s2} is not a clique")
+    images = {f"x{v}": tuple(int(v == u) for u in s2) for v in range(1, graph.n + 1)}
+    cert = verify_retraction_certificate(raag.raag_presentation(graph), [f"x{v}" for v in s1],
+                                         [f"x{v}" for v in s2], images)
+    return len(s1) + len(s2), cert
 
 
 def verify_split_extension_certificate(
@@ -157,10 +161,8 @@ def verify_split_extension_certificate(
 # Report assembly
 
 def tc_report(
-    group: GroupExpr | str,
+    group: GroupExpr,
     certs: Sequence[tuple[GroupExpr, GroupExpr, DisjointnessCertificate]],
-    group_chd: ChdResult | None = None,
-    geom_dim: tuple[int, bool] | None = None,
     notes: Sequence[str] = (),
 ) -> BoundReport:
     """Fold certificates and dimension data into a TC bound interval.
@@ -169,17 +171,7 @@ def tc_report(
     certificates); upper = 2 * geometric dimension, flagged when it
     rests on chd = 2 without an explicit aspherical 2-complex.
     """
-    if isinstance(group, GroupExpr):
-        label = group.label()
-        if group_chd is None:
-            group_chd = groupexpr.chd(group)
-        if geom_dim is None:
-            geom_dim = groupexpr.geometric_dimension(group)
-    else:
-        label = group
-        if group_chd is None or geom_dim is None:
-            raise CertificateError("chd and geometric dimension data required for opaque groups")
-
+    group_chd = groupexpr.chd(group)
     lower_prov = [Provenance(f"cat(G) <= TC(G) with {CAT_CITE}", group_chd.lower)]
     lower = group_chd.lower
     cert_list = []
@@ -192,7 +184,7 @@ def tc_report(
         lower = max(lower, pair.lower)
         cert_list.append(cert)
 
-    gd, caveat = geom_dim
+    gd, caveat = groupexpr.geometric_dimension(group)
     upper = 2 * gd
     upper_prov = [Provenance(DIM_CITE, upper)]
     all_notes = list(notes)
@@ -202,7 +194,7 @@ def tc_report(
             "2-complex; exactness of dimension 2 is the Eilenberg-Ganea problem"
         )
     return BoundReport(
-        group=label,
+        group=group.label(),
         lower=lower,
         upper=upper,
         lower_provenance=tuple(lower_prov),
@@ -220,7 +212,7 @@ def raag_report(graph: SimpleGraph) -> tuple[int, CliquePair, int, BoundReport]:
     """
     z, witness = raag.z_number(graph)
     k1, k2 = _disjoint_cliques(witness)
-    bound, cert = raag.clique_pair_bound(graph, k1, k2)
+    bound, cert = clique_pair_bound(graph, k1, k2)
     report = tc_report(
         groupexpr.Raag(graph),
         [(groupexpr.FreeAbelian(len(k1)), groupexpr.FreeAbelian(len(k2)), cert)],
@@ -244,16 +236,49 @@ def _disjoint_cliques(witness: CliquePair) -> tuple[tuple[int, ...], tuple[int, 
 
 
 def pure_braid_report(n: int) -> tuple[int, BoundReport]:
-    """(certified bound 2n-3, report) for the pure braid group PB_n."""
-    bound, cert = braids.pb_tc_lower_bound(n)
+    """(certified bound 2n-3, report) for the pure braid group PB_n.
+
+    TC(PB_n) >= chd(Z^{n-1} x PB_{n-1}) = 2n-3.  A is the free abelian
+    subgroup generated by the strand-looping braids alpha_1..alpha_{n-1};
+    B is PB_{n-1} included by adding a final inert strand.  A conjugate
+    of A meeting B forces all linking numbers with the last closure
+    component to vanish, which pins the alpha-exponents to zero.
+    """
+    if n < 2:
+        raise braids.BraidError("pure braid groups need n >= 2")
+    alphas = [braids.alpha_generator(n, j) for j in range(1, n)]
+    for j, a in enumerate(alphas, start=1):
+        lk = braids.linking_matrix(a)  # raises BraidError unless alpha_j is pure
+        expected = tuple(1 if i > j else 0 for i in range(1, n + 1) if i != j)
+        row = tuple(lk.lk(j, i) for i in range(1, n + 1) if i != j)
+        if row != expected:
+            raise CertificateError(f"alpha_{j} has unexpected linking row {row}")
+    for (i, a), (j, b) in combinations(enumerate(alphas, start=1), 2):
+        if not braids.braid_equal(a * b, b * a):
+            raise CertificateError(f"alpha_{i}, alpha_{j} do not commute")
+    steps = (
+        CertStep(f"alpha_1..alpha_{n-1} are pure and lk(alpha_j: j, i) = 1 exactly for i > j",
+                 "machine-verified"),
+        CertStep("the alpha_j commute pairwise (free-group action), so A = "
+                 "<alpha_1..alpha_{n-1}> is free abelian of rank n-1 in the torsion-free "
+                 "group PB_n", "machine-verified"),
+        CertStep("conjugation by pure braids preserves the ordered-link isotopy class of the "
+                 "closure, hence all linking numbers, and the conjugators here lie in PB_n; "
+                 "an element of B has trivial linking with component n, "
+                 "while alpha_1^{k_1}..alpha_{n-1}^{k_{n-1}} has lk(L_i, L_n) = k_i; so "
+                 "conjugates of A meet B = PB_{n-1} only in 1",
+                 "cited", "ordered-link invariance of conjugate pure braids (standard)"),
+    )
+    a_expr = groupexpr.FreeAbelian(n - 1)
     b_expr = groupexpr.PureBraid(n - 1) if n >= 3 else groupexpr.Trivial()
+    cert = DisjointnessCertificate("linking", a_expr.label(), b_expr.label(), steps)
     report = tc_report(
         groupexpr.PureBraid(n),
-        [(groupexpr.FreeAbelian(n - 1), b_expr, cert)],
-        notes=(f"TC(PB_{n}) = {bound} exactly (Farber-Yuzvinsky); shown as a cited "
+        [(a_expr, b_expr, cert)],
+        notes=(f"TC(PB_{n}) = {2 * n - 3} exactly (Farber-Yuzvinsky); shown as a cited "
                "annotation, the interval above is what is certified here",),
     )
-    return bound, report
+    return report.lower, report
 
 
 # ---------------------------------------------------------------------------
@@ -417,14 +442,10 @@ def higman_case_study() -> BoundReport:
 
     # (4) the duality computation for the bounding pair
     steps.append(CertStep(
-        "H_xy and H_zw carry the one-relator presentation of B(1,2) "
-        "(syntactic match of the relator), a duality group of dimension 2",
+        "H_xy and H_zw carry the one-relator presentation of B(1,2), a duality group "
+        "of dimension 2",
         "cited", "Baumslag-Solitar groups are duality groups (Bieri-Eckmann)",
     ))
-    pair = groupexpr.chd(groupexpr.Product(groupexpr.BaumslagSolitar12(),
-                                           groupexpr.BaumslagSolitar12()))
-    if pair.value != 4:
-        raise CertificateError("duality product rule did not give 4")
 
     cert = DisjointnessCertificate(
         variant="trusted-chain",

@@ -1,4 +1,4 @@
-"""Braid words, closure linking numbers, and the pure-braid TC bound.
+"""Braid words, their word problem, and closure linking numbers.
 
 The word problem is decided through the faithful action on the free
 group (sigma_i sends x_i to x_i x_{i+1} x_i^-1 and x_{i+1} to x_i);
@@ -11,10 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Sequence
 
-from . import groupexpr
-from .certificates import CertStep, DisjointnessCertificate
 from .words import ResourceCapError, Word, _free_reduce, _word, check_expanded_length
 
 DEFAULT_WORD_CAP = 64
@@ -190,62 +187,3 @@ def linking_matrix(b: BraidWord) -> LinkingMatrix:
             raise BraidError("internal error: odd crossing count for a pure braid")
         entries[a - 1][c - 1] = entries[c - 1][a - 1] = total // 2
     return LinkingMatrix(b.n, tuple(tuple(row) for row in entries))
-
-
-# ---------------------------------------------------------------------------
-# The TC lower bound for pure braid groups
-
-def pb_tc_lower_bound(n: int) -> tuple[int, DisjointnessCertificate]:
-    """TC(PB_n) >= 2n-3 = chd(Z^{n-1} x PB_{n-1}), certified.
-
-    A is the free abelian subgroup generated by the strand-looping
-    braids alpha_1..alpha_{n-1}; B is PB_{n-1} included by adding a
-    final inert strand.  A conjugate of A meeting B forces all linking
-    numbers with the last closure component to vanish, which pins the
-    alpha-exponents to zero.
-    """
-    if n < 2:
-        raise BraidError("pure braid groups need n >= 2")
-    steps: list[CertStep] = []
-    alphas = [alpha_generator(n, j) for j in range(1, n)]
-    for j, a in enumerate(alphas, start=1):
-        if not is_pure(a):
-            raise BraidError(f"internal error: alpha_{j} is not pure")
-        lk = linking_matrix(a)
-        expected = tuple(1 if i > j else 0 for i in range(1, n + 1) if i != j)
-        row = tuple(lk.lk(j, i) for i in range(1, n + 1) if i != j)
-        if row != expected:
-            raise BraidError(f"internal error: alpha_{j} has unexpected linking row {row}")
-    steps.append(CertStep(
-        f"alpha_1..alpha_{n-1} are pure and lk(alpha_j: j, i) = 1 exactly for i > j",
-        "machine-verified",
-    ))
-    for i in range(len(alphas)):
-        for j in range(i + 1, len(alphas)):
-            if not braid_equal(alphas[i] * alphas[j], alphas[j] * alphas[i]):
-                raise BraidError(f"internal error: alpha_{i+1}, alpha_{j+1} do not commute")
-    steps.append(CertStep(
-        "the alpha_j commute pairwise (free-group action), so A = <alpha_1..alpha_{n-1}> "
-        "is free abelian of rank n-1 in the torsion-free group PB_n",
-        "machine-verified",
-    ))
-    steps.append(CertStep(
-        "conjugation by pure braids preserves the ordered-link isotopy class of the "
-        "closure, hence all linking numbers, and the conjugators here lie in PB_n; "
-        "an element of B has trivial linking with component n, "
-        "while alpha_1^{k_1}..alpha_{n-1}^{k_{n-1}} has lk(L_i, L_n) = k_i; so "
-        "conjugates of A meet B = PB_{n-1} only in 1",
-        "cited",
-        "ordered-link invariance of conjugate pure braids (standard)",
-    ))
-    a_expr = groupexpr.FreeAbelian(n - 1)
-    b_expr = groupexpr.PureBraid(n - 1) if n >= 3 else groupexpr.Trivial()
-    bound = groupexpr.chd(groupexpr.Product(a_expr, b_expr)).value
-    cert = DisjointnessCertificate(
-        variant="linking",
-        a_label=a_expr.label(),
-        b_label=b_expr.label(),
-        steps=tuple(steps),
-    )
-    assert bound == 2 * n - 3
-    return bound, cert

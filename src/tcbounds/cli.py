@@ -222,7 +222,7 @@ def _vertex_list(text: str, flag: str) -> list[int]:
 def cmd_raag_bound(args) -> int:
     k1, k2 = _vertex_list(args.k1, "--k1"), _vertex_list(args.k2, "--k2")
     graph = load_graph(_load_json(args.file), args.file)
-    bound, cert = raag.clique_pair_bound(graph, k1, k2)
+    bound, cert = bounds.clique_pair_bound(graph, k1, k2)
     doc = {
         "schema": "tcbounds/1",
         "k1": sorted(set(k1)),

@@ -1,11 +1,11 @@
-"""Right-angled Artin groups: clique pairs and the two-clique number z.
+"""Right-angled Artin groups: graphs, maximal cliques and the two-clique
+number z.
 
 For a simple graph G the associated group has one generator per vertex
 and a commuting relation per edge.  The quantity z(G) -- the maximum
 number of vertices covered by two cliques -- equals the topological
-complexity of the group (Cohen-Pruidze); a disjoint clique pair (K1,
-K2) certifies the lower bound |K1| + |K2| via the coordinate retraction
-onto the free abelian subgroup spanned by K2.
+complexity of the group (Cohen-Pruidze).  This module holds only that
+combinatorics; the clique-pair certificate is built in tcbounds.bounds.
 """
 
 from __future__ import annotations
@@ -164,22 +164,3 @@ def raag_presentation(graph: SimpleGraph) -> Presentation:
     for u, v in sorted(graph.edges):
         rels.append(commutator(generator(u, graph.n), generator(v, graph.n)))
     return Presentation(names, tuple(rels))
-
-
-def clique_pair_bound(graph: SimpleGraph, k1: Sequence[int], k2: Sequence[int]):
-    """Certified lower bound |K1| + |K2| = chd(Z^m x Z^n) from disjoint cliques.
-
-    Returns (bound, certificate); the certificate machine-checks the
-    coordinate retraction killing every generator outside K2.
-    """
-    from .bounds import verify_raag_retraction
-
-    s1, s2 = sorted(set(k1)), sorted(set(k2))
-    if set(s1) & set(s2):
-        raise GraphError("cliques must be disjoint")
-    if not graph.is_clique(s1):
-        raise GraphError(f"K1 = {s1} is not a clique")
-    if not graph.is_clique(s2):
-        raise GraphError(f"K2 = {s2} is not a clique")
-    cert = verify_raag_retraction(graph, s1, s2)
-    return len(s1) + len(s2), cert

@@ -10,14 +10,8 @@ import random
 import time
 
 from tcbounds import freeprod, groupexpr
-from tcbounds.bounds import borromean_case_study, higman_case_study
-from tcbounds.braids import (
-    BraidWord,
-    alpha_generator,
-    braid_equal,
-    linking_matrix,
-    pb_tc_lower_bound,
-)
+from tcbounds.bounds import borromean_case_study, higman_case_study, pure_braid_report
+from tcbounds.braids import BraidWord, alpha_generator, braid_equal, linking_matrix
 from tcbounds.presentations import (
     Presentation,
     abelianization,
@@ -76,8 +70,8 @@ def test_criterion_2_z_values():
 def test_criterion_3_braids():
     start = time.time()
     for n in range(2, 7):
-        bound, _ = pb_tc_lower_bound(n)
-        assert bound == 2 * n - 3, (n, bound)
+        bound, report = pure_braid_report(n)
+        assert bound == report.to_json()["tc_lower"] == 2 * n - 3, (n, bound)
     for n in range(2, 7):
         alphas = [alpha_generator(n, j) for j in range(1, n)]
         for a, b in itertools.combinations(alphas, 2):
@@ -92,7 +86,7 @@ def test_criterion_3_braids():
         assert linking_matrix(braid).last_column() == tuple(exps), exps
     elapsed = time.time() - start
     assert elapsed < 30, f"took {elapsed:.1f}s"
-    _report(3, "pb_tc_lower_bound(n) = 2n-3 (n = 2..6), alphas commute (n <= 6), "
+    _report(3, "pure_braid_report(n) bound = tc_lower = 2n-3 (n = 2..6), alphas commute (n <= 6), "
                f"100 linking round-trips recovered in {elapsed:.1f}s")
 
 

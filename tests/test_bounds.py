@@ -1,13 +1,17 @@
+import itertools
+import random
+
 import pytest
 
 from tcbounds import groupexpr
 from tcbounds.bounds import (
     borromean_case_study,
     borromean_presentation,
+    clique_pair_bound,
     higman_case_study,
     higman_presentation,
+    pure_braid_report,
     tc_report,
-    verify_raag_retraction,
     verify_retraction_certificate,
     verify_split_extension_certificate,
 )
@@ -18,8 +22,9 @@ from tcbounds.certificates import (
     DisjointnessCertificate,
     Provenance,
 )
+from tcbounds.braids import BraidError
 from tcbounds.presentations import FreeHom, Presentation
-from tcbounds.raag import SimpleGraph
+from tcbounds.raag import GraphError, SimpleGraph, z_number
 from tcbounds.words import generator, identity, parse_word
 
 
@@ -59,7 +64,7 @@ PATH3 = SimpleGraph.from_edges(3, [(1, 2), (2, 3)])
 
 class TestRetractionVerifier:
     def test_raag_coordinate_retraction(self):
-        cert = verify_raag_retraction(PATH3, [1], [2, 3])
+        _, cert = clique_pair_bound(PATH3, [1], [2, 3])
         assert cert.variant == "retraction"
         assert cert.fully_machine_verified
         assert len(cert.steps) == 3
@@ -125,6 +130,58 @@ class TestSplitExtensionVerifier:
             verify_split_extension_certificate(pres, p, "a", identity(2))
 
 
+class TestCliquePairBound:
+    def test_path3(self):
+        bound, cert = clique_pair_bound(PATH3, [1], [2, 3])
+        assert bound == 3
+        assert cert.variant == "retraction"
+        assert cert.fully_machine_verified
+
+    def test_overlapping_cliques_rejected(self):
+        with pytest.raises(GraphError):
+            clique_pair_bound(PATH3, [1, 2], [2, 3])
+
+    def test_non_clique_rejected(self):
+        path4 = SimpleGraph.from_edges(4, [(1, 2), (2, 3), (3, 4)])
+        with pytest.raises(GraphError):
+            clique_pair_bound(path4, [1], [2, 4])
+
+    def test_matches_z_witness(self):
+        rng = random.Random(17)
+        for _ in range(15):
+            n = rng.randint(2, 6)
+            edges = [e for e in itertools.combinations(range(1, n + 1), 2)
+                     if rng.random() < 0.5]
+            g = SimpleGraph.from_edges(n, edges)
+            z, pair = z_number(g)
+            k1 = sorted(set(pair.k1) - set(pair.k2))
+            k2 = sorted(pair.k2)
+            if not k1:
+                continue  # witness cliques coincide
+            bound, cert = clique_pair_bound(g, k1, k2)
+            assert bound == z
+            assert cert.fully_machine_verified
+
+
+class TestPureBraidReport:
+    def test_values(self):
+        for n in range(2, 7):
+            bound, report = pure_braid_report(n)
+            assert bound == report.lower == 2 * n - 3
+            assert report.certificates[0].variant == "linking"
+
+    def test_certificate_has_cited_step(self):
+        (cert,) = pure_braid_report(4)[1].certificates
+        assert not cert.fully_machine_verified
+        assert any(s.status == "cited" and "conjugation by pure braids" in s.description
+                   for s in cert.steps)
+        assert sum(1 for s in cert.steps if s.status == "machine-verified") == 2
+
+    def test_n_too_small(self):
+        with pytest.raises(BraidError):
+            pure_braid_report(1)
+
+
 class TestReportAssembly:
     def test_baseline_only(self):
         report = tc_report(groupexpr.SurfaceGroup(2), [])
@@ -133,7 +190,7 @@ class TestReportAssembly:
         assert not report.certificates
 
     def test_certificate_raises_lower(self):
-        cert = verify_raag_retraction(PATH3, [1], [2, 3])
+        _, cert = clique_pair_bound(PATH3, [1], [2, 3])
         g = groupexpr.Raag(PATH3)
         a = groupexpr.FreeAbelian(1)
         b = groupexpr.FreeAbelian(2)
@@ -141,10 +198,6 @@ class TestReportAssembly:
         assert report.lower == 3
         assert report.upper == 4
         assert len(report.lower_provenance) == 2
-
-    def test_opaque_group_needs_dimension_data(self):
-        with pytest.raises(CertificateError):
-            tc_report("mystery group", [])
 
     def test_eilenberg_ganea_caveat_note(self):
         g = groupexpr.Opaque("G", 2, 2, "assumed")

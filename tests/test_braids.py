@@ -15,7 +15,6 @@ from tcbounds.braids import (
     is_pure,
     linking_matrix,
     parse_braid,
-    pb_tc_lower_bound,
     permutation,
 )
 from tcbounds.words import MAX_EXPANDED_LENGTH, ResourceCapError, Word
@@ -209,22 +208,3 @@ class TestLinking:
         assert after.entries == tuple(
             tuple(before.lk(q[i], q[j]) for j in strands) for i in strands
         )
-
-
-class TestTcLowerBound:
-    def test_values(self):
-        for n in range(2, 7):
-            bound, cert = pb_tc_lower_bound(n)
-            assert bound == 2 * n - 3
-            assert cert.variant == "linking"
-
-    def test_certificate_has_cited_step(self):
-        _, cert = pb_tc_lower_bound(4)
-        assert not cert.fully_machine_verified
-        assert any(s.status == "cited" and "conjugation by pure braids" in s.description
-                   for s in cert.steps)
-        assert sum(1 for s in cert.steps if s.status == "machine-verified") == 2
-
-    def test_n_too_small(self):
-        with pytest.raises(BraidError):
-            pb_tc_lower_bound(1)

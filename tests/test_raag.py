@@ -8,7 +8,6 @@ from tcbounds.raag import (
     CliquePair,
     GraphError,
     SimpleGraph,
-    clique_pair_bound,
     maximal_cliques,
     raag_presentation,
     z_number,
@@ -178,35 +177,3 @@ class TestPresentation:
     def test_empty_graph_is_free(self):
         p = raag_presentation(empty(3))
         assert p.relators == ()
-
-
-class TestCliquePairBound:
-    def test_path3(self):
-        bound, cert = clique_pair_bound(path(3), [1], [2, 3])
-        assert bound == 3
-        assert cert.variant == "retraction"
-        assert cert.fully_machine_verified
-
-    def test_overlapping_cliques_rejected(self):
-        with pytest.raises(GraphError):
-            clique_pair_bound(path(3), [1, 2], [2, 3])
-
-    def test_non_clique_rejected(self):
-        with pytest.raises(GraphError):
-            clique_pair_bound(path(4), [1], [2, 4])
-
-    def test_matches_z_witness(self):
-        rng = random.Random(17)
-        for _ in range(15):
-            n = rng.randint(2, 6)
-            edges = [e for e in itertools.combinations(range(1, n + 1), 2)
-                     if rng.random() < 0.5]
-            g = SimpleGraph.from_edges(n, edges)
-            z, pair = z_number(g)
-            k1 = sorted(set(pair.k1) - set(pair.k2))
-            k2 = sorted(pair.k2)
-            if not k1:
-                continue  # witness cliques coincide
-            bound, cert = clique_pair_bound(g, k1, k2)
-            assert bound == z
-            assert cert.fully_machine_verified
