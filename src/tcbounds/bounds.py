@@ -171,9 +171,9 @@ def tc_report(
     certificates); upper = 2 * geometric dimension, flagged when it
     rests on chd = 2 without an explicit aspherical 2-complex.
     """
-    group_chd = groupexpr.chd(group)
-    lower_prov = [Provenance(f"cat(G) <= TC(G) with {CAT_CITE}", group_chd.lower)]
-    lower = group_chd.lower
+    ev = groupexpr.evaluate(group)
+    lower = ev.chd.lower
+    lower_prov = [Provenance(f"cat(G) <= TC(G) with {CAT_CITE}", lower)]
     cert_list = []
     for a_expr, b_expr, cert in certs:
         pair = groupexpr.chd(groupexpr.Product(a_expr, b_expr))
@@ -184,11 +184,10 @@ def tc_report(
         lower = max(lower, pair.lower)
         cert_list.append(cert)
 
-    gd, caveat = groupexpr.geometric_dimension(group)
-    upper = 2 * gd
+    upper = 2 * ev.geom_dim
     upper_prov = [Provenance(DIM_CITE, upper)]
     all_notes = list(notes)
-    if caveat:
+    if ev.caveat:
         all_notes.append(
             "geometric dimension taken as chd = 2 without an explicit aspherical "
             "2-complex; exactness of dimension 2 is the Eilenberg-Ganea problem"

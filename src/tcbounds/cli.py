@@ -41,6 +41,8 @@ def _load_json(path: str):
         raise ScenarioError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise ScenarioError(f"{path}: input nested too deeply") from None
 
 
 def _require(data: dict, field: str, where: str):
@@ -76,6 +78,8 @@ def _parsed(where: str, parse, *args):
     except (raag.GraphError, groupexpr.ExprError, words.WordError,
             presentations.PresentationError) as exc:
         raise ScenarioError(f"{where}: {exc}") from None
+    except RecursionError:
+        raise ScenarioError(f"{where}: input nested too deeply") from None
 
 
 def load_graph(data, where: str) -> raag.SimpleGraph:

@@ -1,11 +1,12 @@
 """Symbolic cohomological-dimension calculus.
 
 A small expression language of groups with duality / Poincare-duality
-flags.  Evaluation returns an exact value or a certified interval,
-never a silent guess: products only collapse to an exact sum when a
-duality rule forces it (one factor orientable PD, or both factors
-duality groups), since subadditivity chd(AxB) <= chd(A) + chd(B) can
-be strict in general.
+flags.  evaluate applies the rules in one bottom-up pass, each node once,
+and returns an exact value or a certified interval, never a silent
+guess: products only collapse to an exact sum when a duality rule
+forces it (one factor orientable PD, or both factors duality groups),
+since subadditivity chd(AxB) <= chd(A) + chd(B) can be strict in
+general.
 """
 
 from __future__ import annotations
@@ -165,160 +166,116 @@ class ChdResult:
         return self.lower
 
 
-def is_orientable_pd(e: GroupExpr) -> Optional[int]:
-    """Dimension if e is derivably an orientable Poincare duality group."""
-    match e:
-        case Trivial():
-            return 0
-        case Free(rank=0) | FreeAbelian(rank=0):
-            return 0
-        case Free(rank=1):
-            return 1
-        case FreeAbelian(rank=r):
-            return r
-        case PureBraid(n=2):
-            return 1  # PB_2 is infinite cyclic
-        case SurfaceGroup():
-            return 2
-        case Raag(graph=g):
-            # complete graph: the group is Z^n
-            if g.n * (g.n - 1) // 2 == len(g.edges):
-                return g.n
-            return None
-        case Opaque():
-            return e.orientable_pd_dim
-        case Product(left=l, right=r):
-            dl, dr = is_orientable_pd(l), is_orientable_pd(r)
-            if dl is not None and dr is not None:
-                return dl + dr
-            return None
-    return None
+@dataclass(frozen=True)
+class Evaluation:
+    """What the rules derive about one expression.  pd_dim / duality_dim:
+    the dimension if derivably an orientable PD / duality group, else None
+    (never a false positive).  caveat: geom_dim, an upper bound for the
+    geometric dimension, rests on chd = 2 without an explicit aspherical
+    2-complex (the Eilenberg-Ganea problem leaves dimension 3 conceivable)."""
+
+    chd: ChdResult
+    pd_dim: Optional[int]
+    duality_dim: Optional[int]
+    geom_dim: int
+    caveat: bool
 
 
-def is_duality(e: GroupExpr) -> Optional[int]:
-    """Dimension if e is derivably a duality group; None means unknown
-    (never a false positive)."""
-    opd = is_orientable_pd(e)
-    if opd is not None:
-        return opd
-    match e:
-        case Free(rank=r) if r >= 1:
-            return 1
-        case PureBraid(n=n):
-            # iterated extension of free groups, one per strand beyond the
-            # first; duality dimension adds along extensions (Bieri-Eckmann)
-            return n - 1
-        case BaumslagSolitar12():
-            return 2  # Bieri-Eckmann: B(1,2) is a duality group of dim 2
-        case Opaque():
-            return e.duality_dim
-        case Product(left=l, right=r):
-            dl, dr = is_duality(l), is_duality(r)
-            if dl is not None and dr is not None:
-                return dl + dr
-            return None
-    return None
+def evaluate(e: GroupExpr) -> Evaluation:
+    """Apply the rules to every node of e once, children before parents."""
+    done: dict[int, Evaluation] = {}  # keyed by id(): nodes hash recursively
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if id(node) in done:
+            continue
+        if not isinstance(node, (Product, FreeProduct)):
+            done[id(node)] = _base(node)
+        elif pending := [c for c in (node.left, node.right) if id(c) not in done]:
+            stack += [node, *pending]
+        else:
+            done[id(node)] = _combine(node, done[id(node.left)], done[id(node.right)])
+    return done[id(e)]
 
 
 def chd(e: GroupExpr) -> ChdResult:
     """Evaluate cohomological dimension, exactly where a rule applies."""
+    return evaluate(e).chd
+
+
+def _base(e: GroupExpr) -> Evaluation:
+    """The rules for one leaf: chd with its trace line, the orientable-PD
+    dimension and, for groups not known to be PD, the duality dimension."""
+    pd = du = geom = None
     match e:
-        case Trivial():
-            return ChdResult(0, 0, ("chd(1) = 0",))
+        case Trivial() | Free(rank=0):
+            lo = hi = pd = 0
+            line = "chd(1) = 0"
         case Free(rank=r):
-            if r == 0:
-                return ChdResult(0, 0, ("chd(1) = 0",))
-            return ChdResult(1, 1, (f"free group of rank {r}: chd = 1",))
+            lo = hi = du = 1
+            pd = 1 if r == 1 else None
+            line = f"free group of rank {r}: chd = 1"
         case FreeAbelian(rank=r):
-            return ChdResult(r, r, (f"Z^{r} is an orientable PD_{r} group: chd = {r}",))
+            lo = hi = pd = r
+            line = f"Z^{r} is an orientable PD_{r} group: chd = {r}"
         case PureBraid(n=n):
-            return ChdResult(
-                n - 1, n - 1,
-                (f"chd(PB_{n}) = {n - 1} (configuration-space model, Arnold)",),
-            )
+            # PB_2 = Z; PB_n is n-1 extensions by free groups, duality adds (Bieri-Eckmann)
+            lo = hi = du = n - 1
+            pd = 1 if n == 2 else None
+            line = f"chd(PB_{n}) = {n - 1} (configuration-space model, Arnold)"
         case BaumslagSolitar12():
-            return ChdResult(2, 2, ("B(1,2) is a duality group of dimension 2 (Bieri-Eckmann)",))
+            lo = hi = du = 2
+            line = "B(1,2) is a duality group of dimension 2 (Bieri-Eckmann)"
         case SurfaceGroup(genus=g):
-            return ChdResult(2, 2, (f"genus-{g} surface group is an orientable PD_2 group",))
+            lo = hi = pd = 2
+            line = f"genus-{g} surface group is an orientable PD_2 group"
         case Raag(graph=graph):
-            omega = graph.clique_number()
-            return ChdResult(
-                omega, omega,
-                (f"chd of a graph group = clique number = {omega} (Salvetti complex)",),
-            )
+            lo = hi = graph.clique_number()
+            if graph.n * (graph.n - 1) // 2 == len(graph.edges):  # complete: Z^n
+                pd = graph.n
+            line = f"chd of a graph group = clique number = {lo} (Salvetti complex)"
         case Opaque(name=name):
-            trace = (f"{name}: chd in [{e.chd_lower}, {e.chd_upper}] ({e.justification})",)
-            return ChdResult(e.chd_lower, e.chd_upper, trace)
-        case Product(left=l, right=r):
-            return _chd_product(e, l, r)
-        case FreeProduct(left=l, right=r):
-            cl, cr = chd(l), chd(r)
-            lo = max(cl.lower, cr.lower)
-            hi = max(cl.upper, cr.upper)
-            trace = cl.trace + cr.trace + (
-                "free product: chd = max of the (torsion-free) factors",
-            )
-            return ChdResult(lo, hi, trace)
-    raise ExprError(f"cannot evaluate chd of {e!r}")
-
-
-def _chd_product(e: Product, l: GroupExpr, r: GroupExpr) -> ChdResult:
-    cl, cr = chd(l), chd(r)
-    trace = cl.trace + cr.trace
-    pd_l, pd_r = is_orientable_pd(l), is_orientable_pd(r)
-    if pd_l is not None or pd_r is not None:
-        # one factor orientable PD: chd adds exactly, so the rule shifts
-        # the other factor's interval by the PD dimension
-        pd_dim = pd_l if pd_l is not None else pd_r
-        other = cr if pd_l is not None else cl
-        return ChdResult(
-            pd_dim + other.lower, pd_dim + other.upper,
-            trace + ("orientable-PD product rule: chd(AxB) = chd(A) + chd(B)",),
-        )
-    du_l, du_r = is_duality(l), is_duality(r)
-    if du_l is not None and du_r is not None:
-        total = du_l + du_r
-        return ChdResult(
-            total, total,
-            trace + (
-                f"duality product rule (Bieri-Eckmann): both factors duality, chd = {du_l} + {du_r} = {total}",
-            ),
-        )
-    return ChdResult(
-        max(cl.lower, cr.lower), cl.upper + cr.upper,
-        trace + (
-            "no duality rule applies: interval [max of factors, sum of factors] "
-            "(subadditivity can be strict)",
-        ),
-    )
-
-
-def geometric_dimension(e: GroupExpr) -> tuple[int, bool]:
-    """(upper bound for the geometric dimension, caveat flag).
-
-    The caveat flag is set when the value rests on chd = 2 without an
-    explicit aspherical 2-complex (the Eilenberg-Ganea problem leaves
-    geometric dimension 3 conceivable in that range).
-    """
-    match e:
-        case Opaque():
-            if e.geom_dim is not None:
-                return e.geom_dim, False
-            c = chd(e)
-            return c.upper, c.upper == 2
-        case Product(left=l, right=r):
-            gl, cl = geometric_dimension(l)
-            gr, cr = geometric_dimension(r)
-            return gl + gr, cl or cr
-        case FreeProduct(left=l, right=r):
-            gl, cl = geometric_dimension(l)
-            gr, cr = geometric_dimension(r)
-            return max(gl, gr), cl or cr
+            lo, hi, pd, du = e.chd_lower, e.chd_upper, e.orientable_pd_dim, e.duality_dim
+            line = f"{name}: chd in [{lo}, {hi}] ({e.justification})"
+            geom = (e.geom_dim, False) if e.geom_dim is not None else (hi, hi == 2)
         case _:
-            # base kinds carry explicit aspherical complexes (graph, torus,
-            # configuration space, surface, Salvetti complex, one-relator
-            # presentation complex), so chd is realized geometrically
-            return chd(e).upper, False
+            raise ExprError(f"cannot evaluate chd of {e!r}")
+    # the other base kinds carry explicit aspherical complexes (graph, torus,
+    # configuration space, surface, Salvetti, one-relator presentation
+    # complex), so chd is realized geometrically
+    return Evaluation(ChdResult(lo, hi, (line,)), pd, du if pd is None else pd,
+                      *(geom or (hi, False)))
+
+
+def _combine(e: GroupExpr, left: Evaluation, right: Evaluation) -> Evaluation:
+    """The product rules, or the free-product max rule, for one inner node."""
+    cl, cr = left.chd, right.chd
+    if isinstance(e, FreeProduct):
+        pd = du = None
+        lo, hi = max(cl.lower, cr.lower), max(cl.upper, cr.upper)
+        line = "free product: chd = max of the (torsion-free) factors"
+        geom_dim = max(left.geom_dim, right.geom_dim)
+    else:
+        pd_l, pd_r = left.pd_dim, right.pd_dim
+        du_l, du_r = left.duality_dim, right.duality_dim
+        pd = pd_l + pd_r if None not in (pd_l, pd_r) else None
+        du = du_l + du_r if None not in (du_l, du_r) else None
+        if pd_l is not None or pd_r is not None:
+            # one factor orientable PD: chd adds exactly, so the rule shifts
+            # the other factor's interval by the PD dimension
+            shift, other = (pd_l, cr) if pd_l is not None else (pd_r, cl)
+            lo, hi = shift + other.lower, shift + other.upper
+            line = "orientable-PD product rule: chd(AxB) = chd(A) + chd(B)"
+        elif du is not None:
+            lo = hi = du
+            line = f"duality product rule (Bieri-Eckmann): both factors duality, chd = {du_l} + {du_r} = {du}"
+        else:
+            lo, hi = max(cl.lower, cr.lower), cl.upper + cr.upper
+            line = ("no duality rule applies: interval [max of factors, sum of factors] "
+                    "(subadditivity can be strict)")
+        geom_dim = left.geom_dim + right.geom_dim
+    return Evaluation(ChdResult(lo, hi, cl.trace + cr.trace + (line,)), pd, du,
+                      geom_dim, left.caveat or right.caveat)
 
 
 # ---------------------------------------------------------------------------

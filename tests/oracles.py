@@ -4,8 +4,9 @@ These deliberately avoid the library's optimized code paths: the Smith
 reducer below works by blind elementary operations with no pivot
 strategy, conjugacy is decided by exhaustive conjugator search, the
 two-clique number is maximized over all subset pairs, tree balls are
-grown by BFS over explicit coset keys, and braid images are measured
-all at once after every letter.
+grown by BFS over explicit coset keys, braid images are measured all
+at once after every letter, and the chd calculus is evaluated by four
+mutually recursive dispatches on the node kind.
 """
 
 from __future__ import annotations
@@ -13,9 +14,14 @@ from __future__ import annotations
 from collections import deque
 from itertools import combinations, product
 from math import gcd
+from typing import Optional
 
 from tcbounds.braids import _act_letter
 from tcbounds.freeprod import FreeProductError, cyclic_normal_form
+from tcbounds.groupexpr import (
+    BaumslagSolitar12, ChdResult, ExprError, Free, FreeAbelian, FreeProduct, GroupExpr,
+    Opaque, Product, PureBraid, Raag, SurfaceGroup, Trivial,
+)
 from tcbounds.words import ResourceCapError, Word, identity, reduce as free_reduce
 
 
@@ -365,3 +371,162 @@ def free_group_action_all_images(b, word_cap: int) -> tuple[Word, ...]:
         if longest > word_cap:
             raise ResourceCapError(f"free-group image length {longest} exceeds cap {word_cap}")
     return tuple(Word(w, b.n) for w in images)
+
+
+# ---------------------------------------------------------------------------
+# Group expressions
+
+def is_orientable_pd(e: GroupExpr) -> Optional[int]:
+    """Dimension if e is derivably an orientable Poincare duality group."""
+    match e:
+        case Trivial():
+            return 0
+        case Free(rank=0) | FreeAbelian(rank=0):
+            return 0
+        case Free(rank=1):
+            return 1
+        case FreeAbelian(rank=r):
+            return r
+        case PureBraid(n=2):
+            return 1  # PB_2 is infinite cyclic
+        case SurfaceGroup():
+            return 2
+        case Raag(graph=g):
+            # complete graph: the group is Z^n
+            if g.n * (g.n - 1) // 2 == len(g.edges):
+                return g.n
+            return None
+        case Opaque():
+            return e.orientable_pd_dim
+        case Product(left=l, right=r):
+            dl, dr = is_orientable_pd(l), is_orientable_pd(r)
+            if dl is not None and dr is not None:
+                return dl + dr
+            return None
+    return None
+
+
+def is_duality(e: GroupExpr) -> Optional[int]:
+    """Dimension if e is derivably a duality group; None means unknown
+    (never a false positive)."""
+    opd = is_orientable_pd(e)
+    if opd is not None:
+        return opd
+    match e:
+        case Free(rank=r) if r >= 1:
+            return 1
+        case PureBraid(n=n):
+            # iterated extension of free groups, one per strand beyond the
+            # first; duality dimension adds along extensions (Bieri-Eckmann)
+            return n - 1
+        case BaumslagSolitar12():
+            return 2  # Bieri-Eckmann: B(1,2) is a duality group of dim 2
+        case Opaque():
+            return e.duality_dim
+        case Product(left=l, right=r):
+            dl, dr = is_duality(l), is_duality(r)
+            if dl is not None and dr is not None:
+                return dl + dr
+            return None
+    return None
+
+
+def chd(e: GroupExpr) -> ChdResult:
+    """Evaluate cohomological dimension, exactly where a rule applies."""
+    match e:
+        case Trivial():
+            return ChdResult(0, 0, ("chd(1) = 0",))
+        case Free(rank=r):
+            if r == 0:
+                return ChdResult(0, 0, ("chd(1) = 0",))
+            return ChdResult(1, 1, (f"free group of rank {r}: chd = 1",))
+        case FreeAbelian(rank=r):
+            return ChdResult(r, r, (f"Z^{r} is an orientable PD_{r} group: chd = {r}",))
+        case PureBraid(n=n):
+            return ChdResult(
+                n - 1, n - 1,
+                (f"chd(PB_{n}) = {n - 1} (configuration-space model, Arnold)",),
+            )
+        case BaumslagSolitar12():
+            return ChdResult(2, 2, ("B(1,2) is a duality group of dimension 2 (Bieri-Eckmann)",))
+        case SurfaceGroup(genus=g):
+            return ChdResult(2, 2, (f"genus-{g} surface group is an orientable PD_2 group",))
+        case Raag(graph=graph):
+            omega = graph.clique_number()
+            return ChdResult(
+                omega, omega,
+                (f"chd of a graph group = clique number = {omega} (Salvetti complex)",),
+            )
+        case Opaque(name=name):
+            trace = (f"{name}: chd in [{e.chd_lower}, {e.chd_upper}] ({e.justification})",)
+            return ChdResult(e.chd_lower, e.chd_upper, trace)
+        case Product(left=l, right=r):
+            return _chd_product(e, l, r)
+        case FreeProduct(left=l, right=r):
+            cl, cr = chd(l), chd(r)
+            lo = max(cl.lower, cr.lower)
+            hi = max(cl.upper, cr.upper)
+            trace = cl.trace + cr.trace + (
+                "free product: chd = max of the (torsion-free) factors",
+            )
+            return ChdResult(lo, hi, trace)
+    raise ExprError(f"cannot evaluate chd of {e!r}")
+
+
+def _chd_product(e: Product, l: GroupExpr, r: GroupExpr) -> ChdResult:
+    cl, cr = chd(l), chd(r)
+    trace = cl.trace + cr.trace
+    pd_l, pd_r = is_orientable_pd(l), is_orientable_pd(r)
+    if pd_l is not None or pd_r is not None:
+        # one factor orientable PD: chd adds exactly, so the rule shifts
+        # the other factor's interval by the PD dimension
+        pd_dim = pd_l if pd_l is not None else pd_r
+        other = cr if pd_l is not None else cl
+        return ChdResult(
+            pd_dim + other.lower, pd_dim + other.upper,
+            trace + ("orientable-PD product rule: chd(AxB) = chd(A) + chd(B)",),
+        )
+    du_l, du_r = is_duality(l), is_duality(r)
+    if du_l is not None and du_r is not None:
+        total = du_l + du_r
+        return ChdResult(
+            total, total,
+            trace + (
+                f"duality product rule (Bieri-Eckmann): both factors duality, chd = {du_l} + {du_r} = {total}",
+            ),
+        )
+    return ChdResult(
+        max(cl.lower, cr.lower), cl.upper + cr.upper,
+        trace + (
+            "no duality rule applies: interval [max of factors, sum of factors] "
+            "(subadditivity can be strict)",
+        ),
+    )
+
+
+def geometric_dimension(e: GroupExpr) -> tuple[int, bool]:
+    """(upper bound for the geometric dimension, caveat flag).
+
+    The caveat flag is set when the value rests on chd = 2 without an
+    explicit aspherical 2-complex (the Eilenberg-Ganea problem leaves
+    geometric dimension 3 conceivable in that range).
+    """
+    match e:
+        case Opaque():
+            if e.geom_dim is not None:
+                return e.geom_dim, False
+            c = chd(e)
+            return c.upper, c.upper == 2
+        case Product(left=l, right=r):
+            gl, cl = geometric_dimension(l)
+            gr, cr = geometric_dimension(r)
+            return gl + gr, cl or cr
+        case FreeProduct(left=l, right=r):
+            gl, cl = geometric_dimension(l)
+            gr, cr = geometric_dimension(r)
+            return max(gl, gr), cl or cr
+        case _:
+            # base kinds carry explicit aspherical complexes (graph, torus,
+            # configuration space, surface, Salvetti complex, one-relator
+            # presentation complex), so chd is realized geometrically
+            return chd(e).upper, False

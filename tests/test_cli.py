@@ -451,3 +451,43 @@ class TestOutputDiscipline:
         # every scalar value in the JSON document appears in the text render
         for key in ("n", "pure"):
             assert f"{key}: {doc[key]}" in out
+
+
+def product_chain(depth: int) -> str:
+    """JSON text of depth nested products of F2, built as text because
+    json.dumps recurses once per level."""
+    f2 = '{"kind": "free", "rank": 2}'
+    return '{"kind": "product", "left": ' * depth + f2 + (', "right": ' + f2 + "}") * depth
+
+
+class TestDeepNesting:
+    def run_file(self, tmp_path, text, *argv, timeout=60):
+        f = tmp_path / "deep.json"
+        f.write_text(text)
+        return subprocess.run([*CLI, *argv, str(f)], env=CLI_ENV,
+                              capture_output=True, text=True, timeout=timeout)
+
+    @pytest.mark.parametrize("text, argv", [
+        ("[" * 200_000, ["raag", "z"]),
+        (product_chain(5000), ["chd"]),
+        ('{"kind": "expr", "expr": ' + product_chain(5000) + "}", ["tc-report"]),
+    ], ids=["raag-brackets", "chd-chain", "tc-report-chain"])
+    def test_too_deep_exits_1_with_one_line(self, tmp_path, text, argv):
+        proc = self.run_file(tmp_path, text, *argv)
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+        assert proc.stderr.endswith(": input nested too deeply\n")
+
+    def test_chd_900_deep_chain_is_exact(self, tmp_path):
+        proc = self.run_file(tmp_path, product_chain(900), "--json", "chd", timeout=10)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["chd_lower"] == doc["chd_upper"] == 901
+        assert doc["exact"] is True
+
+    def test_tc_report_900_deep_chain(self, tmp_path):
+        scenario = '{"kind": "expr", "expr": ' + product_chain(900) + "}"
+        proc = self.run_file(tmp_path, scenario, "--json", "tc-report", timeout=10)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert json.loads(proc.stdout)["tc_lower"] == 901

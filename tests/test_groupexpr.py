@@ -15,12 +15,12 @@ from tcbounds.groupexpr import (
     SurfaceGroup,
     Trivial,
     chd,
+    evaluate,
     expr_from_json,
-    geometric_dimension,
-    is_duality,
-    is_orientable_pd,
 )
 from tcbounds.raag import SimpleGraph
+
+import oracles
 
 
 def opaque2(**kw):
@@ -74,31 +74,31 @@ class TestBaseCases:
 
 class TestFlags:
     def test_orientable_pd(self):
-        assert is_orientable_pd(FreeAbelian(3)) == 3
-        assert is_orientable_pd(SurfaceGroup(2)) == 2
-        assert is_orientable_pd(PureBraid(2)) == 1
-        assert is_orientable_pd(Free(2)) is None
-        assert is_orientable_pd(BaumslagSolitar12()) is None
+        assert evaluate(FreeAbelian(3)).pd_dim == 3
+        assert evaluate(SurfaceGroup(2)).pd_dim == 2
+        assert evaluate(PureBraid(2)).pd_dim == 1
+        assert evaluate(Free(2)).pd_dim is None
+        assert evaluate(BaumslagSolitar12()).pd_dim is None
 
     def test_complete_graph_raag_is_pd(self):
         k3 = SimpleGraph.from_edges(3, [(1, 2), (1, 3), (2, 3)])
-        assert is_orientable_pd(Raag(k3)) == 3
+        assert evaluate(Raag(k3)).pd_dim == 3
         path = SimpleGraph.from_edges(3, [(1, 2), (2, 3)])
-        assert is_orientable_pd(Raag(path)) is None
+        assert evaluate(Raag(path)).pd_dim is None
 
     def test_duality(self):
-        assert is_duality(Free(2)) == 1
-        assert is_duality(PureBraid(4)) == 3
-        assert is_duality(BaumslagSolitar12()) == 2
-        assert is_duality(opaque2()) is None
-        assert is_duality(opaque2(duality_dim=2)) == 2
+        assert evaluate(Free(2)).duality_dim == 1
+        assert evaluate(PureBraid(4)).duality_dim == 3
+        assert evaluate(BaumslagSolitar12()).duality_dim == 2
+        assert evaluate(opaque2()).duality_dim is None
+        assert evaluate(opaque2(duality_dim=2)).duality_dim == 2
 
     def test_product_flags(self):
         p = Product(FreeAbelian(2), SurfaceGroup(1))
-        assert is_orientable_pd(p) == 4
+        assert evaluate(p).pd_dim == 4
         q = Product(Free(2), BaumslagSolitar12())
-        assert is_orientable_pd(q) is None
-        assert is_duality(q) == 3
+        assert evaluate(q).pd_dim is None
+        assert evaluate(q).duality_dim == 3
 
     def test_opaque_flag_consistency(self):
         with pytest.raises(ExprError):
@@ -158,21 +158,84 @@ class TestFreeProducts:
 class TestGeometricDimension:
     def test_base_no_caveat(self):
         for e in BASE:
-            dim, caveat = geometric_dimension(e)
-            assert dim == chd(e).value
-            assert caveat is False
+            ev = evaluate(e)
+            assert ev.geom_dim == chd(e).value
+            assert ev.caveat is False
 
     def test_opaque_dim2_caveat(self):
-        dim, caveat = geometric_dimension(opaque2())
-        assert (dim, caveat) == (2, True)
+        ev = evaluate(opaque2())
+        assert (ev.geom_dim, ev.caveat) == (2, True)
 
     def test_opaque_explicit_complex(self):
-        dim, caveat = geometric_dimension(opaque2(geom_dim=2))
-        assert (dim, caveat) == (2, False)
+        ev = evaluate(opaque2(geom_dim=2))
+        assert (ev.geom_dim, ev.caveat) == (2, False)
 
     def test_product_sums(self):
-        dim, caveat = geometric_dimension(Product(FreeAbelian(1), opaque2()))
-        assert (dim, caveat) == (3, True)
+        ev = evaluate(Product(FreeAbelian(1), opaque2()))
+        assert (ev.geom_dim, ev.caveat) == (3, True)
+
+
+GRAPHS = [
+    SimpleGraph.from_edges(1, []),
+    SimpleGraph.from_edges(2, [(1, 2)]),
+    SimpleGraph.from_edges(3, [(1, 2), (1, 3), (2, 3)]),
+    SimpleGraph.from_edges(2, []),
+    SimpleGraph.from_edges(3, [(1, 2), (2, 3)]),
+    SimpleGraph.from_edges(4, [(1, 2), (1, 3), (2, 3), (3, 4)]),
+]
+
+
+@st.composite
+def opaque_groups(draw):
+    lo = draw(st.integers(0, 3))
+    hi = draw(st.integers(lo, lo + 2))
+    flag = st.sampled_from([None, lo]) if lo == hi else st.none()
+    return Opaque("G", lo, hi, "drawn", duality_dim=draw(flag),
+                  orientable_pd_dim=draw(flag),
+                  geom_dim=draw(st.none() | st.integers(hi, hi + 1)))
+
+
+LEAVES = st.one_of(
+    st.just(Trivial()),
+    st.builds(Free, st.integers(0, 3)),
+    st.builds(FreeAbelian, st.integers(0, 4)),
+    st.builds(PureBraid, st.integers(2, 6)),
+    st.just(BaumslagSolitar12()),
+    st.builds(SurfaceGroup, st.integers(1, 3)),
+    st.builds(Raag, st.sampled_from(GRAPHS)),
+    opaque_groups(),
+)
+
+
+def trees(depth):
+    """Expressions of at most depth nested Product / FreeProduct nodes."""
+    if depth == 0:
+        return LEAVES
+    sub = trees(depth - 1)
+    return st.one_of(LEAVES, st.builds(Product, sub, sub), st.builds(FreeProduct, sub, sub))
+
+
+class TestAgainstOracle:
+    """evaluate against the four recursive functions it replaced."""
+
+    @staticmethod
+    def assert_matches(e):
+        ev, ref = evaluate(e), oracles.chd(e)
+        assert (ev.chd.lower, ev.chd.upper, ev.chd.trace) == (ref.lower, ref.upper, ref.trace)
+        assert ev.pd_dim == oracles.is_orientable_pd(e)
+        assert ev.duality_dim == oracles.is_duality(e)
+        assert (ev.geom_dim, ev.caveat) == oracles.geometric_dimension(e)
+
+    @given(trees(6))
+    @settings(max_examples=300, deadline=None)
+    def test_random_trees(self, e):
+        self.assert_matches(e)
+
+    @given(trees(3), trees(3))
+    @settings(max_examples=50, deadline=None)
+    def test_shared_subtree(self, a, b):
+        x = Product(a, b)
+        self.assert_matches(Product(x, x))
 
 
 class TestJson:
