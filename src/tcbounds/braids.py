@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .words import ResourceCapError, Word, _free_reduce, _word, check_expanded_length
+from .words import ResourceCapError, Word, _free_reduce, check_expanded_length
 
 DEFAULT_WORD_CAP = 64
 
@@ -41,14 +41,6 @@ class BraidWord:
         if self.n != other.n:
             raise BraidError("strand counts differ")
         return BraidWord(self.n, self.letters + other.letters)
-
-    def inverse(self) -> "BraidWord":
-        return BraidWord(self.n, tuple((i, -s) for i, s in reversed(self.letters)))
-
-    def __pow__(self, k: int) -> "BraidWord":
-        if k < 0:
-            return self.inverse() ** (-k)
-        return BraidWord(self.n, self.letters * k)
 
     def __str__(self) -> str:
         if not self.letters:
@@ -131,7 +123,7 @@ def free_group_action(b: BraidWord, word_cap: int = DEFAULT_WORD_CAP) -> tuple[W
             raise ResourceCapError(
                 f"free-group image length {longest} exceeds cap {word_cap}"
             )
-    return tuple(_word(w, b.n) for w in images)
+    return tuple(Word(w, b.n) for w in images)
 
 
 def braid_equal(u: BraidWord, v: BraidWord, word_cap: int = DEFAULT_WORD_CAP) -> bool:

@@ -56,7 +56,7 @@ def _require(data: dict, field: str, where: str):
 def _int_field(data: dict, field: str, where: str) -> int:
     value = _require(data, field, where)
     try:
-        return int(value)
+        return words.json_int(value)
     except (TypeError, ValueError):
         raise ScenarioError(f"{where}: {field}: expected an integer, got {value!r}") from None
 

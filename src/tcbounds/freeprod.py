@@ -1,14 +1,17 @@
 """Free products of free / free-abelian factors and their Bass-Serre trees.
 
 Elements are kept in syllable normal form (alternating nontrivial
-syllables from the two factors).  The tree of the free product A * B
-has one vertex per coset gA or gB and one edge per group element; a
-finite ball around the base edge is materialized in BFS order as
-parent and child-range arrays, with factor elements enumerated up to a
-generator exponent cap.  Distances inside the ball are edge counts of
-the materialized tree (a BFS in ``distance_map``), never the syllable
-formula, which is what makes the ball an independent oracle for
-translation-length statements.
+syllables from the two factors).  ``FPWord(...)`` only stores its
+fields: syllables from outside are checked and merged by
+``normal_form``, and words the engine derives are built directly.
+
+The tree of the free product A * B has one vertex per coset gA or gB
+and one edge per group element; a finite ball around the base edge is
+materialized in BFS order as parent and child-range arrays, with factor
+elements enumerated up to a generator exponent cap.  Distances inside
+the ball are edge counts of the materialized tree (a BFS in
+``distance_map``), never the syllable formula, which is what makes the
+ball an independent oracle for translation-length statements.
 """
 
 from __future__ import annotations
@@ -63,11 +66,6 @@ class Factor:
             return _free_reduce(tuple(a) + tuple(b))
         return tuple(x + y for x, y in zip(a, b))
 
-    def invert(self, a):
-        if self.kind == "free":
-            return tuple((g, -s) for g, s in reversed(a))
-        return tuple(-x for x in a)
-
     def elements(self, cap: int) -> list:
         """Nontrivial elements with letter count / coordinate size <= cap."""
         if self.kind == "free_abelian":
@@ -93,14 +91,10 @@ Syllable = tuple[int, object]  # (factor tag 0 or 1, canonical factor element)
 
 @dataclass(frozen=True)
 class FPWord:
-    """An element of factors[0] * factors[1] in syllable normal form."""
+    """An element of factors[0] * factors[1] in syllable normal form, unchecked."""
 
     factors: tuple[Factor, Factor]
     syllables: tuple[Syllable, ...]
-
-    def __post_init__(self) -> None:
-        if normal_form(self.factors, self.syllables).syllables != self.syllables:
-            raise FreeProductError("syllables are not in normal form; use normal_form()")
 
     @property
     def syllable_length(self) -> int:
@@ -110,23 +104,6 @@ class FPWord:
     def is_identity(self) -> bool:
         return not self.syllables
 
-    def __mul__(self, other: "FPWord") -> "FPWord":
-        if self.factors != other.factors:
-            raise FreeProductError("mismatched factor data")
-        return _merge(self.factors, self.syllables + other.syllables)
-
-    def inverse(self) -> "FPWord":
-        inv = tuple((t, self.factors[t].invert(e)) for t, e in reversed(self.syllables))
-        return _fpword(self.factors, inv)
-
-
-def _fpword(factors: tuple[Factor, Factor], syllables: tuple[Syllable, ...]) -> FPWord:
-    """An FPWord from syllables already in normal form; no check."""
-    g = object.__new__(FPWord)
-    object.__setattr__(g, "factors", factors)
-    object.__setattr__(g, "syllables", syllables)
-    return g
-
 
 def normal_form(factors: tuple[Factor, Factor], raw: Sequence[Syllable]) -> FPWord:
     """Merge same-factor neighbours and drop identity syllables."""
@@ -134,11 +111,6 @@ def normal_form(factors: tuple[Factor, Factor], raw: Sequence[Syllable]) -> FPWo
         if tag not in (0, 1):
             raise FreeProductError(f"bad factor tag {tag}")
         factors[tag].validate(elem)
-    return _merge(factors, raw)
-
-
-def _merge(factors: tuple[Factor, Factor], raw: Sequence[Syllable]) -> FPWord:
-    """normal_form on syllables whose tags and elements are already valid."""
     stack: list[Syllable] = []
     for tag, elem in raw:
         if factors[tag].is_identity(elem):
@@ -151,7 +123,7 @@ def _merge(factors: tuple[Factor, Factor], raw: Sequence[Syllable]) -> FPWord:
             elem = merged
         if elem is not None:
             stack.append((tag, elem))
-    return _fpword(factors, tuple(stack))
+    return FPWord(factors, tuple(stack))
 
 
 def cyclic_normal_form(g: FPWord) -> FPWord:
@@ -165,7 +137,7 @@ def cyclic_normal_form(g: FPWord) -> FPWord:
             syl = middle
         else:
             syl = [(tag, merged)] + middle
-    return _fpword(g.factors, tuple(syl))
+    return FPWord(g.factors, tuple(syl))
 
 
 def hyperbolic_length(g: FPWord) -> int:
@@ -290,7 +262,7 @@ class TreeBall:
             syls.append((tag, self.elements[tag][vid - self._first[parent]]))
             vid, parent = parent, self._parent[parent]
         syls.reverse()
-        return _fpword(self.factors, tuple(syls))
+        return FPWord(self.factors, tuple(syls))
 
     def coset_vertex(self, g: FPWord, side: int) -> int:
         """The vertex g*A (side 0) or g*B (side 1)."""
@@ -379,7 +351,7 @@ def alternating_words(k: int, cap: int) -> Iterator[tuple[tuple[int, ...], FPWor
             (pos % 2, ((1, 1),) * e if e > 0 else ((1, -1),) * (-e))
             for pos, e in enumerate(combo)
         )
-        yield combo, _fpword(RANK1_FREE, syls)
+        yield combo, FPWord(RANK1_FREE, syls)
 
 
 def verify_tree_lemma(k_max: int, cap: int, radius: int,

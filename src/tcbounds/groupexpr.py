@@ -11,10 +11,11 @@ general.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .raag import GraphError, SimpleGraph
+from .words import json_int
 
 
 class ExprError(ValueError):
@@ -115,8 +116,12 @@ class Opaque(GroupExpr):
     geom_dim: Optional[int] = None
 
     def __post_init__(self) -> None:
+        if self.chd_lower < 0:
+            raise ExprError("chd lower bound must be >= 0")
         if self.chd_lower > self.chd_upper:
             raise ExprError("chd lower bound exceeds upper bound")
+        if self.geom_dim is not None and self.geom_dim < self.chd_lower:
+            raise ExprError("geometric dimension is below the chd lower bound")
         for dim in (self.duality_dim, self.orientable_pd_dim):
             if dim is not None and (dim != self.chd_lower or dim != self.chd_upper):
                 raise ExprError("a duality flag forces chd to equal the flagged dimension")
@@ -182,7 +187,8 @@ class Evaluation:
 
 
 def evaluate(e: GroupExpr) -> Evaluation:
-    """Apply the rules to every node of e once, children before parents."""
+    """Apply the rules to every node of e once, children before parents.  A
+    node's record holds only its own trace line; the root's is built last."""
     done: dict[int, Evaluation] = {}  # keyed by id(): nodes hash recursively
     stack = [e]
     while stack:
@@ -195,7 +201,15 @@ def evaluate(e: GroupExpr) -> Evaluation:
             stack += [node, *pending]
         else:
             done[id(node)] = _combine(node, done[id(node.left)], done[id(node.right)])
-    return done[id(e)]
+    # node, right subtree, left subtree; reversed, that is the post-order
+    lines, stack = [], [e]
+    while stack:
+        node = stack.pop()
+        lines += done[id(node)].chd.trace
+        if isinstance(node, (Product, FreeProduct)):
+            stack += [node.left, node.right]
+    root = done[id(e)]
+    return replace(root, chd=replace(root.chd, trace=tuple(reversed(lines))))
 
 
 def chd(e: GroupExpr) -> ChdResult:
@@ -274,7 +288,7 @@ def _combine(e: GroupExpr, left: Evaluation, right: Evaluation) -> Evaluation:
             line = ("no duality rule applies: interval [max of factors, sum of factors] "
                     "(subadditivity can be strict)")
         geom_dim = left.geom_dim + right.geom_dim
-    return Evaluation(ChdResult(lo, hi, cl.trace + cr.trace + (line,)), pd, du,
+    return Evaluation(ChdResult(lo, hi, (line,)), pd, du,
                       geom_dim, left.caveat or right.caveat)
 
 
@@ -290,7 +304,7 @@ def expr_from_json(data) -> GroupExpr:
     def num(name, default=None):
         value = data[name] if default is None else data.get(name, default)
         try:
-            return int(value)
+            return json_int(value)
         except (TypeError, ValueError):
             raise ExprError(f"{kind}: {name}: expected an integer, got {value!r}") from None
 

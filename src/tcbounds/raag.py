@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .presentations import Presentation
-from .words import Word, commutator, generator
+from .words import Word, commutator, generator, json_int
 
 
 class GraphError(ValueError):
@@ -55,7 +55,7 @@ class SimpleGraph:
         if "n" not in data:
             raise GraphError("missing field 'n'")
         try:
-            n = int(data["n"])
+            n = json_int(data["n"])
         except (TypeError, ValueError):
             raise GraphError(f"n: expected an integer, got {data['n']!r}") from None
         edges = data.get("edges", [])
@@ -66,7 +66,7 @@ class SimpleGraph:
             if not isinstance(edge, list) or len(edge) != 2:
                 raise GraphError(f"edges: edge {i} must be a pair of vertices, got {edge!r}")
             try:
-                pairs.append((int(edge[0]), int(edge[1])))
+                pairs.append((json_int(edge[0]), json_int(edge[1])))
             except (TypeError, ValueError):
                 raise GraphError(f"edges: edge {i} has a non-integer vertex: {edge!r}") from None
         return SimpleGraph.from_edges(n, pairs)

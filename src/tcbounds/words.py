@@ -3,8 +3,9 @@
 Words are stored as tuples of (generator index, sign) letters, always
 freely reduced.  Generator indices are 1-based; rank 0 (the trivial
 group) is allowed.  All values are immutable and all operations pure.
-Letters are checked where they enter (``Word(...)``, ``generator``,
-``reduce``, ``parse_word``); words derived from them skip the check.
+``Word(...)`` only stores its fields: letters are checked where they
+enter (``generator``, ``reduce``, ``parse_word``), and words derived
+from checked words are built directly.
 """
 
 from __future__ import annotations
@@ -36,6 +37,14 @@ def check_expanded_length(length: int, what: str) -> None:
         )
 
 
+def json_int(value) -> int:
+    """An integer field of JSON input: an int or a digit string.  A bool or
+    a float raises ValueError rather than being truncated by int()."""
+    if isinstance(value, (bool, float)):
+        raise ValueError(f"not an integer: {value!r}")
+    return int(value)
+
+
 def _free_reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
     stack: list[Letter] = []
     for gen, sign in letters:
@@ -48,19 +57,10 @@ def _free_reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
 
 @dataclass(frozen=True, slots=True)
 class Word:
-    """A freely reduced word in the free group of the given rank."""
+    """A freely reduced word of the given rank; the constructor does not check."""
 
     letters: tuple[Letter, ...]
     rank: int
-
-    def __post_init__(self) -> None:
-        for gen, sign in self.letters:
-            if not 1 <= gen <= self.rank:
-                raise WordError(f"generator index {gen} out of range for rank {self.rank}")
-            if sign not in (-1, 1):
-                raise WordError(f"letter sign must be +1 or -1, got {sign}")
-        if self.letters != _free_reduce(self.letters):
-            raise WordError("letters are not freely reduced; use reduce()")
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -68,15 +68,15 @@ class Word:
     def __mul__(self, other: "Word") -> "Word":
         if self.rank != other.rank:
             raise WordError("cannot multiply words of different rank")
-        return _word(_free_reduce(self.letters + other.letters), self.rank)
+        return Word(_free_reduce(self.letters + other.letters), self.rank)
 
     def inverse(self) -> "Word":
-        return _word(tuple((g, -s) for g, s in reversed(self.letters)), self.rank)
+        return Word(tuple((g, -s) for g, s in reversed(self.letters)), self.rank)
 
     def __pow__(self, n: int) -> "Word":
         if n < 0:
             return self.inverse() ** (-n)
-        return _word(_free_reduce(self.letters * n), self.rank)
+        return Word(_free_reduce(self.letters * n), self.rank)
 
     @property
     def is_identity(self) -> bool:
@@ -86,20 +86,12 @@ class Word:
         return format_word(self)
 
 
-def _word(letters: tuple[Letter, ...], rank: int) -> Word:
-    """A Word from letters that are already reduced and in range; no check."""
-    w = object.__new__(Word)
-    object.__setattr__(w, "letters", letters)
-    object.__setattr__(w, "rank", rank)
-    return w
-
-
 def identity(rank: int) -> Word:
-    return _word((), rank)
+    return Word((), rank)
 
 
 def generator(i: int, rank: int, sign: int = 1) -> Word:
-    return Word(((i, sign),), rank)
+    return reduce(((i, sign),), rank)
 
 
 def reduce(raw: Sequence[Letter], rank: int) -> Word:
@@ -109,7 +101,7 @@ def reduce(raw: Sequence[Letter], rank: int) -> Word:
             raise WordError(f"generator index {gen} out of range for rank {rank}")
         if sign not in (-1, 1):
             raise WordError(f"letter sign must be +1 or -1, got {sign}")
-    return _word(_free_reduce(raw), rank)
+    return Word(_free_reduce(raw), rank)
 
 
 def commutator(u: Word, v: Word) -> Word:
@@ -126,7 +118,7 @@ def cyclically_reduce(w: Word) -> tuple[Word, Word]:
     i, j = 0, len(letters)
     while j - i >= 2 and letters[i][0] == letters[j - 1][0] and letters[i][1] == -letters[j - 1][1]:
         i, j = i + 1, j - 1
-    return _word(letters[i:j], w.rank), _word(letters[:i], w.rank)
+    return Word(letters[i:j], w.rank), Word(letters[:i], w.rank)
 
 
 def conjugate_in_free(u: Word, v: Word) -> bool:
@@ -168,7 +160,7 @@ def primitive_root(w: Word) -> Word:
             continue
         candidate = core.letters[:d]
         if candidate * (n // d) == core.letters:
-            return _word(candidate, w.rank)
+            return Word(candidate, w.rank)
     return core
 
 

@@ -6,7 +6,9 @@ strategy, conjugacy is decided by exhaustive conjugator search, the
 two-clique number is maximized over all subset pairs, tree balls are
 grown by BFS over explicit coset keys, braid images are measured all
 at once after every letter, and the chd calculus is evaluated by four
-mutually recursive dispatches on the node kind.
+mutually recursive dispatches on the node kind.  Free-product and braid
+products, inverses and powers, which no report needs, are built here on
+the checked builders ``normal_form`` and ``BraidWord``.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from itertools import combinations, product
 from math import gcd
 from typing import Optional
 
-from tcbounds.braids import _act_letter
-from tcbounds.freeprod import FreeProductError, cyclic_normal_form
+from tcbounds.braids import BraidWord, _act_letter
+from tcbounds.freeprod import Factor, FPWord, FreeProductError, cyclic_normal_form, normal_form
 from tcbounds.groupexpr import (
     BaumslagSolitar12, ChdResult, ExprError, Free, FreeAbelian, FreeProduct, GroupExpr,
     Opaque, Product, PureBraid, Raag, SurfaceGroup, Trivial,
@@ -39,7 +41,7 @@ def all_reduced_words(rank: int, max_len: int) -> list[Word]:
                     if w and w[-1] == (g, -s):
                         continue
                     nxt.append(w + ((g, s),))
-        out.extend(Word(w, rank) for w in nxt)
+        out.extend(free_reduce(w, rank) for w in nxt)
         frontier = nxt
     return out
 
@@ -298,6 +300,23 @@ class DictTreeBall:
         return dist
 
 
+def factor_inverse(factor: Factor, a):
+    """The inverse of a canonical element of a free or free-abelian factor."""
+    if factor.kind == "free":
+        return tuple((g, -s) for g, s in reversed(a))
+    return tuple(-x for x in a)
+
+
+def fp_multiply(*ws: FPWord) -> FPWord:
+    """The product of FPWords over the same factors, in normal form."""
+    return normal_form(ws[0].factors, [syl for g in ws for syl in g.syllables])
+
+
+def fp_inverse(g: FPWord) -> FPWord:
+    return normal_form(g.factors, [(t, factor_inverse(g.factors[t], e))
+                                   for t, e in reversed(g.syllables)])
+
+
 def is_elliptic(g) -> bool:
     """True iff the FPWord g is conjugate into one of the factors (fixes a
     tree vertex)."""
@@ -345,7 +364,7 @@ def hyperbolic_length_bfs(ball, g) -> int:
     for vid in range(ball.vertex_count):
         side = ball.side(vid)
         try:
-            image = ball.coset_vertex(g * ball.vertex_word(vid), side)
+            image = ball.coset_vertex(fp_multiply(g, ball.vertex_word(vid)), side)
         except FreeProductError:
             continue
         d = tree_distance(ball, vid, image)
@@ -360,6 +379,14 @@ def hyperbolic_length_bfs(ball, g) -> int:
 
 # ---------------------------------------------------------------------------
 # Braids
+
+def braid_inverse(b: BraidWord) -> BraidWord:
+    return BraidWord(b.n, tuple((i, -s) for i, s in reversed(b.letters)))
+
+
+def braid_power(b: BraidWord, k: int) -> BraidWord:
+    return BraidWord(b.n, (b if k >= 0 else braid_inverse(b)).letters * abs(k))
+
 
 def free_group_action_all_images(b, word_cap: int) -> tuple[Word, ...]:
     """braids.free_group_action with the cap checked against the longest

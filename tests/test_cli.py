@@ -218,6 +218,21 @@ class TestChd:
         err = run_bad_file(capsys, tmp_path, {"kind": "raag", "n": 3, "edges": [[1]]}, "chd")
         assert "raag: edges: edge 1 must be a pair of vertices" in err
 
+    @pytest.mark.parametrize("rank", [2.9, True])
+    def test_rank_float_or_bool_is_not_truncated(self, capsys, tmp_path, rank):
+        err = run_bad_file(capsys, tmp_path, {"kind": "free", "rank": rank}, "chd")
+        assert f"free: rank: expected an integer, got {rank!r}" in err
+
+    def test_opaque_negative_chd(self, capsys, tmp_path):
+        err = run_bad_file(capsys, tmp_path, {"kind": "opaque", "chd": -3}, "chd")
+        assert "chd lower bound must be >= 0" in err
+
+    def test_product_with_negative_opaque(self, capsys, tmp_path):
+        doc = {"kind": "product", "left": {"kind": "opaque", "chd": -3},
+               "right": {"kind": "free", "rank": 2}}
+        err = run_bad_file(capsys, tmp_path, doc, "chd")
+        assert "chd lower bound must be >= 0" in err
+
 
 class TestTree:
     def test_ball(self, capsys):
@@ -356,6 +371,20 @@ class TestTcReport:
             doc = {"presentation": BORROMEAN, "target_generators": ["u", "v"], "images": images}
             err = run_bad_file(capsys, tmp_path, doc, "pres", "hom-check")
         assert "images: no image for generator 'c'" in err
+
+    def test_scenario_braid_float_strands(self, capsys, tmp_path):
+        err = run_bad_file(capsys, tmp_path, {"kind": "braid", "n": 4.9}, "tc-report")
+        assert "n: expected an integer, got 4.9" in err
+
+    def test_scenario_raag_float_and_bool_vertices(self, capsys, tmp_path):
+        doc = {"kind": "raag", "n": 3, "edges": [[1, 2.5], [True, 3]]}
+        err = run_bad_file(capsys, tmp_path, doc, "tc-report")
+        assert "edges: edge 1 has a non-integer vertex: [1, 2.5]" in err
+
+    def test_scenario_opaque_geom_dim_below_chd(self, capsys, tmp_path):
+        doc = {"kind": "expr", "expr": {"kind": "opaque", "chd": 3, "geom_dim": 1}}
+        err = run_bad_file(capsys, tmp_path, doc, "tc-report")
+        assert "geometric dimension is below the chd lower bound" in err
 
     def test_case_pbn_not_an_integer(self, capsys, tmp_path):
         err = run_bad_file(capsys, tmp_path, {"kind": "braid", "n": "abc"}, "tc-report")

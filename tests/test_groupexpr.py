@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -103,6 +105,11 @@ class TestFlags:
     def test_opaque_flag_consistency(self):
         with pytest.raises(ExprError):
             Opaque("G", 1, 2, "why", duality_dim=2)
+
+    @pytest.mark.parametrize("lo, hi, geom_dim", [(-3, -3, None), (-1, 2, None), (3, 3, 1)])
+    def test_opaque_impossible_dimensions(self, lo, hi, geom_dim):
+        with pytest.raises(ExprError):
+            Opaque("G", lo, hi, "why", geom_dim=geom_dim)
 
 
 class TestProducts:
@@ -236,6 +243,18 @@ class TestAgainstOracle:
     def test_shared_subtree(self, a, b):
         x = Product(a, b)
         self.assert_matches(Product(x, x))
+
+
+def test_deep_chain_trace_is_linear():
+    # the root's trace is assembled once: a subtree's trace is never copied
+    e = Free(2)
+    for _ in range(20_000):
+        e = Product(e, Free(2))
+    start = time.perf_counter()
+    result = chd(e)
+    elapsed = time.perf_counter() - start
+    assert (result.value, len(result.trace)) == (20_001, 40_001)
+    assert elapsed < 2, f"took {elapsed:.2f} s"
 
 
 class TestJson:

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 from tcbounds.words import (
     MAX_EXPANDED_LENGTH,
     ResourceCapError,
-    Word,
     WordError,
     commutator,
     conjugate_in_free,
@@ -13,6 +12,7 @@ from tcbounds.words import (
     format_word,
     generator,
     identity,
+    json_int,
     parse_word,
     primitive_root,
     reduce,
@@ -177,19 +177,29 @@ class TestPrimitiveRoot:
 
 
 class TestDerivedWordsAreValid:
-    """Words built without a check pass the checked constructor."""
+    """Words the engine builds directly are fixed by the checked builder."""
 
     @given(random_word(), random_word(), st.integers(-4, 4))
     def test_derived_words(self, u, v, n):
         derived = (u * v, u.inverse(), u**n, *cyclically_reduce(u * v),
                    primitive_root(u), primitive_root(u**n))
         for x in derived:
-            assert Word(x.letters, x.rank) == x
+            assert reduce(x.letters, x.rank) == x
 
 
 def test_reduce_rejects_bad_sign():
     with pytest.raises(WordError):
         reduce([(1, 2)], 2)
+
+
+@pytest.mark.parametrize("value", [2.9, 4.0, True, False, "2.5", None, [1]])
+def test_json_int_rejects_non_integers(value):
+    with pytest.raises((TypeError, ValueError)):
+        json_int(value)
+
+
+def test_json_int_accepts_ints_and_digit_strings():
+    assert (json_int(4), json_int("4"), json_int(-2)) == (4, 4, -2)
 
 
 def test_generator_out_of_range():
