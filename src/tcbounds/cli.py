@@ -57,8 +57,8 @@ def _int_field(data: dict, field: str, where: str) -> int:
     value = _require(data, field, where)
     try:
         return words.json_int(value)
-    except (TypeError, ValueError):
-        raise ScenarioError(f"{where}: {field}: expected an integer, got {value!r}") from None
+    except ValueError as exc:
+        raise ScenarioError(f"{where}: {field}: {exc}") from None
 
 
 def _string_list(data: dict, field: str, where: str) -> list[str]:
@@ -138,21 +138,21 @@ def scenario_report(data, where: str) -> bounds.BoundReport:
     raise ScenarioError(f"{where}: unknown scenario kind {kind!r}")
 
 
+CASE_USAGE = "borromean | higman | pbn N | raag FILE"
+
+
 def case_scenario(case: list[str]) -> tuple[dict, str]:
     """(scenario object, error location) for the arguments of --case."""
     name, rest = case[0], case[1:]
-    if name in ("borromean", "higman"):
+    arity = {"borromean": 0, "higman": 0, "pbn": 1, "raag": 1}.get(name)
+    if arity is None or len(rest) != arity:
+        raise ScenarioError(f"--case {' '.join(case)}: expected --case {CASE_USAGE}")
+    if arity == 0:
         return {"kind": "case-study", "case": name}, "--case"
     if name == "pbn":
-        if not rest:
-            raise ScenarioError("--case pbn needs a strand count, e.g. --case pbn 4")
         return {"kind": "braid", "n": rest[0]}, "--case pbn"
-    if name == "raag":
-        if not rest:
-            raise ScenarioError("--case raag needs a graph file")
-        graph = _load_json(rest[0])
-        return ({**graph, "kind": "raag"} if isinstance(graph, dict) else graph), rest[0]
-    raise ScenarioError(f"unknown case {name!r}")
+    graph = _load_json(rest[0])
+    return ({**graph, "kind": "raag"} if isinstance(graph, dict) else graph), rest[0]
 
 
 def _presentation_report(data, where: str) -> bounds.BoundReport:
@@ -360,10 +360,8 @@ def cmd_tree_verify_lemma(args) -> int:
 def cmd_tc_report(args) -> int:
     if args.case:
         data, where = case_scenario(args.case)
-    elif args.file:
-        data, where = _load_json(args.file), args.file
     else:
-        raise ScenarioError("tc-report needs --case or a scenario file")
+        data, where = _load_json(args.file), args.file
     emit(scenario_report(data, where).to_json(), args.json)
     return EXIT_OK
 
@@ -385,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Certified topological-complexity bounds for aspherical groups",
     )
     parser.add_argument("--json", action="store_true", help="emit the JSON report")
-    parser.add_argument("--max-ball", type=int, default=5_000_000,
+    parser.add_argument("--max-ball", type=int, default=freeprod.MAX_BALL_VERTICES,
                         help="tree ball vertex cap")
     parser.add_argument("--max-word", type=int, default=braids.DEFAULT_WORD_CAP,
                         help="braid free-group image length cap")
@@ -450,9 +448,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_tree_verify_lemma)
 
     p = sub.add_parser("tc-report", help="assemble a certified bound report")
-    p.add_argument("file", nargs="?", help="scenario JSON file")
-    p.add_argument("--case", nargs="+", metavar="CASE",
-                   help="borromean | higman | pbn N | raag FILE")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("file", nargs="?", help="scenario JSON file")
+    source.add_argument("--case", nargs="+", metavar="CASE",
+                        help=CASE_USAGE)
     p.set_defaults(func=cmd_tc_report)
 
     return parser

@@ -10,8 +10,8 @@ and one edge per group element; a finite ball around the base edge is
 materialized in BFS order as parent and child-range arrays, with factor
 elements enumerated up to a generator exponent cap.  Distances inside
 the ball are edge counts of the materialized tree (a BFS in
-``distance_map``), never the syllable formula, which is what makes the
-ball an independent oracle for translation-length statements.
+``distance_map``), never the syllable formula, so the tree lemma that
+``verify_tree_lemma`` checks on the ball can fail on its own.
 """
 
 from __future__ import annotations
@@ -140,15 +140,11 @@ def cyclic_normal_form(g: FPWord) -> FPWord:
     return FPWord(g.factors, tuple(syl))
 
 
-def hyperbolic_length(g: FPWord) -> int:
-    """Translation length on the Bass-Serre tree: 0 for elliptic elements,
-    otherwise the syllable count of the cyclic normal form."""
-    core = cyclic_normal_form(g)
-    return 0 if core.syllable_length <= 1 else core.syllable_length
-
-
 # ---------------------------------------------------------------------------
 # Tree balls
+
+# Largest tree ball, in vertices, that is built; its size is computed first.
+MAX_BALL_VERTICES = 5_000_000
 
 A_SIDE = 0  # vertices gA; canonical rep ends with a B-syllable (or is empty)
 B_SIDE = 1  # vertices gB; canonical rep ends with an A-syllable (or is empty)
@@ -187,7 +183,7 @@ class TreeBall:
     """
 
     def __init__(self, factors: tuple[Factor, Factor], radius: int, cap: int,
-                 max_vertices: int = 5_000_000):
+                 max_vertices: int):
         if radius < 1:
             raise FreeProductError("radius must be >= 1")
         if cap < 1:
@@ -335,7 +331,7 @@ class TreeBall:
 
 
 def build_tree_ball(factors: tuple[Factor, Factor], radius: int, cap: int = 2,
-                    max_vertices: int = 5_000_000) -> TreeBall:
+                    max_vertices: int = MAX_BALL_VERTICES) -> TreeBall:
     """Materialize the ball of the given radius around the base edge."""
     return TreeBall(factors, radius, cap, max_vertices)
 
@@ -355,7 +351,7 @@ def alternating_words(k: int, cap: int) -> Iterator[tuple[tuple[int, ...], FPWor
 
 
 def verify_tree_lemma(k_max: int, cap: int, radius: int,
-                      max_vertices: int = 5_000_000) -> tuple[int, list[list[int]]]:
+                      max_vertices: int = MAX_BALL_VERTICES) -> tuple[int, list[list[int]]]:
     """Check d(gw, v) = 2k-1 and d(gw, w) = 2k for every alternating word g
     with 2k <= 2 k_max syllables, by BFS on the F(x) * F(y) tree ball.
 
@@ -363,6 +359,8 @@ def verify_tree_lemma(k_max: int, cap: int, radius: int,
     a vertex it does not reach fails the check.  Returns (words checked,
     exponent lists of the failing words).
     """
+    if k_max < 1:
+        raise FreeProductError(f"the tree lemma needs k_max >= 1, got {k_max}")
     ball = build_tree_ball(RANK1_FREE, radius, cap, max_vertices)
     dist_v = ball.distance_map(ball.v, 2 * k_max)
     dist_w = ball.distance_map(ball.w, 2 * k_max)

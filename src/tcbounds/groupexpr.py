@@ -305,8 +305,8 @@ def expr_from_json(data) -> GroupExpr:
         value = data[name] if default is None else data.get(name, default)
         try:
             return json_int(value)
-        except (TypeError, ValueError):
-            raise ExprError(f"{kind}: {name}: expected an integer, got {value!r}") from None
+        except ValueError as exc:
+            raise ExprError(f"{kind}: {name}: {exc}") from None
 
     def optional_num(name):
         return num(name) if data.get(name) is not None else None

@@ -10,6 +10,7 @@ combinatorics; the clique-pair certificate is built in tcbounds.bounds.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -56,19 +57,19 @@ class SimpleGraph:
             raise GraphError("missing field 'n'")
         try:
             n = json_int(data["n"])
-        except (TypeError, ValueError):
-            raise GraphError(f"n: expected an integer, got {data['n']!r}") from None
+        except ValueError as exc:
+            raise GraphError(f"n: {exc}") from None
         edges = data.get("edges", [])
         if not isinstance(edges, list):
             raise GraphError("edges: expected a list of vertex pairs")
         pairs = []
         for i, edge in enumerate(edges, start=1):
             if not isinstance(edge, list) or len(edge) != 2:
-                raise GraphError(f"edges: edge {i} must be a pair of vertices, got {edge!r}")
+                raise GraphError(f"edges: edge {i} must be a pair of vertices, got {json.dumps(edge)}")
             try:
                 pairs.append((json_int(edge[0]), json_int(edge[1])))
-            except (TypeError, ValueError):
-                raise GraphError(f"edges: edge {i} has a non-integer vertex: {edge!r}") from None
+            except ValueError:
+                raise GraphError(f"edges: edge {i} has a non-integer vertex: {json.dumps(edge)}") from None
         return SimpleGraph.from_edges(n, pairs)
 
     def adjacency_masks(self) -> list[int]:

@@ -10,6 +10,7 @@ from checked words are built directly.
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -38,11 +39,13 @@ def check_expanded_length(length: int, what: str) -> None:
 
 
 def json_int(value) -> int:
-    """An integer field of JSON input: an int or a digit string.  A bool or
-    a float raises ValueError rather than being truncated by int()."""
-    if isinstance(value, (bool, float)):
-        raise ValueError(f"not an integer: {value!r}")
-    return int(value)
+    """An integer field of JSON input: an int that is not a bool, or a string
+    matching -?[0-9]+.  Anything else raises ValueError naming it as JSON."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and re.fullmatch("-?[0-9]+", value):
+        return int(value)
+    raise ValueError("expected an integer, got " + json.dumps(value))
 
 
 def _free_reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:

@@ -317,6 +317,13 @@ def fp_inverse(g: FPWord) -> FPWord:
                                    for t, e in reversed(g.syllables)])
 
 
+def hyperbolic_length(g: FPWord) -> int:
+    """Translation length on the Bass-Serre tree: 0 for elliptic elements,
+    otherwise the syllable count of the cyclic normal form."""
+    core = cyclic_normal_form(g)
+    return 0 if core.syllable_length <= 1 else core.syllable_length
+
+
 def is_elliptic(g) -> bool:
     """True iff the FPWord g is conjugate into one of the factors (fixes a
     tree vertex)."""

@@ -248,12 +248,14 @@ class TestHigmanCaseStudy:
         assert cert.variant == "trusted-chain"
         machine = [s for s in cert.steps if s.status == "machine-verified"]
         cited = [s for s in cert.steps if s.status == "cited"]
-        assert len(machine) == 3
-        assert len(cited) == 4
+        assert len(machine) == 2
+        assert len(cited) == 5
         assert all(s.citation for s in cited)
-        # each check states the count that ran; the elliptic-element fact is cited
-        assert "69904 words" in machine[1].description
-        assert "4368 of these words" in machine[2].description
+        # the BFS check states the count that ran; the hyperbolicity of
+        # alternating words and the elliptic-element fact are cited
+        assert "4368 words" in machine[1].description
+        assert not any("69904" in s.description for s in machine)
+        assert any("translation length" in s.description for s in cited)
         assert not any("elliptic" in s.description for s in machine)
         assert any("elliptic" in s.description for s in cited)
 

@@ -102,7 +102,7 @@ class TestRaag:
 
     def test_vertex_count_not_an_integer(self, capsys, tmp_path):
         err = run_bad_file(capsys, tmp_path, {"n": "abc", "edges": []}, "raag", "z")
-        assert "n: expected an integer, got 'abc'" in err
+        assert 'n: expected an integer, got "abc"' in err
 
     def test_edge_not_a_pair(self, capsys, tmp_path):
         err = run_bad_file(capsys, tmp_path, {"n": 3, "edges": [[1]]}, "raag", "z")
@@ -212,16 +212,16 @@ class TestChd:
 
     def test_rank_not_an_integer(self, capsys, tmp_path):
         err = run_bad_file(capsys, tmp_path, {"kind": "free", "rank": "abc"}, "chd")
-        assert "free: rank: expected an integer, got 'abc'" in err
+        assert 'free: rank: expected an integer, got "abc"' in err
 
     def test_raag_edge_not_a_pair(self, capsys, tmp_path):
         err = run_bad_file(capsys, tmp_path, {"kind": "raag", "n": 3, "edges": [[1]]}, "chd")
         assert "raag: edges: edge 1 must be a pair of vertices" in err
 
-    @pytest.mark.parametrize("rank", [2.9, True])
+    @pytest.mark.parametrize("rank", [2.9, True, "1_0", " 4 ", "+4", "4\n"])
     def test_rank_float_or_bool_is_not_truncated(self, capsys, tmp_path, rank):
         err = run_bad_file(capsys, tmp_path, {"kind": "free", "rank": rank}, "chd")
-        assert f"free: rank: expected an integer, got {rank!r}" in err
+        assert f"free: rank: expected an integer, got {json.dumps(rank)}" in err
 
     def test_opaque_negative_chd(self, capsys, tmp_path):
         err = run_bad_file(capsys, tmp_path, {"kind": "opaque", "chd": -3}, "chd")
@@ -265,6 +265,13 @@ class TestTree:
         assert code == EXIT_USAGE
         assert err.count("\n") == 1
         assert "--radius 4" in err and "--k 3" in err
+
+    @pytest.mark.parametrize("k", ["0", "-2"])
+    def test_verify_lemma_refuses_k_below_one(self, capsys, k):
+        # no word has 2k <= 0 syllables: "verified" would report a check that never ran
+        code, out, err = run(capsys, "--json", "tree", "verify-lemma", "--k", k)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.count("\n") == 1 and "k_max >= 1" in err
 
     def test_verify_lemma_defaults_fit_data_limit(self):
         # the radius-10 ball's parent, side and child-range columns, with a
@@ -345,8 +352,23 @@ class TestTcReport:
         assert "unknown scenario kind" in err
 
     def test_no_input(self, capsys):
-        code, _, err = run(capsys, "tc-report")
-        assert code == EXIT_USAGE
+        with pytest.raises(SystemExit) as exc:
+            main(["tc-report"])
+        assert exc.value.code == EXIT_USAGE
+        assert capsys.readouterr().err.endswith(
+            "error: one of the arguments file --case is required\n")
+
+    @pytest.mark.parametrize("case", [["pbn", "4", "5"], ["borromean", "extra"],
+                                      ["higman", "x"], ["raag"], ["klein"]])
+    def test_case_argument_count(self, capsys, case):
+        code, out, err = run(capsys, "tc-report", "--case", *case)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"error: --case {' '.join(case)}: expected --case " \
+                      "borromean | higman | pbn N | raag FILE\n"
+
+    def test_scenario_braid_padded_strand_count(self, capsys, tmp_path):
+        err = run_bad_file(capsys, tmp_path, {"kind": "braid", "n": " 4 "}, "tc-report")
+        assert 'n: expected an integer, got " 4 "' in err
 
     def test_scenario_presentation(self, capsys, tmp_path):
         f = tmp_path / "scenario.json"
@@ -434,6 +456,8 @@ class TestUsageErrors:
         (["braid", "perm"], "the following arguments are required: --n, word"),
         (["braid", "perm", "--n", "x", "s1"], "argument --n: invalid int value: 'x'"),
         (["braid", "perm", "--n", "3", "--bogus", "s1"], "unrecognized arguments: --bogus"),
+        (["tc-report", "s.json", "--case", "higman"],
+         "argument --case: not allowed with argument file"),
     ])
     def test_usage_error_exits_1(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:

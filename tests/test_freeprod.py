@@ -1,13 +1,14 @@
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from oracles import (
     DictTreeBall,
     factor_inverse,
     fp_inverse,
     fp_multiply,
+    hyperbolic_length,
     hyperbolic_length_bfs,
     is_elliptic,
     tree_depth,
@@ -16,6 +17,7 @@ from oracles import (
 from tcbounds.freeprod import (
     A_SIDE,
     B_SIDE,
+    RANK1_FREE,
     Factor,
     FreeProductError,
     ResourceCapError,
@@ -23,7 +25,6 @@ from tcbounds.freeprod import (
     alternating_words,
     build_tree_ball,
     cyclic_normal_form,
-    hyperbolic_length,
     normal_form,
     verify_tree_lemma,
 )
@@ -153,6 +154,22 @@ class TestConjugacyGeometry:
     @given(random_fp())
     def test_cyclic_form_is_shortest(self, g):
         assert cyclic_normal_form(g).syllable_length <= g.syllable_length
+
+    @given(st.integers(1, 4).flatmap(lambda k: st.lists(
+               st.sampled_from((-2, -1, 1, 2)), min_size=2 * k, max_size=2 * k)),
+           st.lists(st.tuples(st.integers(0, 1), st.sampled_from((-2, -1, 1, 2))),
+                    min_size=1, max_size=4))
+    @settings(max_examples=80)
+    def test_conjugated_alternating_word_keeps_its_cyclic_length(self, exps, raw_h):
+        # g alternates and has 2k syllables; h g h^-1 has syllables to cancel
+        # or merge across its ends, and its cyclic normal form has 2k again
+        def rank1(t, e):
+            return (t, ((1, 1 if e > 0 else -1),) * abs(e))
+        g = normal_form(RANK1_FREE, [rank1(i % 2, e) for i, e in enumerate(exps)])
+        h = normal_form(RANK1_FREE, [rank1(t, e) for t, e in raw_h])
+        assume(not h.is_identity)
+        conj = fp_multiply(h, g, fp_inverse(h))
+        assert cyclic_normal_form(conj).syllable_length == len(exps)
 
 
 class TestTreeBall:

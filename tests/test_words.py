@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -192,9 +194,17 @@ def test_reduce_rejects_bad_sign():
         reduce([(1, 2)], 2)
 
 
-@pytest.mark.parametrize("value", [2.9, 4.0, True, False, "2.5", None, [1]])
+@pytest.mark.parametrize("value", [2.9, 4.0, True, False, "2.5", None, [1],
+                                   "1_0", " 4 ", "+4", "4\n", "", "-", "\u0664"])
 def test_json_int_rejects_non_integers(value):
     with pytest.raises((TypeError, ValueError)):
+        json_int(value)
+
+
+@pytest.mark.parametrize("value, shown", [(True, "true"), (None, "null"), ("1_0", '"1_0"'),
+                                          ([1], "[1]"), (2.5, "2.5")])
+def test_json_int_error_shows_the_json_value(value, shown):
+    with pytest.raises(ValueError, match=re.escape(f"expected an integer, got {shown}")):
         json_int(value)
 
 
