@@ -203,22 +203,23 @@ def tc_report(
     )
 
 
-def raag_report(graph: SimpleGraph) -> tuple[int, CliquePair, int, BoundReport]:
-    """(z, maximizing clique pair, certified bound, report) for a graph group.
+def raag_report(graph: SimpleGraph) -> tuple[CliquePair, BoundReport]:
+    """(maximizing clique pair, report) for a graph group; z is the pair's
+    union_size, and the certified bound report.lower equals it.
 
     The certificate uses the coordinate retraction for a disjoint clique
     pair with the same union as the maximizing pair.
     """
     z, witness = raag.z_number(graph)
     k1, k2 = _disjoint_cliques(witness)
-    bound, cert = clique_pair_bound(graph, k1, k2)
+    _, cert = clique_pair_bound(graph, k1, k2)
     report = tc_report(
         groupexpr.Raag(graph),
         [(groupexpr.FreeAbelian(len(k1)), groupexpr.FreeAbelian(len(k2)), cert)],
         notes=(f"TC equals z = {z} for graph groups (Cohen-Pruidze); the upper half "
                "is cited, not recomputed",),
     )
-    return z, witness, bound, report
+    return witness, report
 
 
 def _disjoint_cliques(witness: CliquePair) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -234,8 +235,8 @@ def _disjoint_cliques(witness: CliquePair) -> tuple[tuple[int, ...], tuple[int, 
     return k1, k2
 
 
-def pure_braid_report(n: int) -> tuple[int, BoundReport]:
-    """(certified bound 2n-3, report) for the pure braid group PB_n.
+def pure_braid_report(n: int) -> BoundReport:
+    """The report for the pure braid group PB_n; its lower bound is 2n-3.
 
     TC(PB_n) >= chd(Z^{n-1} x PB_{n-1}) = 2n-3.  A is the free abelian
     subgroup generated by the strand-looping braids alpha_1..alpha_{n-1};
@@ -271,13 +272,12 @@ def pure_braid_report(n: int) -> tuple[int, BoundReport]:
     a_expr = groupexpr.FreeAbelian(n - 1)
     b_expr = groupexpr.PureBraid(n - 1) if n >= 3 else groupexpr.Trivial()
     cert = DisjointnessCertificate("linking", a_expr.label(), b_expr.label(), steps)
-    report = tc_report(
+    return tc_report(
         groupexpr.PureBraid(n),
         [(a_expr, b_expr, cert)],
         notes=(f"TC(PB_{n}) = {2 * n - 3} exactly (Farber-Yuzvinsky); shown as a cited "
                "annotation, the interval above is what is certified here",),
     )
-    return report.lower, report
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +304,6 @@ def borromean_case_study() -> BoundReport:
     # yet generate a non-cyclic subgroup since p(b^n) = beta^n differs
     # from p([c^-1, a]) = 1 for n != 0; a group with such a relation is
     # not free, and B sits in a 2-dimensional group.
-    comm = words.parse_word("[c^-1,a]", pres.generators)
-    if not p(comm).is_identity:
-        raise CertificateError("internal check failed: p([c^-1,a]) should be trivial")
     b_sub = groupexpr.Opaque(
         name="B = p^-1<beta>",
         chd_lower=2,

@@ -12,12 +12,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .words import ResourceCapError, Word, _free_reduce, check_expanded_length
+from .words import InputError, ResourceCapError, Word, _free_reduce, check_expanded_length
 
 DEFAULT_WORD_CAP = 64
 
 
-class BraidError(ValueError):
+class BraidError(InputError):
     """Invalid braid data."""
 
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+SCHEMA = "tcbounds/1"  # the schema of every JSON document the CLI writes
+
 
 class CertificateError(ValueError):
     """A certificate check failed; the message names the failing witness."""
@@ -97,7 +99,7 @@ class BoundReport:
 
     def to_json(self) -> dict:
         return {
-            "schema": "tcbounds/1",
+            "schema": SCHEMA,
             "group": self.group,
             "tc_lower": self.lower,
             "tc_upper": self.upper,

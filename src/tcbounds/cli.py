@@ -1,13 +1,18 @@
-"""Command-line front end.
+"""Command-line front end: a thin input boundary with one output path.
 
 Subcommands: raag z|bound, braid perm|lk|equal|tc-bound, pres
-abel|hom-check, chd, tree ball|verify-lemma, tc-report.  JSON output
-(--json) is byte-deterministic for identical inputs; human-readable
-text is rendered from the same JSON document, never computed
-separately.
+abel|hom-check, chd, tree ball|verify-lemma, tc-report.  Each cmd_*
+handler validates its input and returns a document without a schema
+key (``tree ball --dot`` returns its DOT text).  ``main`` alone stamps
+the schema, renders the document as JSON (--json, byte-deterministic
+for identical inputs) or as text derived from the same document, and
+picks the exit code.
 
-Exit codes: 0 success, 1 usage or parse error (or stdout closed before
-the report was written), 2 verification failure, 3 resource cap exceeded.
+Exit codes: 0 success; 1 malformed input (any ``words.InputError``),
+a command-line usage error, or stdout closed before the report was
+written; 2 a failed check: a ``CertificateError``, or a document whose
+``well_defined`` or ``verified`` is false; 3 a resource cap exceeded
+(``ResourceCapError`` or out of memory).
 """
 
 from __future__ import annotations
@@ -18,16 +23,13 @@ import os
 import sys
 
 from . import bounds, braids, freeprod, groupexpr, presentations, raag, words
-from .certificates import CertificateError
+from .certificates import SCHEMA, CertificateError
+from .words import InputError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFICATION = 2
 EXIT_RESOURCE = 3
-
-
-class ScenarioError(ValueError):
-    """Malformed scenario input, with location information where known."""
 
 
 def _load_json(path: str):
@@ -38,18 +40,20 @@ def _load_json(path: str):
         with open(path) as fh:
             return json.load(fh)
     except OSError as exc:
-        raise ScenarioError(f"cannot read {path}: {exc}") from None
+        raise InputError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+        raise InputError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except ValueError as exc:  # bytes that are not text, an integer past Python's digit limit
+        raise InputError(f"{path}: {exc}") from None
     except RecursionError:
-        raise ScenarioError(f"{path}: input nested too deeply") from None
+        raise InputError(f"{path}: input nested too deeply") from None
 
 
 def _require(data: dict, field: str, where: str):
     if not isinstance(data, dict):
-        raise ScenarioError(f"{where}: expected a JSON object")
+        raise InputError(f"{where}: expected a JSON object")
     if field not in data:
-        raise ScenarioError(f"{where}: missing field {field!r}")
+        raise InputError(f"{where}: missing field {field!r}")
     return data[field]
 
 
@@ -58,16 +62,16 @@ def _int_field(data: dict, field: str, where: str) -> int:
     try:
         return words.json_int(value)
     except ValueError as exc:
-        raise ScenarioError(f"{where}: {field}: {exc}") from None
+        raise InputError(f"{where}: {field}: {exc}") from None
 
 
 def _string_list(data: dict, field: str, where: str) -> list[str]:
     value = _require(data, field, where)
     if not isinstance(value, list):
-        raise ScenarioError(f"{where}: {field}: expected a list of strings")
+        raise InputError(f"{where}: {field}: expected a list of strings")
     for i, item in enumerate(value, start=1):
         if not isinstance(item, str):
-            raise ScenarioError(f"{where}: {field}: entry {i} must be a string, got {item!r}")
+            raise InputError(f"{where}: {field}: entry {i} must be a string, got {item!r}")
     return value
 
 
@@ -75,11 +79,10 @@ def _parsed(where: str, parse, *args):
     """parse(*args), with a malformed-input error reported at where."""
     try:
         return parse(*args)
-    except (raag.GraphError, groupexpr.ExprError, words.WordError,
-            presentations.PresentationError) as exc:
-        raise ScenarioError(f"{where}: {exc}") from None
+    except InputError as exc:
+        raise InputError(f"{where}: {exc}") from None
     except RecursionError:
-        raise ScenarioError(f"{where}: input nested too deeply") from None
+        raise InputError(f"{where}: input nested too deeply") from None
 
 
 def load_graph(data, where: str) -> raag.SimpleGraph:
@@ -104,11 +107,11 @@ def load_hom(data, source: presentations.Presentation,
     target = _string_list(data, "target_generators", where)
     image_map = _require(data, "images", where)
     if not isinstance(image_map, dict):
-        raise ScenarioError(f"{where}: images: expected an object mapping generators to words")
+        raise InputError(f"{where}: images: expected an object mapping generators to words")
     images = []
     for name in source.generators:
         if name not in image_map:
-            raise ScenarioError(f"{where}: images: no image for generator {name!r}")
+            raise InputError(f"{where}: images: no image for generator {name!r}")
         images.append(_parsed(f"{where}: images: {name}", words.parse_word, image_map[name], target))
     return target, tuple(images)
 
@@ -126,16 +129,17 @@ def scenario_report(data, where: str) -> bounds.BoundReport:
             return bounds.borromean_case_study()
         if case == "higman":
             return bounds.higman_case_study()
-        raise ScenarioError(f"{where}: unknown case study {case!r}")
+        raise InputError(f"{where}: unknown case study {case!r}")
     if kind == "braid":
-        return bounds.pure_braid_report(_int_field(data, "n", where))[1]
+        return bounds.pure_braid_report(_int_field(data, "n", where))
     if kind == "raag":
-        return bounds.raag_report(load_graph(data, where))[3]
+        _, report = bounds.raag_report(load_graph(data, where))
+        return report
     if kind == "expr":
         return bounds.tc_report(load_expr(_require(data, "expr", where), where), [])
     if kind == "presentation":
         return _presentation_report(data, where)
-    raise ScenarioError(f"{where}: unknown scenario kind {kind!r}")
+    raise InputError(f"{where}: unknown scenario kind {kind!r}")
 
 
 CASE_USAGE = "borromean | higman | pbn N | raag FILE"
@@ -146,7 +150,7 @@ def case_scenario(case: list[str]) -> tuple[dict, str]:
     name, rest = case[0], case[1:]
     arity = {"borromean": 0, "higman": 0, "pbn": 1, "raag": 1}.get(name)
     if arity is None or len(rest) != arity:
-        raise ScenarioError(f"--case {' '.join(case)}: expected --case {CASE_USAGE}")
+        raise InputError(f"--case {' '.join(case)}: expected --case {CASE_USAGE}")
     if arity == 0:
         return {"kind": "case-study", "case": name}, "--case"
     if name == "pbn":
@@ -169,12 +173,13 @@ def _presentation_report(data, where: str) -> bounds.BoundReport:
 # ---------------------------------------------------------------------------
 # Output
 
-def emit(doc: dict, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        for line in _render_text(doc):
-            print(line)
+def _render(doc: dict | str, as_json: bool) -> str:
+    """stdout for a handler's result: DOT text as it is, and a document
+    stamped with the schema, as JSON or as text."""
+    if isinstance(doc, str):
+        return doc
+    doc = {"schema": SCHEMA, **doc}
+    return json.dumps(doc, indent=2, sort_keys=True) if as_json else "\n".join(_render_text(doc))
 
 
 def _render_text(doc: dict, indent: int = 0) -> list[str]:
@@ -203,81 +208,61 @@ def _render_text(doc: dict, indent: int = 0) -> list[str]:
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 
-def cmd_raag_z(args) -> int:
-    z, witness, bound, report = bounds.raag_report(load_graph(_load_json(args.file), args.file))
-    doc = {
-        "schema": "tcbounds/1",
-        "z": z,
+def cmd_raag_z(args) -> dict:
+    witness, report = bounds.raag_report(load_graph(_load_json(args.file), args.file))
+    return {
+        "z": witness.union_size,
         "witness": {"k1": list(witness.k1), "k2": list(witness.k2)},
-        "certified_lower_bound": bound,
+        "certified_lower_bound": report.lower,
         "report": report.to_json(),
     }
-    emit(doc, args.json)
-    return EXIT_OK
 
 
 def _vertex_list(text: str, flag: str) -> list[int]:
     try:
         return [int(x) for x in text.split(",") if x]
     except ValueError:
-        raise ScenarioError(f"{flag}: expected comma-separated vertices, got {text!r}") from None
+        raise InputError(f"{flag}: expected comma-separated vertices, got {text!r}") from None
 
 
-def cmd_raag_bound(args) -> int:
+def cmd_raag_bound(args) -> dict:
     k1, k2 = _vertex_list(args.k1, "--k1"), _vertex_list(args.k2, "--k2")
     graph = load_graph(_load_json(args.file), args.file)
     bound, cert = bounds.clique_pair_bound(graph, k1, k2)
-    doc = {
-        "schema": "tcbounds/1",
+    return {
         "k1": sorted(set(k1)),
         "k2": sorted(set(k2)),
         "tc_lower_bound": bound,
         "certificate": cert.to_json(),
     }
-    emit(doc, args.json)
-    return EXIT_OK
 
 
-def cmd_braid_perm(args) -> int:
+def cmd_braid_perm(args) -> dict:
     b = braids.parse_braid(args.word, args.n)
-    doc = {"schema": "tcbounds/1", "n": args.n, "permutation": list(braids.permutation(b)),
-           "pure": braids.is_pure(b)}
-    emit(doc, args.json)
-    return EXIT_OK
+    return {"n": args.n, "permutation": list(braids.permutation(b)), "pure": braids.is_pure(b)}
 
 
-def cmd_braid_lk(args) -> int:
-    b = braids.parse_braid(args.word, args.n)
-    lk = braids.linking_matrix(b)
-    doc = {"schema": "tcbounds/1", "n": args.n,
-           "linking_matrix": [list(r) for r in lk.entries],
-           "last_column": list(lk.last_column())}
-    emit(doc, args.json)
-    return EXIT_OK
+def cmd_braid_lk(args) -> dict:
+    lk = braids.linking_matrix(braids.parse_braid(args.word, args.n))
+    return {"n": args.n, "linking_matrix": [list(r) for r in lk.entries],
+            "last_column": list(lk.last_column())}
 
 
-def cmd_braid_equal(args) -> int:
+def cmd_braid_equal(args) -> dict:
     u = braids.parse_braid(args.word, args.n)
     v = braids.parse_braid(args.other, args.n)
-    doc = {"schema": "tcbounds/1", "n": args.n,
-           "equal": braids.braid_equal(u, v, word_cap=args.max_word)}
-    emit(doc, args.json)
-    return EXIT_OK
+    return {"n": args.n, "equal": braids.braid_equal(u, v, word_cap=args.max_word)}
 
 
-def cmd_braid_tc_bound(args) -> int:
-    bound, report = bounds.pure_braid_report(args.n)
-    doc = {"schema": "tcbounds/1", "n": args.n, "tc_lower_bound": bound,
-           "report": report.to_json()}
-    emit(doc, args.json)
-    return EXIT_OK
+def cmd_braid_tc_bound(args) -> dict:
+    report = bounds.pure_braid_report(args.n)
+    return {"n": args.n, "tc_lower_bound": report.lower, "report": report.to_json()}
 
 
-def cmd_pres_abel(args) -> int:
+def cmd_pres_abel(args) -> dict:
     pres = load_presentation(_load_json(args.file), args.file)
     inv = presentations.abelianization(pres)
-    doc = {
-        "schema": "tcbounds/1",
+    return {
         "free_rank": inv.free_rank,
         "torsion": list(inv.torsion),
         "trivial": inv.is_trivial,
@@ -286,66 +271,52 @@ def cmd_pres_abel(args) -> int:
             for i, name in enumerate(pres.generators)
         },
     }
-    emit(doc, args.json)
-    return EXIT_OK
 
 
-def cmd_pres_hom_check(args) -> int:
+def cmd_pres_hom_check(args) -> dict:
     data = _load_json(args.file)
     pres = load_presentation(_require(data, "presentation", args.file), f"{args.file}: presentation")
     target, images = load_hom(data, pres, args.file)
     ok, witness = presentations.check_hom(pres, len(target), images)
-    doc = {"schema": "tcbounds/1", "well_defined": ok}
-    if not ok:
-        doc["failing_relator"] = str(witness)
-    emit(doc, args.json)
-    return EXIT_OK if ok else EXIT_VERIFICATION
+    return {"well_defined": True} if ok else {"well_defined": False, "failing_relator": str(witness)}
 
 
-def cmd_chd(args) -> int:
+def cmd_chd(args) -> dict:
     expr = load_expr(_load_json(args.file), args.file)
     result = groupexpr.chd(expr)
-    doc = {
-        "schema": "tcbounds/1",
+    return {
         "group": expr.label(),
         "chd_lower": result.lower,
         "chd_upper": result.upper,
         "exact": result.exact,
         "trace": list(result.trace),
     }
-    emit(doc, args.json)
-    return EXIT_OK
 
 
-def cmd_tree_ball(args) -> int:
+def cmd_tree_ball(args) -> dict | str:
     factors = (freeprod.Factor(args.kind, args.rank), freeprod.Factor(args.kind, args.rank))
     ball = freeprod.build_tree_ball(factors, args.radius, args.cap,
                                     max_vertices=args.max_ball)
     if args.dot:
-        print(ball.to_dot())
-        return EXIT_OK
-    doc = {
-        "schema": "tcbounds/1",
+        return ball.to_dot()
+    return {
         "radius": args.radius,
         "cap": args.cap,
         "vertices": ball.vertex_count,
         "edges": ball.edge_count,
         "acyclic": ball.edge_count == ball.vertex_count - 1,
     }
-    emit(doc, args.json)
-    return EXIT_OK
 
 
-def cmd_tree_verify_lemma(args) -> int:
+def cmd_tree_verify_lemma(args) -> dict:
     """Check d(gw, v) = 2k-1 and d(gw, w) = 2k for all alternating words."""
     if args.radius < 2 * args.k - 1:
-        raise ScenarioError(
+        raise InputError(
             f"--radius {args.radius} is too small for --k {args.k}: the deepest checked "
             f"vertex gw lies at depth {2 * args.k - 1}"
         )
     total, failures = freeprod.verify_tree_lemma(args.k, args.cap, args.radius, args.max_ball)
-    doc = {
-        "schema": "tcbounds/1",
+    return {
         "k_max": args.k,
         "cap": args.cap,
         "radius": args.radius,
@@ -353,21 +324,26 @@ def cmd_tree_verify_lemma(args) -> int:
         "failures": failures,
         "verified": not failures,
     }
-    emit(doc, args.json)
-    return EXIT_OK if not failures else EXIT_VERIFICATION
 
 
-def cmd_tc_report(args) -> int:
+def cmd_tc_report(args) -> dict:
     if args.case:
         data, where = case_scenario(args.case)
     else:
         data, where = _load_json(args.file), args.file
-    emit(scenario_report(data, where).to_json(), args.json)
-    return EXIT_OK
+    return scenario_report(data, where).to_json()
 
 
 # ---------------------------------------------------------------------------
 # Argument parsing
+
+def _int_arg(text: str) -> int:
+    """An integer flag, read by the JSON integer rule of words.json_int."""
+    try:
+        return words.json_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
 
 class _ArgumentParser(argparse.ArgumentParser):
     """Usage errors exit with EXIT_USAGE, not 2; subparsers inherit this."""
@@ -383,9 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Certified topological-complexity bounds for aspherical groups",
     )
     parser.add_argument("--json", action="store_true", help="emit the JSON report")
-    parser.add_argument("--max-ball", type=int, default=freeprod.MAX_BALL_VERTICES,
+    parser.add_argument("--max-ball", type=_int_arg, default=freeprod.MAX_BALL_VERTICES,
                         help="tree ball vertex cap")
-    parser.add_argument("--max-word", type=int, default=braids.DEFAULT_WORD_CAP,
+    parser.add_argument("--max-word", type=_int_arg, default=braids.DEFAULT_WORD_CAP,
                         help="braid free-group image length cap")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -403,20 +379,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_braid = sub.add_parser("braid", help="braid computations")
     braid_sub = p_braid.add_subparsers(dest="subcommand", required=True)
     p = braid_sub.add_parser("perm")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_arg, required=True)
     p.add_argument("word", help='braid word like "s1 s2^-1"')
     p.set_defaults(func=cmd_braid_perm)
     p = braid_sub.add_parser("lk")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_arg, required=True)
     p.add_argument("word")
     p.set_defaults(func=cmd_braid_lk)
     p = braid_sub.add_parser("equal")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_arg, required=True)
     p.add_argument("word")
     p.add_argument("other")
     p.set_defaults(func=cmd_braid_equal)
     p = braid_sub.add_parser("tc-bound")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_arg, required=True)
     p.set_defaults(func=cmd_braid_tc_bound)
 
     p_pres = sub.add_parser("pres", help="presentation computations")
@@ -435,16 +411,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_tree = sub.add_parser("tree", help="Bass-Serre tree balls")
     tree_sub = p_tree.add_subparsers(dest="subcommand", required=True)
     p = tree_sub.add_parser("ball")
-    p.add_argument("--radius", type=int, default=4)
-    p.add_argument("--cap", type=int, default=2)
+    p.add_argument("--radius", type=_int_arg, default=4)
+    p.add_argument("--cap", type=_int_arg, default=2)
     p.add_argument("--kind", choices=["free", "free_abelian"], default="free")
-    p.add_argument("--rank", type=int, default=1)
+    p.add_argument("--rank", type=_int_arg, default=1)
     p.add_argument("--dot", action="store_true", help="emit DOT graph")
     p.set_defaults(func=cmd_tree_ball)
     p = tree_sub.add_parser("verify-lemma")
-    p.add_argument("--k", type=int, default=3, help="max half-syllable count")
-    p.add_argument("--cap", type=int, default=2)
-    p.add_argument("--radius", type=int, default=10)
+    p.add_argument("--k", type=_int_arg, default=3, help="max half-syllable count")
+    p.add_argument("--cap", type=_int_arg, default=2)
+    p.add_argument("--radius", type=_int_arg, default=10)
     p.set_defaults(func=cmd_tree_verify_lemma)
 
     p = sub.add_parser("tc-report", help="assemble a certified bound report")
@@ -458,26 +434,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ScenarioError, words.WordError, presentations.PresentationError,
-            groupexpr.ExprError, raag.GraphError) as exc:
+        doc = args.func(args)
+        print(_render(doc, args.json))
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except words.ResourceCapError as exc:
-        print(f"resource cap exceeded: {exc}", file=sys.stderr)
+    except (words.ResourceCapError, MemoryError) as exc:
+        reason = "out of memory" if isinstance(exc, MemoryError) else exc
+        print(f"resource cap exceeded: {reason}", file=sys.stderr)
         return EXIT_RESOURCE
-    except MemoryError:
-        print("resource cap exceeded: out of memory", file=sys.stderr)
-        return EXIT_RESOURCE
-    except (CertificateError,) as exc:
+    except CertificateError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
-    except (braids.BraidError, freeprod.FreeProductError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    if isinstance(doc, dict) and False in (doc.get("well_defined"), doc.get("verified")):
+        return EXIT_VERIFICATION  # the document records a failed check
+    return EXIT_OK
 
 
 def run() -> None:

@@ -21,10 +21,10 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Sequence
 
-from .words import ResourceCapError, _free_reduce
+from .words import InputError, ResourceCapError, _free_reduce
 
 
-class FreeProductError(ValueError):
+class FreeProductError(InputError):
     """Invalid syllable data."""
 
 

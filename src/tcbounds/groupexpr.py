@@ -15,10 +15,10 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .raag import GraphError, SimpleGraph
-from .words import json_int
+from .words import InputError, json_int
 
 
-class ExprError(ValueError):
+class ExprError(InputError):
     """Invalid expression or missing dimension data."""
 
 

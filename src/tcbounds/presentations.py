@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .words import Word, exponent_sum, identity, parse_word
+from .words import InputError, Word, exponent_sum, identity, parse_word
 
 
-class PresentationError(ValueError):
+class PresentationError(InputError):
     """Invalid presentation or homomorphism data."""
 
 

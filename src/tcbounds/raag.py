@@ -17,10 +17,10 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .presentations import Presentation
-from .words import Word, commutator, generator, json_int
+from .words import InputError, Word, commutator, generator, json_int
 
 
-class GraphError(ValueError):
+class GraphError(InputError):
     """Invalid graph data or size limit exceeded."""
 
 

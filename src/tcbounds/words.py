@@ -18,7 +18,11 @@ from typing import Iterable, Sequence
 Letter = tuple[int, int]  # (generator index >= 1, sign in {+1, -1})
 
 
-class WordError(ValueError):
+class InputError(ValueError):
+    """Malformed input; every module's input error subclasses it."""
+
+
+class WordError(InputError):
     """Raised for malformed letters, rank mismatches, or parse errors."""
 
 

@@ -70,8 +70,8 @@ def test_criterion_2_z_values():
 def test_criterion_3_braids():
     start = time.time()
     for n in range(2, 7):
-        bound, report = pure_braid_report(n)
-        assert bound == report.to_json()["tc_lower"] == 2 * n - 3, (n, bound)
+        report = pure_braid_report(n)
+        assert report.lower == report.to_json()["tc_lower"] == 2 * n - 3, (n, report.lower)
     for n in range(2, 7):
         alphas = [alpha_generator(n, j) for j in range(1, n)]
         for a, b in itertools.combinations(alphas, 2):

@@ -11,6 +11,7 @@ from tcbounds.bounds import (
     higman_case_study,
     higman_presentation,
     pure_braid_report,
+    raag_report,
     tc_report,
     verify_retraction_certificate,
     verify_split_extension_certificate,
@@ -162,16 +163,28 @@ class TestCliquePairBound:
             assert bound == z
             assert cert.fully_machine_verified
 
+    def test_raag_report_lower_is_z(self):
+        # raag z prints witness.union_size as z and report.lower as the
+        # certified bound; both are z, on graphs with and without edges
+        rng = random.Random(23)
+        for _ in range(15):
+            n = rng.randint(1, 6)
+            edges = [e for e in itertools.combinations(range(1, n + 1), 2)
+                     if rng.random() < 0.5]
+            g = SimpleGraph.from_edges(n, edges)
+            witness, report = raag_report(g)
+            assert witness.union_size == report.lower == z_number(g)[0]
+
 
 class TestPureBraidReport:
     def test_values(self):
         for n in range(2, 7):
-            bound, report = pure_braid_report(n)
-            assert bound == report.lower == 2 * n - 3
+            report = pure_braid_report(n)
+            assert report.lower == 2 * n - 3
             assert report.certificates[0].variant == "linking"
 
     def test_certificate_has_cited_step(self):
-        (cert,) = pure_braid_report(4)[1].certificates
+        (cert,) = pure_braid_report(4).certificates
         assert not cert.fully_machine_verified
         assert any(s.status == "cited" and "conjugation by pure braids" in s.description
                    for s in cert.steps)
@@ -230,6 +243,13 @@ class TestBorromeanCaseStudy:
         r1 = parse_word("[a,[b^-1,c]]", pres.generators)
         r2 = parse_word("[b,[c^-1,a]]", pres.generators)
         assert pres.relators == (r1, r2)
+
+    def test_commutator_in_b_maps_to_one(self):
+        # B's chd of 2 rests on b and [c^-1,a] commuting inside B, which
+        # needs p([c^-1,a]) = 1; p sends c to 1, so the image is trivial
+        pres = borromean_presentation()
+        p = FreeHom(pres, 2, (generator(1, 2), generator(2, 2), identity(2)))
+        assert p(parse_word("[c^-1,a]", pres.generators)).is_identity
 
 
 @pytest.fixture(scope="module")

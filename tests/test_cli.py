@@ -15,6 +15,7 @@ from tcbounds.cli import (
     EXIT_VERIFICATION,
     main,
 )
+from tcbounds.freeprod import TreeBall
 from tcbounds.words import MAX_EXPANDED_LENGTH
 
 
@@ -214,6 +215,18 @@ class TestChd:
         err = run_bad_file(capsys, tmp_path, {"kind": "free", "rank": "abc"}, "chd")
         assert 'free: rank: expected an integer, got "abc"' in err
 
+    # json.load raises a plain ValueError for both, not a JSONDecodeError
+    @pytest.mark.parametrize("content", [
+        b'{"kind": "free", "rank": ' + b"1" * 5000 + b"}",  # past Python's int-string limit
+        b'{"kind": "free", "rank": 2}\xff',  # not text
+    ], ids=["5000-digit-literal", "undecodable-bytes"])
+    def test_unparsable_file_exits_1_with_one_line(self, capsys, tmp_path, content):
+        f = tmp_path / "bad.json"
+        f.write_bytes(content)
+        code, out, err = run(capsys, "chd", str(f))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.count("\n") == 1 and err.startswith(f"error: {f}: ")
+
     def test_raag_edge_not_a_pair(self, capsys, tmp_path):
         err = run_bad_file(capsys, tmp_path, {"kind": "raag", "n": 3, "edges": [[1]]}, "chd")
         assert "raag: edges: edge 1 must be a pair of vertices" in err
@@ -258,6 +271,22 @@ class TestTree:
         assert doc["verified"] is True
         assert doc["words_checked"] == 16 + 256
         assert doc["failures"] == []
+
+    @pytest.mark.parametrize("as_json", [True, False])
+    def test_verify_lemma_failure_exits_verification(self, capsys, monkeypatch, as_json):
+        # a BFS one level short fails the 16 words of 4 syllables; the
+        # document says so, and main turns that into exit 2 in either render
+        bounded = TreeBall.distance_map
+        monkeypatch.setattr(TreeBall, "distance_map",
+                            lambda ball, source, max_depth: bounded(ball, source, max_depth - 1))
+        argv = ["tree", "verify-lemma", "--k", "2", "--cap", "1", "--radius", "3"]
+        code, out, _ = run(capsys, *(["--json"] if as_json else []), *argv)
+        assert code == EXIT_VERIFICATION
+        if as_json:
+            doc = json.loads(out)
+            assert doc["verified"] is False and len(doc["failures"]) == 16
+        else:
+            assert "verified: False" in out.splitlines()
 
     def test_verify_lemma_radius_too_small(self, capsys):
         # the deepest checked vertex gw sits at depth 2k - 1 = 5
@@ -458,6 +487,10 @@ class TestUsageErrors:
         (["braid", "perm", "--n", "3", "--bogus", "s1"], "unrecognized arguments: --bogus"),
         (["tc-report", "s.json", "--case", "higman"],
          "argument --case: not allowed with argument file"),
+        # integer flags follow the JSON integer rule of tc-report --case pbn N
+        (["braid", "tc-bound", "--n", "1_0"], "argument --n: invalid int value: '1_0'"),
+        (["braid", "perm", "--n", "\u0663", "s1"], "argument --n: invalid int value: '\u0663'"),
+        (["--max-ball", " 50", "tree", "ball"], "argument --max-ball: invalid int value: ' 50'"),
     ])
     def test_usage_error_exits_1(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:

@@ -1,8 +1,10 @@
-"""Golden reports: the --json stdout of fixed CLI runs, byte for byte.
+"""Golden reports: the stdout of fixed CLI runs, byte for byte.
 
 Each run goes through ``tcbounds.cli.main`` in-process and its stdout is
-compared with ``tests/golden/<name>.json``.  After an intended change to
-a report, regenerate the files with
+compared with a file in ``tests/golden``: ``<name>.json`` for the runs
+in RUNS, which get ``--json``, and ``<name>.txt`` for the runs in
+TEXT_RUNS, which do not.  After an intended change to a report,
+regenerate the files with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -47,6 +49,8 @@ RUNS = {
     "raag-bound": ["raag", "bound", "@graph", "--k1", "4,5", "--k2", "1,2,3"],
     "braid-tc-bound-5": ["braid", "tc-bound", "--n", "5"],
     "braid-equal": ["braid", "equal", "--n", "4", "s1 s2 s1 s3^-1", "s2 s1 s2 s3^-1"],
+    "braid-perm": ["braid", "perm", "--n", "4", "s1 s2^-1 s3 s1"],
+    "braid-lk": ["braid", "lk", "--n", "3", "s1^2 s2^-2 s1^2"],
     "pres-abel": ["pres", "abel", "@presentation"],
     "pres-abel-fold": ["pres", "abel", "@fold-presentation"],
     "pres-hom-check": ["pres", "hom-check", "@hom"],
@@ -55,21 +59,31 @@ RUNS = {
     "tree-verify-lemma": ["tree", "verify-lemma", "--k", "2", "--radius", "5"],
 }
 
+# Runs without --json: the text render and the DOT output
+TEXT_RUNS = {
+    "tc-report-borromean-text": ["tc-report", "--case", "borromean"],
+    "tree-ball-dot": ["tree", "ball", "--radius", "1", "--cap", "1", "--dot"],
+}
 
-def run_json(name: str, input_dir: Path) -> int:
-    """Exit code of one golden run with --json; the report goes to stdout."""
+
+def golden_file(name: str) -> Path:
+    return GOLDEN_DIR / (f"{name}.txt" if name in TEXT_RUNS else f"{name}.json")
+
+
+def run_golden(name: str, input_dir: Path) -> int:
+    """Exit code of one golden run; its output goes to stdout."""
     for key, doc in INPUTS.items():
         (input_dir / f"{key}.json").write_text(json.dumps(doc))
-    argv = [str(input_dir / f"{a[1:]}.json") if a.startswith("@") else a for a in RUNS[name]]
-    return main(["--json", *argv])
+    argv = TEXT_RUNS[name] if name in TEXT_RUNS else ["--json", *RUNS[name]]
+    return main([str(input_dir / f"{a[1:]}.json") if a.startswith("@") else a for a in argv])
 
 
-@pytest.mark.parametrize("name", sorted(RUNS))
+@pytest.mark.parametrize("name", sorted(RUNS.keys() | TEXT_RUNS.keys()))
 def test_golden_report(name, tmp_path, capsys):
-    code = run_json(name, tmp_path)
+    code = run_golden(name, tmp_path)
     out = capsys.readouterr().out
     assert code == EXIT_OK
-    assert out == (GOLDEN_DIR / f"{name}.json").read_text()
+    assert out == golden_file(name).read_text()
 
 
 if __name__ == "__main__":
@@ -79,11 +93,11 @@ if __name__ == "__main__":
 
     GOLDEN_DIR.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for name in sorted(RUNS):
+        for name in sorted(RUNS.keys() | TEXT_RUNS.keys()):
             buf = io.StringIO()
             with contextlib.redirect_stdout(buf):
-                code = run_json(name, Path(tmp))
+                code = run_golden(name, Path(tmp))
             if code != EXIT_OK:
                 sys.exit(f"{name}: exit {code}")
-            (GOLDEN_DIR / f"{name}.json").write_text(buf.getvalue())
-            print(f"wrote {name}.json")
+            golden_file(name).write_text(buf.getvalue())
+            print(f"wrote {golden_file(name).name}")
