@@ -6,6 +6,10 @@ meet B trivially inside G, then TC(G) >= chd(A x B) (Grant-Lupton-
 Oprea).  Upper bounds come from TC <= 2 * (geometric dimension), and
 cat(G) = chd(G) (Eilenberg-Ganea / Stallings / Swan) supplies the
 baseline lower bound cat <= TC.
+
+braids and freeprod are imported inside the one report that uses each
+(``pure_braid_report``, ``higman_case_study``), so the other reports do
+not load them.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Sequence
 
-from . import braids, freeprod, groupexpr, raag, words
+from . import groupexpr, raag, words
 from .certificates import (
     BoundReport,
     CertStep,
@@ -243,19 +247,23 @@ def pure_braid_report(n: int) -> BoundReport:
     B is PB_{n-1} included by adding a final inert strand.  A conjugate
     of A meeting B forces all linking numbers with the last closure
     component to vanish, which pins the alpha-exponents to zero.
+
+    The commuting check runs first: it is the one that meets the image
+    length cap, and the linking loop is quadratic in n per alpha.
     """
+    from . import braids
     if n < 2:
         raise braids.BraidError("pure braid groups need n >= 2")
     alphas = [braids.alpha_generator(n, j) for j in range(1, n)]
+    for (i, a), (j, b) in combinations(enumerate(alphas, start=1), 2):
+        if not braids.braid_equal(a * b, b * a):
+            raise CertificateError(f"alpha_{i}, alpha_{j} do not commute")
     for j, a in enumerate(alphas, start=1):
         lk = braids.linking_matrix(a)  # raises BraidError unless alpha_j is pure
         expected = tuple(1 if i > j else 0 for i in range(1, n + 1) if i != j)
         row = tuple(lk.lk(j, i) for i in range(1, n + 1) if i != j)
         if row != expected:
             raise CertificateError(f"alpha_{j} has unexpected linking row {row}")
-    for (i, a), (j, b) in combinations(enumerate(alphas, start=1), 2):
-        if not braids.braid_equal(a * b, b * a):
-            raise CertificateError(f"alpha_{i}, alpha_{j} do not commute")
     steps = (
         CertStep(f"alpha_1..alpha_{n-1} are pure and lk(alpha_j: j, i) = 1 exactly for i > j",
                  "machine-verified"),
@@ -358,6 +366,7 @@ def higman_case_study() -> BoundReport:
     dimension 2, so chd(H_xy x H_zw) = 4.  The upper bound 4 comes from
     the aspherical presentation 2-complex.
     """
+    from . import freeprod
     steps: list[CertStep] = []
 
     # (1) abelianization facts

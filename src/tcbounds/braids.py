@@ -12,9 +12,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .words import InputError, ResourceCapError, Word, _free_reduce, check_expanded_length
-
-DEFAULT_WORD_CAP = 64
+from .words import (
+    DEFAULT_WORD_CAP,
+    InputError,
+    ResourceCapError,
+    Word,
+    _free_reduce,
+    check_expanded_length,
+)
 
 
 class BraidError(InputError):

@@ -8,6 +8,13 @@ the schema, renders the document as JSON (--json, byte-deterministic
 for identical inputs) or as text derived from the same document, and
 picks the exit code.
 
+Handlers and loaders import the modules they call on dispatch, inside
+the function, so a request compiles and imports only what its
+subcommand runs: each request is a fresh process, and for a short one
+start-up is most of its wall time.  They use ``from . import module``
+and attribute access, so a wrapper installed on a module attribute (as
+the benchmark's traced runner does) sees every call.
+
 Exit codes: 0 success; 1 malformed input (any ``words.InputError``),
 a command-line usage error, or stdout closed before the report was
 written; 2 a failed check: a ``CertificateError``, or a document whose
@@ -21,10 +28,19 @@ import argparse
 import json
 import os
 import sys
+from typing import TYPE_CHECKING
 
-from . import bounds, braids, freeprod, groupexpr, presentations, raag, words
 from .certificates import SCHEMA, CertificateError
-from .words import InputError
+from .words import (
+    DEFAULT_WORD_CAP,
+    MAX_BALL_VERTICES,
+    InputError,
+    ResourceCapError,
+    json_int,
+)
+
+if TYPE_CHECKING:
+    from . import bounds, groupexpr, presentations, raag, words
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -60,7 +76,7 @@ def _require(data: dict, field: str, where: str):
 def _int_field(data: dict, field: str, where: str) -> int:
     value = _require(data, field, where)
     try:
-        return words.json_int(value)
+        return json_int(value)
     except ValueError as exc:
         raise InputError(f"{where}: {field}: {exc}") from None
 
@@ -86,14 +102,17 @@ def _parsed(where: str, parse, *args):
 
 
 def load_graph(data, where: str) -> raag.SimpleGraph:
+    from . import raag
     return _parsed(where, raag.SimpleGraph.from_json, data)
 
 
 def load_expr(data, where: str) -> groupexpr.GroupExpr:
+    from . import groupexpr
     return _parsed(where, groupexpr.expr_from_json, data)
 
 
 def load_presentation(data, where: str) -> presentations.Presentation:
+    from . import presentations
     gens = _string_list(data, "generators", where)
     rels = _string_list(data, "relators", where)
     return _parsed(where, presentations.Presentation.from_strings, gens, rels)
@@ -104,6 +123,7 @@ def load_hom(data, source: presentations.Presentation,
     """Target generator names and the images of the source generators from
     {"target_generators": [names], "images": {generator: word}}.  Every
     source generator needs an entry; "" is the identity."""
+    from . import words
     target = _string_list(data, "target_generators", where)
     image_map = _require(data, "images", where)
     if not isinstance(image_map, dict):
@@ -122,6 +142,7 @@ def load_hom(data, source: presentations.Presentation,
 def scenario_report(data, where: str) -> bounds.BoundReport:
     """The report for one scenario object; --case arguments are mapped onto
     scenario objects by case_scenario and dispatched here too."""
+    from . import bounds
     kind = _require(data, "kind", where)
     if kind == "case-study":
         case = _require(data, "case", where)
@@ -136,7 +157,8 @@ def scenario_report(data, where: str) -> bounds.BoundReport:
         _, report = bounds.raag_report(load_graph(data, where))
         return report
     if kind == "expr":
-        return bounds.tc_report(load_expr(_require(data, "expr", where), where), [])
+        expr = load_expr(_require(data, "expr", where), where)
+        return bounds.tc_report(expr, [], notes=_opaque_notes(expr))
     if kind == "presentation":
         return _presentation_report(data, where)
     raise InputError(f"{where}: unknown scenario kind {kind!r}")
@@ -159,15 +181,36 @@ def case_scenario(case: list[str]) -> tuple[dict, str]:
     return ({**graph, "kind": "raag"} if isinstance(graph, dict) else graph), rest[0]
 
 
+def _opaque_notes(expr: groupexpr.GroupExpr) -> list[str]:
+    """One note for each Opaque leaf of an expression read from a scenario:
+    its dimension data is the input's claim, and nothing here checks it."""
+    from . import groupexpr
+    return [f"chd({leaf.name}) in [{leaf.chd_lower}, {leaf.chd_upper}] taken from the "
+            f"scenario's expr, not verified ({leaf.justification})"
+            for leaf in groupexpr.leaves(expr) if isinstance(leaf, groupexpr.Opaque)]
+
+
 def _presentation_report(data, where: str) -> bounds.BoundReport:
+    """The split-extension report.  Its certificate proves that <a> is
+    infinite cyclic, so a_expr must be Z^1; b_expr and group_expr are
+    claims about the presented group that nothing checks, and the report
+    says so in one note each."""
+    from . import bounds, groupexpr, presentations, words
+    a_expr, b_expr, g_expr = (load_expr(_require(data, field, where), f"{where}: {field}")
+                              for field in ("a_expr", "b_expr", "group_expr"))
+    if a_expr != groupexpr.FreeAbelian(1):
+        raise InputError(f'{where}: a_expr: expected {{"kind": "free_abelian", "rank": 1}}, '
+                         f"the infinite cyclic <a> the certificate proves, got {a_expr.label()}")
     pres = load_presentation(data, where)
     target, images = load_hom(_require(data, "hom", where), pres, f"{where}: hom")
     p = presentations.FreeHom(pres, len(target), images)
     beta = _parsed(f"{where}: beta", words.parse_word, _require(data, "beta", where), target)
     cert = bounds.verify_split_extension_certificate(pres, p, _require(data, "a_generator", where), beta)
-    a_expr, b_expr, g_expr = (load_expr(_require(data, field, where), f"{where}: {field}")
-                              for field in ("a_expr", "b_expr", "group_expr"))
-    return bounds.tc_report(g_expr, [(a_expr, b_expr, cert)])
+    return bounds.tc_report(g_expr, [(a_expr, b_expr, cert)], notes=(
+        f"chd(B) taken from the scenario's b_expr ({b_expr.label()}), not verified",
+        f"chd(G) and the geometric dimension taken from the scenario's group_expr "
+        f"({g_expr.label()}), not verified",
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +252,7 @@ def _render_text(doc: dict, indent: int = 0) -> list[str]:
 # Subcommand handlers
 
 def cmd_raag_z(args) -> dict:
+    from . import bounds
     witness, report = bounds.raag_report(load_graph(_load_json(args.file), args.file))
     return {
         "z": witness.union_size,
@@ -226,6 +270,7 @@ def _vertex_list(text: str, flag: str) -> list[int]:
 
 
 def cmd_raag_bound(args) -> dict:
+    from . import bounds
     k1, k2 = _vertex_list(args.k1, "--k1"), _vertex_list(args.k2, "--k2")
     graph = load_graph(_load_json(args.file), args.file)
     bound, cert = bounds.clique_pair_bound(graph, k1, k2)
@@ -238,28 +283,33 @@ def cmd_raag_bound(args) -> dict:
 
 
 def cmd_braid_perm(args) -> dict:
+    from . import braids
     b = braids.parse_braid(args.word, args.n)
     return {"n": args.n, "permutation": list(braids.permutation(b)), "pure": braids.is_pure(b)}
 
 
 def cmd_braid_lk(args) -> dict:
+    from . import braids
     lk = braids.linking_matrix(braids.parse_braid(args.word, args.n))
     return {"n": args.n, "linking_matrix": [list(r) for r in lk.entries],
             "last_column": list(lk.last_column())}
 
 
 def cmd_braid_equal(args) -> dict:
+    from . import braids
     u = braids.parse_braid(args.word, args.n)
     v = braids.parse_braid(args.other, args.n)
     return {"n": args.n, "equal": braids.braid_equal(u, v, word_cap=args.max_word)}
 
 
 def cmd_braid_tc_bound(args) -> dict:
+    from . import bounds
     report = bounds.pure_braid_report(args.n)
     return {"n": args.n, "tc_lower_bound": report.lower, "report": report.to_json()}
 
 
 def cmd_pres_abel(args) -> dict:
+    from . import presentations
     pres = load_presentation(_load_json(args.file), args.file)
     inv = presentations.abelianization(pres)
     return {
@@ -274,6 +324,7 @@ def cmd_pres_abel(args) -> dict:
 
 
 def cmd_pres_hom_check(args) -> dict:
+    from . import presentations
     data = _load_json(args.file)
     pres = load_presentation(_require(data, "presentation", args.file), f"{args.file}: presentation")
     target, images = load_hom(data, pres, args.file)
@@ -282,6 +333,7 @@ def cmd_pres_hom_check(args) -> dict:
 
 
 def cmd_chd(args) -> dict:
+    from . import groupexpr
     expr = load_expr(_load_json(args.file), args.file)
     result = groupexpr.chd(expr)
     return {
@@ -294,6 +346,7 @@ def cmd_chd(args) -> dict:
 
 
 def cmd_tree_ball(args) -> dict | str:
+    from . import freeprod
     factors = (freeprod.Factor(args.kind, args.rank), freeprod.Factor(args.kind, args.rank))
     ball = freeprod.build_tree_ball(factors, args.radius, args.cap,
                                     max_vertices=args.max_ball)
@@ -310,6 +363,7 @@ def cmd_tree_ball(args) -> dict | str:
 
 def cmd_tree_verify_lemma(args) -> dict:
     """Check d(gw, v) = 2k-1 and d(gw, w) = 2k for all alternating words."""
+    from . import freeprod
     if args.radius < 2 * args.k - 1:
         raise InputError(
             f"--radius {args.radius} is too small for --k {args.k}: the deepest checked "
@@ -340,7 +394,7 @@ def cmd_tc_report(args) -> dict:
 def _int_arg(text: str) -> int:
     """An integer flag, read by the JSON integer rule of words.json_int."""
     try:
-        return words.json_int(text)
+        return json_int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
@@ -359,9 +413,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Certified topological-complexity bounds for aspherical groups",
     )
     parser.add_argument("--json", action="store_true", help="emit the JSON report")
-    parser.add_argument("--max-ball", type=_int_arg, default=freeprod.MAX_BALL_VERTICES,
+    parser.add_argument("--max-ball", type=_int_arg, default=MAX_BALL_VERTICES,
                         help="tree ball vertex cap")
-    parser.add_argument("--max-word", type=_int_arg, default=braids.DEFAULT_WORD_CAP,
+    parser.add_argument("--max-word", type=_int_arg, default=DEFAULT_WORD_CAP,
                         help="braid free-group image length cap")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -441,7 +495,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (words.ResourceCapError, MemoryError) as exc:
+    except (ResourceCapError, MemoryError) as exc:
         reason = "out of memory" if isinstance(exc, MemoryError) else exc
         print(f"resource cap exceeded: {reason}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Sequence
 
-from .words import InputError, ResourceCapError, _free_reduce
+from .words import MAX_BALL_VERTICES, InputError, ResourceCapError, _free_reduce
 
 
 class FreeProductError(InputError):
@@ -142,9 +142,6 @@ def cyclic_normal_form(g: FPWord) -> FPWord:
 
 # ---------------------------------------------------------------------------
 # Tree balls
-
-# Largest tree ball, in vertices, that is built; its size is computed first.
-MAX_BALL_VERTICES = 5_000_000
 
 A_SIDE = 0  # vertices gA; canonical rep ends with a B-syllable (or is empty)
 B_SIDE = 1  # vertices gB; canonical rep ends with an A-syllable (or is empty)

@@ -12,7 +12,7 @@ general.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Iterator, Optional
 
 from .raag import GraphError, SimpleGraph
 from .words import InputError, json_int
@@ -215,6 +215,17 @@ def evaluate(e: GroupExpr) -> Evaluation:
 def chd(e: GroupExpr) -> ChdResult:
     """Evaluate cohomological dimension, exactly where a rule applies."""
     return evaluate(e).chd
+
+
+def leaves(e: GroupExpr) -> Iterator[GroupExpr]:
+    """The leaves of e, left to right."""
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (Product, FreeProduct)):
+            stack += [node.right, node.left]
+        else:
+            yield node
 
 
 def _base(e: GroupExpr) -> Evaluation:

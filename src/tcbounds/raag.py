@@ -14,10 +14,12 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .presentations import Presentation
 from .words import InputError, Word, commutator, generator, json_int
+
+if TYPE_CHECKING:
+    from . import presentations
 
 
 class GraphError(InputError):
@@ -158,10 +160,13 @@ def z_number(graph: SimpleGraph) -> tuple[int, CliquePair]:
     return best, CliquePair(witness[0], witness[1], best)
 
 
-def raag_presentation(graph: SimpleGraph) -> Presentation:
-    """One generator per vertex, a commutator relator per edge."""
+def raag_presentation(graph: SimpleGraph) -> presentations.Presentation:
+    """One generator per vertex, a commutator relator per edge.  Only the
+    clique-pair certificate needs it, so presentations is imported here:
+    a chd request reads graphs without loading it."""
+    from . import presentations
     names = tuple(f"x{v}" for v in range(1, graph.n + 1))
     rels: list[Word] = []
     for u, v in sorted(graph.edges):
         rels.append(commutator(generator(u, graph.n), generator(v, graph.n)))
-    return Presentation(names, tuple(rels))
+    return presentations.Presentation(names, tuple(rels))

@@ -34,6 +34,14 @@ class ResourceCapError(ValueError):
 # parsers expand an exponent or commutator into.
 MAX_EXPANDED_LENGTH = 1_000_000
 
+# Longest free-group image, in letters, that the braid action builds; the
+# default of --max-word.
+DEFAULT_WORD_CAP = 64
+
+# Largest tree ball, in vertices, that is built; its size is computed first.
+# The default of --max-ball.
+MAX_BALL_VERTICES = 5_000_000
+
 
 def check_expanded_length(length: int, what: str) -> None:
     if length > MAX_EXPANDED_LENGTH:

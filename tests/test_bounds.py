@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from tcbounds import groupexpr
+from tcbounds import braids, groupexpr
 from tcbounds.bounds import (
     borromean_case_study,
     borromean_presentation,
@@ -26,7 +26,7 @@ from tcbounds.certificates import (
 from tcbounds.braids import BraidError
 from tcbounds.presentations import FreeHom, Presentation
 from tcbounds.raag import GraphError, SimpleGraph, z_number
-from tcbounds.words import generator, identity, parse_word
+from tcbounds.words import ResourceCapError, generator, identity, parse_word
 
 
 class TestCertificateRecords:
@@ -193,6 +193,16 @@ class TestPureBraidReport:
     def test_n_too_small(self):
         with pytest.raises(BraidError):
             pure_braid_report(1)
+
+    def test_image_cap_is_met_before_the_linking_loop(self, monkeypatch):
+        # at n = 800 the commuting check meets the 64-letter image cap; the
+        # linking loop, quadratic in n per alpha, must not have run by then
+        def linking_matrix(b):
+            raise AssertionError("the linking loop ran before the commuting check")
+
+        monkeypatch.setattr(braids, "linking_matrix", linking_matrix)
+        with pytest.raises(ResourceCapError, match="image length 65 exceeds cap 64"):
+            pure_braid_report(800)
 
 
 class TestReportAssembly:

@@ -6,17 +6,22 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tcbounds
+from tcbounds import groupexpr
+from tcbounds.certificates import CertificateError
 from tcbounds.cli import (
     EXIT_OK,
     EXIT_RESOURCE,
     EXIT_USAGE,
     EXIT_VERIFICATION,
     main,
+    scenario_report,
 )
 from tcbounds.freeprod import TreeBall
-from tcbounds.words import MAX_EXPANDED_LENGTH
+from tcbounds.words import MAX_EXPANDED_LENGTH, InputError
 
 
 @pytest.fixture
@@ -404,6 +409,44 @@ class TestTcReport:
         f.write_text(json.dumps(presentation_scenario({"a": "u", "b": "v", "c": ""})))
         doc = run_json(capsys, "tc-report", str(f))
         assert (doc["tc_lower"], doc["tc_upper"]) == (3, 4)
+        assert doc["notes"] == [
+            "chd(B) taken from the scenario's b_expr (B), not verified",
+            "chd(G) and the geometric dimension taken from the scenario's group_expr (G), "
+            "not verified",
+        ]
+
+    def test_scenario_a_expr_must_be_z(self, capsys, tmp_path):
+        # the certificate proves <a> infinite cyclic; Z^9 x Z^9 read from the
+        # input used to give the certified interval [18, 18]
+        z9 = {"kind": "free_abelian", "rank": 9}
+        doc = {**presentation_scenario({"a": "u", "b": "v", "c": ""}), "a_expr": z9,
+               "b_expr": z9, "group_expr": {"kind": "opaque", "chd": 2, "geom_dim": 9}}
+        err = run_bad_file(capsys, tmp_path, doc, "tc-report")
+        assert err.endswith('a_expr: expected {"kind": "free_abelian", "rank": 1}, the '
+                            "infinite cyclic <a> the certificate proves, got Z^9\n")
+
+    def test_scenario_b_expr_is_noted_as_supplied(self, capsys, tmp_path):
+        f = tmp_path / "scenario.json"
+        f.write_text(json.dumps({**presentation_scenario({"a": "u", "b": "v", "c": ""}),
+                                 "b_expr": {"kind": "free_abelian", "rank": 9},
+                                 "group_expr": {"kind": "opaque", "chd": 2, "geom_dim": 9}}))
+        doc = run_json(capsys, "tc-report", str(f))
+        assert doc["tc_lower"] == 10
+        assert "chd(B) taken from the scenario's b_expr (Z^9), not verified" in doc["notes"]
+
+    def test_scenario_expr_notes_each_opaque_leaf(self, capsys, tmp_path):
+        f = tmp_path / "scenario.json"
+        f.write_text(json.dumps({"kind": "expr", "expr": {
+            "kind": "product", "left": {"kind": "opaque", "chd": 7},
+            "right": {"kind": "free_product", "left": {"kind": "surface", "genus": 2},
+                      "right": {"kind": "opaque", "name": "H", "chd_lower": 1, "chd_upper": 2,
+                                "justification": "a one-relator group"}}}}))
+        doc = run_json(capsys, "tc-report", str(f))
+        assert doc["notes"][:2] == [
+            "chd(opaque) in [7, 7] taken from the scenario's expr, not verified "
+            "(externally supplied)",
+            "chd(H) in [1, 2] taken from the scenario's expr, not verified (a one-relator group)",
+        ]
 
     def test_scenario_images_not_an_object(self, capsys, tmp_path):
         err = run_bad_file(capsys, tmp_path, presentation_scenario([1]), "tc-report")
@@ -462,6 +505,42 @@ class TestTcReport:
         assert report == run_json(capsys, "raag", "z", path3_file)["report"]
         assert report["notes"] == ["TC equals z = 3 for graph groups (Cohen-Pruidze); "
                                    "the upper half is cited, not recomputed"]
+
+
+Z1 = {"kind": "free_abelian", "rank": 1}
+EXPR_LEAVES = st.one_of(
+    st.builds(lambda r: {"kind": "free_abelian", "rank": r}, st.integers(0, 9)),
+    st.builds(lambda r: {"kind": "free", "rank": r}, st.integers(0, 3)),
+    st.builds(lambda n: {"kind": "pure_braid", "n": n}, st.integers(2, 6)),
+    st.just({"kind": "bs12"}),
+    st.builds(lambda lo, extra, geom: {"kind": "opaque", "chd_lower": lo,
+                                       "chd_upper": lo + extra, "geom_dim": geom},
+              st.integers(0, 9), st.integers(0, 2), st.none() | st.integers(11, 12)),
+)
+EXPRS = st.recursive(EXPR_LEAVES, lambda sub: st.builds(
+    lambda kind, left, right: {"kind": kind, "left": left, "right": right},
+    st.sampled_from(["product", "free_product"]), sub, sub), max_leaves=4)
+
+
+def chd_upper(expr_json) -> int:
+    return groupexpr.chd(groupexpr.expr_from_json(expr_json)).upper
+
+
+@given(a=st.just(Z1) | EXPRS, b=EXPRS, g=EXPRS)
+@settings(max_examples=200, deadline=None)
+def test_presentation_lower_bound_rests_on_z_times_b(a, b, g):
+    """A presentation scenario certifies chd(Z x B) = 1 + chd(B) at most,
+    whatever its a_expr claims."""
+    data = {**presentation_scenario({"a": "u", "b": "v", "c": ""}),
+            "a_expr": a, "b_expr": b, "group_expr": g}
+    try:
+        report = scenario_report(data, "scenario")
+    except InputError:
+        assert a != Z1
+        return
+    except CertificateError:  # the interval is empty: lower above 2 * geometric dimension
+        return
+    assert report.lower <= max(chd_upper(g), 1 + chd_upper(b))
 
 
 class TestExponentCap:
