@@ -249,17 +249,26 @@ def pure_braid_report(n: int) -> BoundReport:
     component to vanish, which pins the alpha-exponents to zero.
 
     The commuting check runs first: it is the one that meets the image
-    length cap, and the linking loop is quadratic in n per alpha.
+    length cap, and the linking loop is quadratic in n per alpha.  Each
+    alpha is built when the check first reaches it, so a large n meets
+    the cap before the n - 1 words of about 2n letters each exist.
     """
     from . import braids
     if n < 2:
         raise braids.BraidError("pure braid groups need n >= 2")
-    alphas = [braids.alpha_generator(n, j) for j in range(1, n)]
-    for (i, a), (j, b) in combinations(enumerate(alphas, start=1), 2):
+    alphas: dict[int, braids.BraidWord] = {}
+
+    def alpha(j: int) -> braids.BraidWord:
+        if j not in alphas:
+            alphas[j] = braids.alpha_generator(n, j)
+        return alphas[j]
+
+    for i, j in combinations(range(1, n), 2):
+        a, b = alpha(i), alpha(j)
         if not braids.braid_equal(a * b, b * a):
             raise CertificateError(f"alpha_{i}, alpha_{j} do not commute")
-    for j, a in enumerate(alphas, start=1):
-        lk = braids.linking_matrix(a)  # raises BraidError unless alpha_j is pure
+    for j in range(1, n):
+        lk = braids.linking_matrix(alpha(j))  # raises BraidError unless alpha_j is pure
         expected = tuple(1 if i > j else 0 for i in range(1, n + 1) if i != j)
         row = tuple(lk.lk(j, i) for i in range(1, n + 1) if i != j)
         if row != expected:

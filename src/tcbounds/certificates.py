@@ -12,11 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-SCHEMA = "tcbounds/1"  # the schema of every JSON document the CLI writes
-
-
-class CertificateError(ValueError):
-    """A certificate check failed; the message names the failing witness."""
+from .words import SCHEMA, CertificateError
 
 
 @dataclass(frozen=True)

@@ -30,10 +30,11 @@ import os
 import sys
 from typing import TYPE_CHECKING
 
-from .certificates import SCHEMA, CertificateError
 from .words import (
     DEFAULT_WORD_CAP,
     MAX_BALL_VERTICES,
+    SCHEMA,
+    CertificateError,
     InputError,
     ResourceCapError,
     json_int,

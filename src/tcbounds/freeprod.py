@@ -6,17 +6,19 @@ fields: syllables from outside are checked and merged by
 ``normal_form``, and words the engine derives are built directly.
 
 The tree of the free product A * B has one vertex per coset gA or gB
-and one edge per group element; a finite ball around the base edge is
-materialized in BFS order as parent and child-range arrays, with factor
-elements enumerated up to a generator exponent cap.  Distances inside
-the ball are edge counts of the materialized tree (a BFS in
+and one edge per group element.  A finite ball around the base edge,
+with factor elements enumerated up to a generator exponent cap, is
+numbered in BFS order and stored as a table of per-depth blocks of
+consecutive ids, O(radius) ints: parents, child ranges and coset
+vertices are arithmetic on it, so no per-vertex array is built.
+Distances inside the ball are edge counts of the tree (a BFS in
 ``distance_map``), never the syllable formula, so the tree lemma that
 ``verify_tree_lemma`` checks on the ball can fail on its own.
 """
 
 from __future__ import annotations
 
-from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Sequence
@@ -147,21 +149,23 @@ A_SIDE = 0  # vertices gA; canonical rep ends with a B-syllable (or is empty)
 B_SIDE = 1  # vertices gB; canonical rep ends with an A-syllable (or is empty)
 
 
-def _check_ball_size(counts: tuple[int, int], radius: int, max_vertices: int) -> None:
-    """Raise ResourceCapError if the ball has more than max_vertices
-    vertices, where an A-vertex has counts[0] children and a B-vertex
-    counts[1]; nothing is allocated."""
-    total = 2
-    below_v = below_w = 1  # vertices at the current depth under v and under w
-    for d in range(radius):
-        below_v *= counts[d % 2]
-        below_w *= counts[1 - d % 2]
-        total += below_v + below_w
-        if total > max_vertices:
+def _block_table(counts: tuple[int, int], radius: int,
+                 max_vertices: int) -> tuple[list[int], list[int]]:
+    """(starts, sides) of the blocks of a radius-R ball whose A-vertices
+    have counts[0] children and B-vertices counts[1]: block b starts at id
+    starts[b] and has side sides[b], and starts[-1] is the vertex count.
+    Raise ResourceCapError once the ball has more than max_vertices
+    vertices; nothing of the ball's size is allocated."""
+    starts, sides = [0, 1, 2], [A_SIDE, B_SIDE]
+    for b in range(2 * radius):
+        starts.append(starts[-1] + (starts[b + 1] - starts[b]) * counts[sides[b]])
+        sides.append(1 - sides[b])
+        if starts[-1] > max_vertices:
             raise ResourceCapError(
                 f"tree ball of radius {radius} exceeds {max_vertices} vertices; "
                 "lower the radius or exponent cap"
             )
+    return starts, sides
 
 
 class TreeBall:
@@ -173,10 +177,14 @@ class TreeBall:
     child per element of factor s.  The ball of a tree is a tree, so
     edges are exactly the parent links plus the base edge.
 
-    Storage is columnar and follows the BFS order: ``_parent`` and
-    ``_side`` per vertex, and ``_first``, where the children of p are the
-    ids ``_first[p]`` to ``_first[p + 1] - 1`` (child i is the coset of
-    element i of factor ``_side[p]``).
+    Storage is a table of blocks, O(radius) ints.  In BFS order each depth
+    d is two blocks of consecutive ids, the descendants of v and then
+    those of w (blocks 2d and 2d + 1), and every vertex of a block has the
+    same side.  Below the last depth, the children of block b form block
+    b + 2 in their parents' order: with c children per vertex of block b,
+    child i (the coset of element i of that block's factor) of the vertex
+    at offset j lies at offset j * c + i.  Parents, child ranges, sides
+    and coset vertices are arithmetic on the table.
     """
 
     def __init__(self, factors: tuple[Factor, Factor], radius: int, cap: int,
@@ -193,67 +201,64 @@ class TreeBall:
             {e: i for i, e in enumerate(self.elements[0])},
             {e: i for i, e in enumerate(self.elements[1])},
         )
-        counts = (len(self.elements[0]), len(self.elements[1]))
-        _check_ball_size(counts, radius, max_vertices)
+        self._counts = (len(self.elements[0]), len(self.elements[1]))
+        self._starts, self._sides = _block_table(self._counts, radius, max_vertices)
         self.v, self.w = 0, 1
-        self._build(counts)
-
-    # -- construction -------------------------------------------------------
-
-    def _build(self, counts: tuple[int, int]) -> None:
-        # In BFS order each depth is two blocks, the descendants of v and
-        # then those of w, and all vertices of a block share one side.
-        # The children of a block's vertices form the next depth's block,
-        # in their parents' order.
-        parent = array("i", (-1, -1))
-        side = array("b", (A_SIDE, B_SIDE))
-        first = array("i")
-        blocks = [(self.v, self.v + 1, A_SIDE), (self.w, self.w + 1, B_SIDE)]
-        for _ in range(self.radius):
-            next_blocks = []
-            for lo, hi, s in blocks:
-                c = counts[s]
-                start, size = len(parent), (hi - lo) * c
-                first.extend(range(start, start + size, c))
-                parents, children = array("i", range(lo, hi)), array("i", (0,)) * size
-                for i in range(c):
-                    children[i::c] = parents  # child i of each vertex in the block
-                parent += children
-                side += array("b", (1 - s,)) * size
-                next_blocks.append((start, start + size, 1 - s))
-            blocks = next_blocks
-        n = len(parent)
-        first += array("i", (n,)) * (n + 1 - len(first))  # leaves, then the end sentinel
-        self._parent, self._side, self._first = parent, side, first
 
     # -- basic queries -------------------------------------------------------
 
     @property
     def vertex_count(self) -> int:
-        return len(self._parent)
+        return self._starts[-1]
 
     @property
     def edge_count(self) -> int:
         # parent links (all vertices except the two roots) + base edge
-        return len(self._parent) - 1
+        return self.vertex_count - 1
+
+    def _block(self, vid: int) -> int:
+        if not 0 <= vid < self.vertex_count:
+            raise IndexError(f"vertex {vid} is not in this ball")
+        return bisect_right(self._starts, vid) - 1
+
+    def parent(self, vid: int) -> int:
+        """The neighbour one step closer to the base edge; -1 for v and w."""
+        b = self._block(vid)
+        if b < 2:
+            return -1
+        up = b - 2
+        return self._starts[up] + (vid - self._starts[b]) // self._counts[self._sides[up]]
+
+    def children(self, vid: int) -> range:
+        """The ids of vid's children, empty at the ball's last depth."""
+        b = self._block(vid)
+        if b + 2 >= len(self._sides):
+            return range(0)
+        c = self._counts[self._sides[b]]
+        first = self._starts[b + 2] + (vid - self._starts[b]) * c
+        return range(first, first + c)
+
+    def side(self, vid: int) -> int:
+        return self._sides[self._block(vid)]
 
     def edges(self) -> Iterator[tuple[int, int]]:
         yield (self.v, self.w)
-        for vid, parent in enumerate(self._parent):
-            if parent >= 0:
-                yield (parent, vid)
-
-    def side(self, vid: int) -> int:
-        return self._side[vid]
+        starts = self._starts
+        for b in range(2, len(self._sides)):
+            up, c = starts[b - 2], self._counts[self._sides[b - 2]]
+            for offset in range(starts[b + 1] - starts[b]):
+                yield (up + offset // c, starts[b] + offset)
 
     def vertex_word(self, vid: int) -> FPWord:
         """The canonical coset representative as an FPWord."""
         syls = []
-        parent = self._parent[vid]
-        while parent >= 0:
-            tag = self._side[parent]
-            syls.append((tag, self.elements[tag][vid - self._first[parent]]))
-            vid, parent = parent, self._parent[parent]
+        b = self._block(vid)
+        offset = vid - self._starts[b]
+        while b >= 2:
+            b -= 2
+            tag = self._sides[b]
+            offset, i = divmod(offset, self._counts[tag])
+            syls.append((tag, self.elements[tag][i]))
         syls.reverse()
         return FPWord(self.factors, tuple(syls))
 
@@ -275,11 +280,14 @@ class TreeBall:
         if len(path) > self.radius:
             raise FreeProductError("coset vertex lies outside this ball")
         # the syllables alternate and end in the factor opposite to side,
-        # so the path starts at v exactly when its length has side's parity
-        vid = self.v if (len(path) - side) % 2 == 0 else self.w
+        # so the path starts at v exactly when its length has side's parity;
+        # each syllable goes one depth down, from block b to block b + 2
+        b = 0 if (len(path) - side) % 2 == 0 else 1
+        offset = 0
         for i in path:
-            vid = self._first[vid] + i
-        return vid
+            offset = offset * self._counts[self._sides[b]] + i
+            b += 2
+        return self._starts[b] + offset
 
     # -- distances -----------------------------------------------------------
 
@@ -287,30 +295,23 @@ class TreeBall:
         """BFS distances (edge counts) from a vertex to the ball vertices at
         most max_depth edges away, keyed by vertex id.
 
-        The search runs depth by depth over the materialized edges: the
-        parent link, the child range and the base edge, and stops after
-        depth max_depth.  A ball of a tree is convex, so every distance it
+        The search runs depth by depth over the tree's edges: the parent
+        link, the child range and the base edge, and stops after depth
+        max_depth.  A ball of a tree is convex, so every distance it
         reports is the distance in the whole tree.
         """
-        parent, first = self._parent, self._first
-        n = len(parent)
         dist = {source: 0}
         frontier = [source]
         for d in range(1, max_depth + 1):
             reached: list[int] = []
             for vid in frontier:
-                up = parent[vid]
+                up = self.parent(vid)
                 if up < 0:
                     up = self.w if vid == self.v else self.v
-                if up not in dist:
-                    dist[up] = d
-                    reached.append(up)
-                a = first[vid]
-                if a != n:  # every leaf's child range is empty and starts at n
-                    for child in range(a, first[vid + 1]):
-                        if child not in dist:
-                            dist[child] = d
-                            reached.append(child)
+                for nb in (up, *self.children(vid)):
+                    if nb not in dist:
+                        dist[nb] = d
+                        reached.append(nb)
             frontier = reached
         return dist
 

@@ -30,6 +30,13 @@ class ResourceCapError(ValueError):
     """A configured size cap was exceeded."""
 
 
+class CertificateError(ValueError):
+    """A certificate check failed; the message names the failing witness."""
+
+
+SCHEMA = "tcbounds/1"  # the schema of every JSON document the CLI writes
+
+
 # Longest word, in letters before free reduction, that the word and braid
 # parsers expand an exponent or commutator into.
 MAX_EXPANDED_LENGTH = 1_000_000

@@ -333,8 +333,8 @@ def is_elliptic(g) -> bool:
 def tree_depth(ball, x: int) -> int:
     """Edges from ball vertex x up its parent links to v or w."""
     d = 0
-    while ball._parent[x] >= 0:
-        x, d = ball._parent[x], d + 1
+    while ball.parent(x) >= 0:
+        x, d = ball.parent(x), d + 1
     return d
 
 
@@ -345,17 +345,17 @@ def tree_distance(ball, x: int, y: int) -> int:
     depth(x) + depth(y) - 2 depth(lca), or depth(x) + depth(y) + 1 when
     x and y hang off different ends of the base edge.
     """
-    parent = ball._parent
+    parent = ball.parent
     dx, dy = tree_depth(ball, x), tree_depth(ball, y)
     total = dx + dy
     while dx > dy:
-        x, dx = parent[x], dx - 1
+        x, dx = parent(x), dx - 1
     while dy > dx:
-        y, dy = parent[y], dy - 1
+        y, dy = parent(y), dy - 1
     while x != y:
         if dx == 0:
             return total + 1
-        x, y, dx = parent[x], parent[y], dx - 1
+        x, y, dx = parent(x), parent(y), dx - 1
     return total - 2 * dx
 
 

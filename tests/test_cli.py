@@ -146,6 +146,14 @@ class TestBraid:
         assert doc["tc_lower_bound"] == 7
         assert doc["report"]["tc_lower"] == 7
 
+    def test_tc_bound_meets_the_image_cap_in_little_memory(self):
+        # the commuting check builds only alpha_1 and alpha_2 before the cap
+        proc = run_limited(40, "--json", "braid", "tc-bound", "--n", "2000")
+        assert proc.returncode == EXIT_RESOURCE
+        assert proc.stdout == ""
+        assert proc.stderr == ("resource cap exceeded: free-group image length 65 "
+                               "exceeds cap 64\n")
+
     def test_bad_word(self, capsys):
         code, _, err = run(capsys, "braid", "perm", "--n", "3", "q7")
         assert code == EXIT_USAGE
@@ -308,9 +316,9 @@ class TestTree:
         assert err.count("\n") == 1 and "k_max >= 1" in err
 
     def test_verify_lemma_defaults_fit_data_limit(self):
-        # the radius-10 ball's parent, side and child-range columns, with a
-        # BFS that stops at depth 2k: about 51 MiB
-        proc = run_limited(96, "--json", "tree", "verify-lemma")
+        # the radius-10 ball is a table of 22 blocks and the BFS stops at
+        # depth 2k, so the defaults run in about 12 MiB of data
+        proc = run_limited(16, "--json", "tree", "verify-lemma")
         assert proc.returncode == EXIT_OK, proc.stderr
         doc = json.loads(proc.stdout)
         assert doc["words_checked"] == 4368
@@ -325,9 +333,9 @@ class TestTree:
         assert proc.stderr.count("\n") == 1 and "exceeds" in proc.stderr
 
     def test_verify_lemma_out_of_memory_exits_resource(self):
-        # the defaults need about 51 MiB of data; at 40 MiB the ball build
-        # runs out of memory partway through
-        proc = run_limited(40, "--json", "tree", "verify-lemma")
+        # at --k 5 the BFS runs to depth 10 and keeps a distance for each of
+        # the ball's 2.8 M vertices; at 40 MiB it runs out of memory partway
+        proc = run_limited(40, "--json", "tree", "verify-lemma", "--k", "5", "--radius", "10")
         assert proc.returncode == EXIT_RESOURCE
         assert proc.stderr == "resource cap exceeded: out of memory\n"
 

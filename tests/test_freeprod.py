@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -223,6 +224,17 @@ class TestTreeBall:
         with pytest.raises(ResourceCapError):
             build_tree_ball(ZZ, radius=2, cap=1, max_vertices=13)
 
+    def test_build_allocates_no_per_vertex_storage(self):
+        # 2 + 2 * sum of 4^d for d = 1..10 vertices, held as a table of blocks
+        tracemalloc.start()
+        try:
+            ball = build_tree_ball(RANK1_FREE, 10, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ball.vertex_count == 2 + 2 * sum(4 ** d for d in range(1, 11)) == 2_796_202
+        assert peak < 64 * 1024
+
     def test_to_dot_smoke(self):
         dot = build_tree_ball(ZZ, radius=1, cap=1).to_dot()
         assert dot.startswith("graph treeball {") and dot.endswith("}")
@@ -238,17 +250,20 @@ ORACLE_PAIRS = {
 @pytest.mark.parametrize("pair", sorted(ORACLE_PAIRS))
 @pytest.mark.parametrize("radius,cap", [(1, 1), (3, 2), (4, 1)])
 class TestBallAgainstDictOracle:
-    """The array-backed ball against a BFS over explicit coset keys."""
+    """The block-table ball against a BFS over explicit coset keys."""
 
     def test_same_vertices_and_parents(self, pair, radius, cap):
         factors = ORACLE_PAIRS[pair]
         ball = build_tree_ball(factors, radius, cap)
         oracle = DictTreeBall(factors, radius, cap)
         assert (ball.v, ball.w) == (oracle.v, oracle.w)
-        assert list(ball._parent) == oracle.parent
+        assert [ball.parent(vid) for vid in range(ball.vertex_count)] == oracle.parent
         assert [tree_depth(ball, vid) for vid in range(ball.vertex_count)] == oracle.depth
+        assert list(ball.edges()) == [(oracle.v, oracle.w)] + [
+            (parent, vid) for vid, parent in enumerate(oracle.parent) if parent >= 0]
         for vid, (side, _) in enumerate(oracle.keys):
             assert ball.side(vid) == side
+            assert list(ball.children(vid)) == oracle.children[vid]
             assert ball.vertex_word(vid).syllables == oracle.syllables(vid)
             assert ball.coset_vertex(normal_form(factors, oracle.syllables(vid)), side) == vid
 
@@ -266,11 +281,10 @@ class TestBallAgainstDictOracle:
 
     def test_child_ranges_point_back(self, pair, radius, cap):
         ball = build_tree_ball(ORACLE_PAIRS[pair], radius, cap)
-        first, parent = ball._first, ball._parent
         children = 0
         for vid in range(ball.vertex_count):
-            for child in range(first[vid], first[vid + 1]):
-                assert parent[child] == vid
+            for child in ball.children(vid):
+                assert ball.parent(child) == vid
                 children += 1
         assert children == ball.vertex_count - 2  # everything but v and w
 

@@ -57,6 +57,9 @@ RUNS = {
     "chd": ["chd", "@expr"],
     "tree-ball": ["tree", "ball", "--radius", "3", "--cap", "2", "--kind", "free_abelian"],
     "tree-verify-lemma": ["tree", "verify-lemma", "--k", "2", "--radius", "5"],
+    # the benchmark's tree-lemma request
+    "tree-verify-lemma-defaults": ["tree", "verify-lemma", "--k", "3", "--cap", "2",
+                                   "--radius", "10"],
 }
 
 # Runs without --json: the text render and the DOT output

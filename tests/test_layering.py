@@ -52,10 +52,10 @@ def test_algebra_does_not_import_report_layer(module):
 
 
 def test_schema_is_written_once():
-    # main stamps certificates.SCHEMA on every document it writes
+    # main stamps words.SCHEMA on every document it writes
     hits = [path.name for path in SRC.glob("*.py")
             for line in path.read_text().splitlines() if "tcbounds/1" in line]
-    assert hits == ["certificates.py"]
+    assert hits == ["words.py"]
 
 
 INPUT_ERRORS = [words.WordError, presentations.PresentationError, raag.GraphError,
@@ -85,10 +85,10 @@ INPUTS = {
     "expr": {"kind": "product", "left": {"kind": "bs12"}, "right": {"kind": "free", "rank": 2}},
     "scenario": {"kind": "expr", "expr": {"kind": "surface", "genus": 2}},
 }
-BRAID = ("bounds", "groupexpr", "raag", "presentations", "freeprod")
-PRES = ("bounds", "braids", "groupexpr", "freeprod")
-CHD = ("bounds", "braids", "freeprod", "presentations")
-TREE = ("bounds", "braids", "groupexpr")
+BRAID = ("bounds", "certificates", "groupexpr", "raag", "presentations", "freeprod")
+PRES = ("bounds", "certificates", "braids", "groupexpr", "freeprod")
+CHD = ("bounds", "certificates", "braids", "freeprod", "presentations")
+TREE = ("bounds", "certificates", "braids", "groupexpr")
 # (arguments, modules that must not load, modules that must)
 MODULE_SETS = [
     (["braid", "perm", "--n", "3", "s1 s2"], BRAID, ("braids",)),
