@@ -28,19 +28,11 @@ class BraidError(InputError):
 
 @dataclass(frozen=True)
 class BraidWord:
-    """A word in the Artin generators sigma_i^{+-1} of B_n."""
+    """A word in the Artin generators sigma_i^{+-1} of B_n; the constructor
+    does not check (``parse_braid`` checks outside input)."""
 
     n: int
-    letters: tuple[tuple[int, int], ...]  # (index 1..n-1, sign)
-
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise BraidError("need at least 2 strands")
-        for i, s in self.letters:
-            if not 1 <= i <= self.n - 1:
-                raise BraidError(f"generator index {i} out of range for B_{self.n}")
-            if s not in (-1, 1):
-                raise BraidError("letter sign must be +1 or -1")
+    letters: tuple[tuple[int, int], ...]  # (index 1..n-1, sign +-1)
 
     def __mul__(self, other: "BraidWord") -> "BraidWord":
         if self.n != other.n:
@@ -67,6 +59,11 @@ def parse_braid(text: str, n: int) -> BraidWord:
         e = int(m.group(2)) if m.group(2) else 1
         check_expanded_length(len(letters) + abs(e), "braid word")
         letters.extend([(i, 1 if e > 0 else -1)] * abs(e))
+    if n < 2:
+        raise BraidError("need at least 2 strands")
+    for i, _ in letters:
+        if not 1 <= i <= n - 1:
+            raise BraidError(f"generator index {i} out of range for B_{n}")
     return BraidWord(n, tuple(letters))
 
 

@@ -19,13 +19,7 @@ from .words import SCHEMA, CertificateError
 class CertStep:
     description: str
     status: str  # "machine-verified" | "cited"
-    citation: str = ""
-
-    def __post_init__(self) -> None:
-        if self.status not in ("machine-verified", "cited"):
-            raise CertificateError(f"unknown step status {self.status!r}")
-        if self.status == "cited" and not self.citation:
-            raise CertificateError("cited steps must carry a citation")
+    citation: str = ""  # required when cited
 
     def to_json(self) -> dict:
         d = {"description": self.description, "status": self.status}
@@ -41,13 +35,7 @@ class DisjointnessCertificate:
     variant: str  # "retraction" | "split-extension" | "linking" | "trusted-chain"
     a_label: str
     b_label: str
-    steps: tuple[CertStep, ...]
-
-    def __post_init__(self) -> None:
-        if self.variant not in ("retraction", "split-extension", "linking", "trusted-chain"):
-            raise CertificateError(f"unknown certificate variant {self.variant!r}")
-        if not self.steps:
-            raise CertificateError("certificate needs at least one step")
+    steps: tuple[CertStep, ...]  # at least one
 
     @property
     def fully_machine_verified(self) -> bool:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Sequence
 
-from .words import MAX_BALL_VERTICES, InputError, ResourceCapError, _free_reduce
+from .words import MAX_BALL_VERTICES, MAX_DOT_VERTICES, InputError, ResourceCapError, _free_reduce
 
 
 class FreeProductError(InputError):
@@ -316,7 +316,13 @@ class TreeBall:
         return dist
 
     def to_dot(self) -> str:
-        """Render the ball as a DOT graph (intended for small balls)."""
+        """Render the ball as a DOT graph; a ball of more than
+        MAX_DOT_VERTICES vertices raises ResourceCapError."""
+        if self.vertex_count > MAX_DOT_VERTICES:
+            raise ResourceCapError(
+                f"DOT output of a ball of {self.vertex_count} vertices exceeds the cap of "
+                f"{MAX_DOT_VERTICES}; lower the radius or exponent cap"
+            )
         lines = ["graph treeball {"]
         for vid in range(self.vertex_count):
             side = "A" if self.side(vid) == A_SIDE else "B"

@@ -6,7 +6,8 @@ and returns an exact value or a certified interval, never a silent
 guess: products only collapse to an exact sum when a duality rule
 forces it (one factor orientable PD, or both factors duality groups),
 since subadditivity chd(AxB) <= chd(A) + chd(B) can be strict in
-general.
+general.  Expression nodes only store their fields; expr_from_json
+checks the ones it reads (ranks, strand counts, genera, opaque data).
 """
 
 from __future__ import annotations
@@ -39,10 +40,6 @@ class Trivial(GroupExpr):
 class Free(GroupExpr):
     rank: int
 
-    def __post_init__(self) -> None:
-        if self.rank < 0:
-            raise ExprError("free rank must be >= 0")
-
     def label(self) -> str:
         return f"F{self.rank}"
 
@@ -51,10 +48,6 @@ class Free(GroupExpr):
 class FreeAbelian(GroupExpr):
     rank: int
 
-    def __post_init__(self) -> None:
-        if self.rank < 0:
-            raise ExprError("free abelian rank must be >= 0")
-
     def label(self) -> str:
         return f"Z^{self.rank}"
 
@@ -62,10 +55,6 @@ class FreeAbelian(GroupExpr):
 @dataclass(frozen=True)
 class PureBraid(GroupExpr):
     n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ExprError("pure braid group needs n >= 2 strands")
 
     def label(self) -> str:
         return f"PB_{self.n}"
@@ -82,10 +71,6 @@ class BaumslagSolitar12(GroupExpr):
 @dataclass(frozen=True)
 class SurfaceGroup(GroupExpr):
     genus: int
-
-    def __post_init__(self) -> None:
-        if self.genus < 1:
-            raise ExprError("surface genus must be >= 1")
 
     def label(self) -> str:
         return f"Surface_{self.genus}"
@@ -104,7 +89,8 @@ class Opaque(GroupExpr):
     """A group known only through externally supplied dimension data.
 
     Every use must carry a justification string, which is propagated
-    into rule traces.
+    into rule traces.  The data must be consistent (see ``_check_opaque``);
+    ``expr_from_json`` checks it, the constructor does not.
     """
 
     name: str
@@ -114,17 +100,6 @@ class Opaque(GroupExpr):
     duality_dim: Optional[int] = None
     orientable_pd_dim: Optional[int] = None
     geom_dim: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.chd_lower < 0:
-            raise ExprError("chd lower bound must be >= 0")
-        if self.chd_lower > self.chd_upper:
-            raise ExprError("chd lower bound exceeds upper bound")
-        if self.geom_dim is not None and self.geom_dim < self.chd_lower:
-            raise ExprError("geometric dimension is below the chd lower bound")
-        for dim in (self.duality_dim, self.orientable_pd_dim):
-            if dim is not None and (dim != self.chd_lower or dim != self.chd_upper):
-                raise ExprError("a duality flag forces chd to equal the flagged dimension")
 
     def label(self) -> str:
         return self.name
@@ -322,25 +297,31 @@ def expr_from_json(data) -> GroupExpr:
     def optional_num(name):
         return num(name) if data.get(name) is not None else None
 
+    def at_least(name, low, message):
+        value = num(name)
+        if value < low:
+            raise ExprError(message)
+        return value
+
     try:
         match kind:
             case "trivial":
                 return Trivial()
             case "free":
-                return Free(num("rank"))
+                return Free(at_least("rank", 0, "free rank must be >= 0"))
             case "free_abelian":
-                return FreeAbelian(num("rank"))
+                return FreeAbelian(at_least("rank", 0, "free abelian rank must be >= 0"))
             case "pure_braid":
-                return PureBraid(num("n"))
+                return PureBraid(at_least("n", 2, "pure braid group needs n >= 2 strands"))
             case "bs12":
                 return BaumslagSolitar12()
             case "surface":
-                return SurfaceGroup(num("genus"))
+                return SurfaceGroup(at_least("genus", 1, "surface genus must be >= 1"))
             case "raag":
                 return Raag(SimpleGraph.from_json(data))
             case "opaque":
                 lo = num("chd_lower", num("chd", 0))
-                return Opaque(
+                return _check_opaque(Opaque(
                     name=str(data.get("name", "opaque")),
                     chd_lower=lo,
                     chd_upper=num("chd_upper", num("chd", lo)),
@@ -348,7 +329,7 @@ def expr_from_json(data) -> GroupExpr:
                     duality_dim=optional_num("duality_dim"),
                     orientable_pd_dim=optional_num("orientable_pd_dim"),
                     geom_dim=optional_num("geom_dim"),
-                )
+                ))
             case "product":
                 return Product(expr_from_json(data["left"]), expr_from_json(data["right"]))
             case "free_product":
@@ -358,3 +339,17 @@ def expr_from_json(data) -> GroupExpr:
     except GraphError as exc:
         raise ExprError(f"raag: {exc}") from None
     raise ExprError(f"unknown expression kind {kind!r}")
+
+
+def _check_opaque(leaf: Opaque) -> Opaque:
+    """leaf, if its dimension data is possible; an ExprError if not."""
+    if leaf.chd_lower < 0:
+        raise ExprError("chd lower bound must be >= 0")
+    if leaf.chd_lower > leaf.chd_upper:
+        raise ExprError("chd lower bound exceeds upper bound")
+    if leaf.geom_dim is not None and leaf.geom_dim < leaf.chd_lower:
+        raise ExprError("geometric dimension is below the chd lower bound")
+    for dim in (leaf.duality_dim, leaf.orientable_pd_dim):
+        if dim is not None and (dim != leaf.chd_lower or dim != leaf.chd_upper):
+            raise ExprError("a duality flag forces chd to equal the flagged dimension")
+    return leaf

@@ -22,19 +22,12 @@ class PresentationError(InputError):
 
 @dataclass(frozen=True)
 class Presentation:
-    """A finite presentation: named generators plus relator words."""
+    """A finite presentation: distinct named generators plus nonempty relator
+    words of their rank; the constructor does not check (``from_strings``
+    checks outside input)."""
 
     generators: tuple[str, ...]
     relators: tuple[Word, ...]
-
-    def __post_init__(self) -> None:
-        if len(set(self.generators)) != len(self.generators):
-            raise PresentationError("duplicate generator names")
-        for r in self.relators:
-            if r.rank != len(self.generators):
-                raise PresentationError("relator rank does not match generator count")
-            if r.is_identity:
-                raise PresentationError("empty relator not allowed")
 
     @property
     def rank(self) -> int:
@@ -54,6 +47,10 @@ class Presentation:
     def from_strings(generators: Sequence[str], relators: Sequence[str]) -> "Presentation":
         gens = tuple(generators)
         rels = tuple(parse_word(r, gens) for r in relators)
+        if len(set(gens)) != len(gens):
+            raise PresentationError("duplicate generator names")
+        if any(r.is_identity for r in rels):
+            raise PresentationError("empty relator not allowed")
         return Presentation(gens, rels)
 
 
@@ -195,7 +192,8 @@ def abelianization(p: Presentation) -> AbelianInvariants:
 
 @dataclass(frozen=True)
 class FreeHom:
-    """A homomorphism from a presented group into a free group.
+    """A homomorphism from a presented group into a free group: one image of
+    rank target_rank per source generator.
 
     Well-definedness (every relator mapping to the identity) is checked
     at construction.
@@ -206,11 +204,6 @@ class FreeHom:
     images: tuple[Word, ...]
 
     def __post_init__(self) -> None:
-        if len(self.images) != self.source.rank:
-            raise PresentationError("need one image per source generator")
-        for w in self.images:
-            if w.rank != self.target_rank:
-                raise PresentationError("image rank does not match target rank")
         ok, witness = check_hom(self.source, self.target_rank, self.images)
         if not ok:
             raise PresentationError(f"not a homomorphism: relator {witness} does not map to 1")

@@ -31,23 +31,22 @@ VERTEX_LIMIT = 64
 
 @dataclass(frozen=True)
 class SimpleGraph:
-    """A finite simple graph on vertices 1..n."""
+    """A finite simple graph on vertices 1..n, edges (u, v) with u < v; the
+    constructor does not check (``from_edges`` checks outside input)."""
 
     n: int
     edges: frozenset[tuple[int, int]]
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise GraphError("vertex count must be non-negative")
-        for u, v in self.edges:
-            if u == v:
-                raise GraphError(f"loop at vertex {u}")
-            if not (1 <= u < v <= self.n):
-                raise GraphError(f"edge ({u},{v}) not of the form 1 <= u < v <= n")
-
     @staticmethod
     def from_edges(n: int, edges: Iterable[Sequence[int]]) -> "SimpleGraph":
         normalized = frozenset((min(u, v), max(u, v)) for u, v in edges)
+        if n < 0:
+            raise GraphError("vertex count must be non-negative")
+        for u, v in normalized:
+            if u == v:
+                raise GraphError(f"loop at vertex {u}")
+            if not (1 <= u < v <= n):
+                raise GraphError(f"edge ({u},{v}) not of the form 1 <= u < v <= n")
         return SimpleGraph(n, normalized)
 
     @staticmethod

@@ -49,6 +49,10 @@ DEFAULT_WORD_CAP = 64
 # The default of --max-ball.
 MAX_BALL_VERTICES = 5_000_000
 
+# Largest tree ball, in vertices, that is rendered as DOT text (two lines
+# per vertex, all held in memory); checked before the first line is built.
+MAX_DOT_VERTICES = 100_000
+
 
 def check_expanded_length(length: int, what: str) -> None:
     if length > MAX_EXPANDED_LENGTH:

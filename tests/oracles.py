@@ -7,8 +7,9 @@ two-clique number is maximized over all subset pairs, tree balls are
 grown by BFS over explicit coset keys, braid images are measured all
 at once after every letter, and the chd calculus is evaluated by four
 mutually recursive dispatches on the node kind.  Free-product and braid
-products, inverses and powers, which no report needs, are built here on
-the checked builders ``normal_form`` and ``BraidWord``.
+products, inverses and powers, which no report needs, are built here:
+free-product ones through the checked builder ``normal_form``, braid
+ones as plain ``BraidWord`` records of already valid letters.
 """
 
 from __future__ import annotations

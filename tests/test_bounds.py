@@ -24,28 +24,50 @@ from tcbounds.certificates import (
     Provenance,
 )
 from tcbounds.braids import BraidError
+from tcbounds.cli import scenario_report
 from tcbounds.presentations import FreeHom, Presentation
 from tcbounds.raag import GraphError, SimpleGraph, z_number
 from tcbounds.words import ResourceCapError, generator, identity, parse_word
 
 
+PATH3 = SimpleGraph.from_edges(3, [(1, 2), (2, 3)])
+C4 = SimpleGraph.from_edges(4, [(1, 2), (2, 3), (3, 4), (4, 1)])
+K4 = SimpleGraph.from_edges(4, itertools.combinations(range(1, 5), 2))
+TWO_POINTS = SimpleGraph.from_edges(2, [])
+
+PRESENTATION_SCENARIO = {
+    "kind": "presentation",
+    "generators": ["a", "b", "c"], "relators": ["[a,[b^-1,c]]", "[b,[c^-1,a]]"],
+    "hom": {"target_generators": ["u", "v"], "images": {"a": "u", "b": "v", "c": ""}},
+    "a_generator": "a", "beta": "v",
+    "a_expr": {"kind": "free_abelian", "rank": 1},
+    "b_expr": {"kind": "opaque", "name": "B", "chd": 2, "justification": "not free"},
+    "group_expr": {"kind": "opaque", "name": "G", "chd": 2, "geom_dim": 2},
+}
+
+
 class TestCertificateRecords:
-    def test_cited_step_needs_citation(self):
-        with pytest.raises(CertificateError):
-            CertStep("some fact", "cited")
-
-    def test_unknown_status(self):
-        with pytest.raises(CertificateError):
-            CertStep("some fact", "assumed")
-
-    def test_unknown_variant(self):
-        step = CertStep("ok", "machine-verified")
-        with pytest.raises(CertificateError):
-            DisjointnessCertificate("vibes", "A", "B", (step,))
-
-    def test_empty_steps_rejected(self):
-        with pytest.raises(CertificateError):
-            DisjointnessCertificate("retraction", "A", "B", ())
+    def test_every_certificate_keeps_the_record_invariants(self):
+        # the records store what they are given, so every builder, on a few
+        # inputs each, must keep these
+        reports = [
+            borromean_case_study(),
+            higman_case_study(),
+            *(pure_braid_report(n) for n in range(2, 7)),
+            *(raag_report(g)[1] for g in (PATH3, C4, K4, TWO_POINTS)),
+            scenario_report(PRESENTATION_SCENARIO, "scenario"),
+        ]
+        pairs = [(PATH3, [1], [2, 3]), (C4, [1, 2], [3, 4]), (K4, [1], [2, 3, 4]),
+                 (TWO_POINTS, [], [1])]
+        certs = ([cert for report in reports for cert in report.certificates]
+                 + [clique_pair_bound(g, k1, k2)[1] for g, k1, k2 in pairs])
+        assert {c.variant for c in certs} == {
+            "retraction", "split-extension", "linking", "trusted-chain"}
+        for cert in certs:
+            assert cert.steps, cert
+            for step in cert.steps:
+                assert step.status in ("machine-verified", "cited"), step
+                assert step.status == "machine-verified" or step.citation, step
 
     def test_fully_machine_verified(self):
         mv = CertStep("ok", "machine-verified")
@@ -59,8 +81,6 @@ class TestCertificateRecords:
         with pytest.raises(CertificateError):
             BoundReport("G", 5, 4, (), ())
 
-
-PATH3 = SimpleGraph.from_edges(3, [(1, 2), (2, 3)])
 
 
 class TestRetractionVerifier:

@@ -3,6 +3,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tcbounds
-from tcbounds import groupexpr
+from tcbounds import groupexpr, words
 from tcbounds.certificates import CertificateError
 from tcbounds.cli import (
     EXIT_OK,
@@ -272,6 +273,15 @@ class TestTree:
                            "--kind", "free_abelian", "--dot")
         assert code == EXIT_OK
         assert out.startswith("graph treeball {")
+
+    def test_ball_dot_size_checked_before_rendering(self, capsys):
+        # 174,762 vertices: refused before the first DOT line is built
+        start = time.perf_counter()
+        code, out, err = run(capsys, "tree", "ball", "--radius", "8", "--cap", "2", "--dot")
+        assert (code, out) == (EXIT_RESOURCE, "")
+        assert err == (f"resource cap exceeded: DOT output of a ball of 174762 vertices "
+                       f"exceeds the cap of {words.MAX_DOT_VERTICES}; lower the radius or exponent cap\n")
+        assert time.perf_counter() - start < 1.0
 
     def test_ball_resource_cap(self, capsys):
         code, _, err = run(capsys, "--max-ball", "50", "tree", "ball",
@@ -563,6 +573,76 @@ class TestExponentCap:
         code, out, err = run(capsys, "pres", "abel", str(f))
         assert (code, out) == (EXIT_RESOURCE, "")
         assert err.count("\n") == 1 and f"cap of {MAX_EXPANDED_LENGTH}" in err
+
+
+def bad_input(name, argv, doc, code, line):
+    """A case of TestInputChecks: argv, then a file holding doc unless doc
+    is None; the exit code, and the one stderr line ({f} is the file)."""
+    return pytest.param(argv, doc, code, line, id=name)
+
+
+class TestInputChecks:
+    """Each check on outside input prints its own line.  An input with two
+    faults reports the one its parser checks first."""
+
+    @pytest.mark.parametrize("argv, doc, code, line", [
+        bad_input("free-rank", ["chd"], {"kind": "free", "rank": -1}, EXIT_USAGE,
+                  "error: {f}: free rank must be >= 0"),
+        bad_input("free-abelian-rank", ["chd"], {"kind": "free_abelian", "rank": -1}, EXIT_USAGE,
+                  "error: {f}: free abelian rank must be >= 0"),
+        bad_input("pure-braid-n", ["chd"], {"kind": "pure_braid", "n": 1}, EXIT_USAGE,
+                  "error: {f}: pure braid group needs n >= 2 strands"),
+        bad_input("surface-genus", ["chd"], {"kind": "surface", "genus": 0}, EXIT_USAGE,
+                  "error: {f}: surface genus must be >= 1"),
+        bad_input("opaque-interval", ["chd"], {"kind": "opaque", "chd_lower": 3, "chd_upper": 2},
+                  EXIT_USAGE, "error: {f}: chd lower bound exceeds upper bound"),
+        bad_input("opaque-duality-flag", ["chd"], {"kind": "opaque", "chd": 2, "duality_dim": 3},
+                  EXIT_USAGE, "error: {f}: a duality flag forces chd to equal the flagged dimension"),
+        bad_input("opaque-geom-dim", ["chd"], {"kind": "opaque", "chd": 2, "geom_dim": 1},
+                  EXIT_USAGE, "error: {f}: geometric dimension is below the chd lower bound"),
+        bad_input("duplicate-generators", ["pres", "abel"], {"generators": ["a", "a"], "relators": []},
+                  EXIT_USAGE, "error: {f}: duplicate generator names"),
+        bad_input("empty-relator", ["pres", "abel"], {"generators": ["a"], "relators": ["a a^-1"]},
+                  EXIT_USAGE, "error: {f}: empty relator not allowed"),
+        bad_input("graph-loop", ["raag", "z"], {"n": 3, "edges": [[2, 2]]}, EXIT_USAGE,
+                  "error: {f}: loop at vertex 2"),
+        bad_input("graph-edge-range", ["raag", "z"], {"n": 3, "edges": [[1, 4]]}, EXIT_USAGE,
+                  "error: {f}: edge (1,4) not of the form 1 <= u < v <= n"),
+        bad_input("graph-vertex-count", ["raag", "z"], {"n": -1, "edges": []}, EXIT_USAGE,
+                  "error: {f}: vertex count must be non-negative"),
+        bad_input("braid-strands", ["braid", "perm", "--n", "1", "s1"], None, EXIT_USAGE,
+                  "error: need at least 2 strands"),
+        bad_input("braid-strands-empty-word", ["braid", "perm", "--n", "1", ""], None, EXIT_USAGE,
+                  "error: need at least 2 strands"),
+        bad_input("braid-index", ["braid", "perm", "--n", "3", "s3"], None, EXIT_USAGE,
+                  "error: generator index 3 out of range for B_3"),
+        # two faults: the first check the parser runs wins
+        bad_input("braid-token-before-strands", ["braid", "perm", "--n", "1", "t1"], None,
+                  EXIT_USAGE, "error: bad braid token 't1'; expected like s2 or s2^-1"),
+        bad_input("braid-length-before-index", ["braid", "perm", "--n", "3", "s5^2000000"], None,
+                  EXIT_RESOURCE, "resource cap exceeded: braid word expands to 2000000 letters, "
+                  f"more than the cap of {MAX_EXPANDED_LENGTH}"),
+        bad_input("relator-before-generators", ["pres", "abel"],
+                  {"generators": ["a", "a"], "relators": ["b"]}, EXIT_USAGE,
+                  "error: {f}: unknown generator 'b'"),
+        bad_input("generators-before-relators", ["pres", "abel"],
+                  {"generators": ["a", "a"], "relators": ["a a^-1"]}, EXIT_USAGE,
+                  "error: {f}: duplicate generator names"),
+        bad_input("vertex-count-before-edges", ["raag", "z"], {"n": -1, "edges": [[1, 1]]},
+                  EXIT_USAGE, "error: {f}: vertex count must be non-negative"),
+        bad_input("opaque-fields-before-bounds", ["chd"],
+                  {"kind": "opaque", "chd": -1, "geom_dim": "x"}, EXIT_USAGE,
+                  'error: {f}: opaque: geom_dim: expected an integer, got "x"'),
+        bad_input("opaque-lower-before-interval", ["chd"],
+                  {"kind": "opaque", "chd_lower": -1, "chd_upper": -2}, EXIT_USAGE,
+                  "error: {f}: chd lower bound must be >= 0"),
+    ])
+    def test_one_line(self, capsys, tmp_path, argv, doc, code, line):
+        f = tmp_path / "input.json"
+        if doc is not None:
+            f.write_text(json.dumps(doc))
+            argv = [*argv, str(f)]
+        assert run(capsys, *argv) == (code, "", line.format(f=f) + "\n")
 
 
 class TestUsageErrors:

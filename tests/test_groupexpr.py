@@ -102,14 +102,16 @@ class TestFlags:
         assert evaluate(q).pd_dim is None
         assert evaluate(q).duality_dim == 3
 
+    # Opaque stores what it is given; expr_from_json refuses impossible data
     def test_opaque_flag_consistency(self):
-        with pytest.raises(ExprError):
-            Opaque("G", 1, 2, "why", duality_dim=2)
+        with pytest.raises(ExprError, match="duality flag"):
+            expr_from_json({"kind": "opaque", "chd_lower": 1, "chd_upper": 2, "duality_dim": 2})
 
     @pytest.mark.parametrize("lo, hi, geom_dim", [(-3, -3, None), (-1, 2, None), (3, 3, 1)])
     def test_opaque_impossible_dimensions(self, lo, hi, geom_dim):
         with pytest.raises(ExprError):
-            Opaque("G", lo, hi, "why", geom_dim=geom_dim)
+            expr_from_json({"kind": "opaque", "chd_lower": lo, "chd_upper": hi,
+                            "geom_dim": geom_dim})
 
 
 class TestProducts:

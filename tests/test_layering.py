@@ -6,7 +6,8 @@ certificates and reports are built in tcbounds.bounds on top of them.
 An import the other way, even one deferred inside a function, would make
 an algebra module depend on the report layer.  The schema string is
 written once, and every module's input error is a words.InputError,
-the one family the CLI reports with exit 1.
+the one family the CLI reports with exit 1.  Records only store their
+fields, except the few that check what the engine computed.
 
 The CLI imports a subcommand's modules only when it dispatches to it, so
 a request loads only what it runs; the subprocess tests below pin the
@@ -73,6 +74,20 @@ def test_input_errors_share_one_family(error):
 def test_cap_and_certificate_errors_are_not_input_errors(error):
     # they exit 3 and 2, not 1
     assert not issubclass(error, words.InputError)
+
+
+def test_records_that_check_on_construction():
+    # every other record only stores its fields: outside input is checked
+    # once, by the parser that reads it.  These check values the engine
+    # computed (BoundReport, ChdResult, AbelianInvariants), run a
+    # machine-verified step (FreeHom's check_hom), or are where the tree
+    # flags enter (Factor).
+    checking = {node.name for path in SRC.glob("*.py")
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.ClassDef)
+                and any(isinstance(item, ast.FunctionDef) and item.name == "__post_init__"
+                        for item in node.body)}
+    assert checking == {"BoundReport", "ChdResult", "AbelianInvariants", "FreeHom", "Factor"}
 
 
 # Input files for the module-set runs; "@name" in a run's arguments stands
