@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .words import (
     DEFAULT_WORD_CAP,
+    MAX_BRAID_STRANDS,
     InputError,
     ResourceCapError,
     Word,
@@ -35,8 +36,6 @@ class BraidWord:
     letters: tuple[tuple[int, int], ...]  # (index 1..n-1, sign +-1)
 
     def __mul__(self, other: "BraidWord") -> "BraidWord":
-        if self.n != other.n:
-            raise BraidError("strand counts differ")
         return BraidWord(self.n, self.letters + other.letters)
 
     def __str__(self) -> str:
@@ -61,6 +60,8 @@ def parse_braid(text: str, n: int) -> BraidWord:
         letters.extend([(i, 1 if e > 0 else -1)] * abs(e))
     if n < 2:
         raise BraidError("need at least 2 strands")
+    if n > MAX_BRAID_STRANDS:
+        raise ResourceCapError(f"braid on {n} strands exceeds the cap of {MAX_BRAID_STRANDS} strands")
     for i, _ in letters:
         if not 1 <= i <= n - 1:
             raise BraidError(f"generator index {i} out of range for B_{n}")
@@ -84,10 +85,8 @@ def is_pure(b: BraidWord) -> bool:
 
 
 def alpha_generator(n: int, j: int) -> BraidWord:
-    """The pure braid taking strand j in front of strands j+1..n and back
-    behind them: sigma_j ... sigma_{n-2} sigma_{n-1}^2 sigma_{n-2} ... sigma_j."""
-    if not 1 <= j <= n - 1:
-        raise BraidError(f"alpha index {j} out of range for {n} strands")
+    """The pure braid taking strand j (1 <= j < n) in front of strands j+1..n
+    and back behind them: sigma_j ... sigma_{n-2} sigma_{n-1}^2 sigma_{n-2} ... sigma_j."""
     ascending = list(range(j, n - 1))
     letters = [(i, 1) for i in ascending]
     letters += [(n - 1, 1), (n - 1, 1)]
@@ -130,8 +129,6 @@ def free_group_action(b: BraidWord, word_cap: int = DEFAULT_WORD_CAP) -> tuple[W
 
 def braid_equal(u: BraidWord, v: BraidWord, word_cap: int = DEFAULT_WORD_CAP) -> bool:
     """Equality in B_n, decided via the faithful free-group action."""
-    if u.n != v.n:
-        raise BraidError("strand counts differ")
     return free_group_action(u, word_cap) == free_group_action(v, word_cap)
 
 

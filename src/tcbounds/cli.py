@@ -32,7 +32,6 @@ from typing import TYPE_CHECKING
 
 from .words import (
     DEFAULT_WORD_CAP,
-    MAX_BALL_VERTICES,
     SCHEMA,
     CertificateError,
     InputError,
@@ -265,7 +264,7 @@ def cmd_raag_z(args) -> dict:
 
 def _vertex_list(text: str, flag: str) -> list[int]:
     try:
-        return [int(x) for x in text.split(",") if x]
+        return [json_int(x.strip()) for x in text.split(",") if x]
     except ValueError:
         raise InputError(f"{flag}: expected comma-separated vertices, got {text!r}") from None
 
@@ -349,8 +348,7 @@ def cmd_chd(args) -> dict:
 def cmd_tree_ball(args) -> dict | str:
     from . import freeprod
     factors = (freeprod.Factor(args.kind, args.rank), freeprod.Factor(args.kind, args.rank))
-    ball = freeprod.build_tree_ball(factors, args.radius, args.cap,
-                                    max_vertices=args.max_ball)
+    ball = freeprod.build_tree_ball(factors, args.radius, args.cap)
     if args.dot:
         return ball.to_dot()
     return {
@@ -370,7 +368,7 @@ def cmd_tree_verify_lemma(args) -> dict:
             f"--radius {args.radius} is too small for --k {args.k}: the deepest checked "
             f"vertex gw lies at depth {2 * args.k - 1}"
         )
-    total, failures = freeprod.verify_tree_lemma(args.k, args.cap, args.radius, args.max_ball)
+    total, failures = freeprod.verify_tree_lemma(args.k, args.cap, args.radius)
     return {
         "k_max": args.k,
         "cap": args.cap,
@@ -414,8 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Certified topological-complexity bounds for aspherical groups",
     )
     parser.add_argument("--json", action="store_true", help="emit the JSON report")
-    parser.add_argument("--max-ball", type=_int_arg, default=MAX_BALL_VERTICES,
-                        help="tree ball vertex cap")
     parser.add_argument("--max-word", type=_int_arg, default=DEFAULT_WORD_CAP,
                         help="braid free-group image length cap")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Sequence
 
-from .words import MAX_BALL_VERTICES, MAX_DOT_VERTICES, InputError, ResourceCapError, _free_reduce
+from .words import (MAX_BALL_VERTICES, MAX_DOT_VERTICES, MAX_EXPANDED_LENGTH, InputError,
+                    ResourceCapError, _free_reduce)
 
 
 class FreeProductError(InputError):
@@ -68,8 +69,26 @@ class Factor:
             return _free_reduce(tuple(a) + tuple(b))
         return tuple(x + y for x, y in zip(a, b))
 
+    def _size(self, cap: int) -> int:
+        """The letters (free) or coordinates (free abelian) of elements(cap),
+        exact up to MAX_EXPANDED_LENGTH; a larger size is some value past it."""
+        if self.kind == "free_abelian":  # as 3^20 > MAX_EXPANDED_LENGTH, rank 20 is past it
+            return ((2 * cap + 1) ** min(self.rank, 20) - 1) * self.rank
+        size = 0
+        for length in range(1, cap + 1):
+            size += 2 * self.rank * (2 * self.rank - 1) ** (length - 1) * length
+            if size > MAX_EXPANDED_LENGTH:
+                break
+        return size
+
     def elements(self, cap: int) -> list:
-        """Nontrivial elements with letter count / coordinate size <= cap."""
+        """Nontrivial elements with letter count / coordinate size <= cap; a
+        list past MAX_EXPANDED_LENGTH letters is refused before it is built."""
+        if self._size(cap) > MAX_EXPANDED_LENGTH:
+            raise ResourceCapError(
+                f"{self.kind} factor elements up to exponent cap {cap} exceed "
+                f"{MAX_EXPANDED_LENGTH} letters; lower the exponent cap or rank"
+            )
         if self.kind == "free_abelian":
             out = [v for v in product(range(-cap, cap + 1), repeat=self.rank) if any(v)]
             return sorted(out)
@@ -149,20 +168,19 @@ A_SIDE = 0  # vertices gA; canonical rep ends with a B-syllable (or is empty)
 B_SIDE = 1  # vertices gB; canonical rep ends with an A-syllable (or is empty)
 
 
-def _block_table(counts: tuple[int, int], radius: int,
-                 max_vertices: int) -> tuple[list[int], list[int]]:
+def _block_table(counts: tuple[int, int], radius: int) -> tuple[list[int], list[int]]:
     """(starts, sides) of the blocks of a radius-R ball whose A-vertices
     have counts[0] children and B-vertices counts[1]: block b starts at id
     starts[b] and has side sides[b], and starts[-1] is the vertex count.
-    Raise ResourceCapError once the ball has more than max_vertices
+    Raise ResourceCapError once the ball has more than MAX_BALL_VERTICES
     vertices; nothing of the ball's size is allocated."""
     starts, sides = [0, 1, 2], [A_SIDE, B_SIDE]
     for b in range(2 * radius):
         starts.append(starts[-1] + (starts[b + 1] - starts[b]) * counts[sides[b]])
         sides.append(1 - sides[b])
-        if starts[-1] > max_vertices:
+        if starts[-1] > MAX_BALL_VERTICES:
             raise ResourceCapError(
-                f"tree ball of radius {radius} exceeds {max_vertices} vertices; "
+                f"tree ball of radius {radius} exceeds {MAX_BALL_VERTICES} vertices; "
                 "lower the radius or exponent cap"
             )
     return starts, sides
@@ -187,8 +205,7 @@ class TreeBall:
     and coset vertices are arithmetic on the table.
     """
 
-    def __init__(self, factors: tuple[Factor, Factor], radius: int, cap: int,
-                 max_vertices: int):
+    def __init__(self, factors: tuple[Factor, Factor], radius: int, cap: int):
         if radius < 1:
             raise FreeProductError("radius must be >= 1")
         if cap < 1:
@@ -202,7 +219,7 @@ class TreeBall:
             {e: i for i, e in enumerate(self.elements[1])},
         )
         self._counts = (len(self.elements[0]), len(self.elements[1]))
-        self._starts, self._sides = _block_table(self._counts, radius, max_vertices)
+        self._starts, self._sides = _block_table(self._counts, radius)
         self.v, self.w = 0, 1
 
     # -- basic queries -------------------------------------------------------
@@ -334,10 +351,9 @@ class TreeBall:
         return "\n".join(lines)
 
 
-def build_tree_ball(factors: tuple[Factor, Factor], radius: int, cap: int = 2,
-                    max_vertices: int = MAX_BALL_VERTICES) -> TreeBall:
+def build_tree_ball(factors: tuple[Factor, Factor], radius: int, cap: int) -> TreeBall:
     """Materialize the ball of the given radius around the base edge."""
-    return TreeBall(factors, radius, cap, max_vertices)
+    return TreeBall(factors, radius, cap)
 
 
 RANK1_FREE = (Factor("free", 1), Factor("free", 1))
@@ -354,18 +370,24 @@ def alternating_words(k: int, cap: int) -> Iterator[tuple[tuple[int, ...], FPWor
         yield combo, FPWord(RANK1_FREE, syls)
 
 
-def verify_tree_lemma(k_max: int, cap: int, radius: int,
-                      max_vertices: int = MAX_BALL_VERTICES) -> tuple[int, list[list[int]]]:
+def verify_tree_lemma(k_max: int, cap: int, radius: int) -> tuple[int, list[list[int]]]:
     """Check d(gw, v) = 2k-1 and d(gw, w) = 2k for every alternating word g
     with 2k <= 2 k_max syllables, by BFS on the F(x) * F(y) tree ball.
 
     The BFS stops at depth 2 k_max, the largest distance the check reads;
-    a vertex it does not reach fails the check.  Returns (words checked,
-    exponent lists of the failing words).
+    a vertex it does not reach fails the check.  More than
+    MAX_BALL_VERTICES words raise ResourceCapError before the BFS runs.
+    Returns (words checked, exponent lists of the failing words).
     """
     if k_max < 1:
         raise FreeProductError(f"the tree lemma needs k_max >= 1, got {k_max}")
-    ball = build_tree_ball(RANK1_FREE, radius, cap, max_vertices)
+    ball = build_tree_ball(RANK1_FREE, radius, cap)
+    to_check = 0
+    for k in range(1, k_max + 1):
+        to_check += (2 * cap) ** (2 * k)  # 2k exponents, each in [-cap, cap] minus 0
+        if to_check > MAX_BALL_VERTICES:
+            raise ResourceCapError(f"the tree lemma for k {k_max} and exponent cap {cap} checks "
+                                   f"more than {MAX_BALL_VERTICES} words; lower k or the exponent cap")
     dist_v = ball.distance_map(ball.v, 2 * k_max)
     dist_w = ball.distance_map(ball.w, 2 * k_max)
     failures = []

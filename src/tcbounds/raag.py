@@ -16,7 +16,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .words import InputError, Word, commutator, generator, json_int
+from .words import InputError, Word, json_int
 
 if TYPE_CHECKING:
     from . import presentations
@@ -165,7 +165,5 @@ def raag_presentation(graph: SimpleGraph) -> presentations.Presentation:
     a chd request reads graphs without loading it."""
     from . import presentations
     names = tuple(f"x{v}" for v in range(1, graph.n + 1))
-    rels: list[Word] = []
-    for u, v in sorted(graph.edges):
-        rels.append(commutator(generator(u, graph.n), generator(v, graph.n)))
-    return presentations.Presentation(names, tuple(rels))
+    rels = tuple(Word(((u, 1), (v, 1), (u, -1), (v, -1)), graph.n) for u, v in sorted(graph.edges))
+    return presentations.Presentation(names, rels)

@@ -123,11 +123,6 @@ class TestRetractionVerifier:
             verify_retraction_certificate(pres, ["x"], ["y"],
                                           {"x": (1,), "y": (1,)})
 
-    def test_missing_image(self):
-        pres = Presentation(("x", "y"), ())
-        with pytest.raises(CertificateError, match="no image"):
-            verify_retraction_certificate(pres, ["x"], ["y"], {"x": (0,)})
-
 
 def borromean_p():
     pres = borromean_presentation()

@@ -146,10 +146,6 @@ class TestAlphaGenerators:
     def test_alpha_last(self):
         assert alpha_generator(4, 3) == braid("s3^2")
 
-    def test_index_range(self):
-        with pytest.raises(BraidError):
-            alpha_generator(4, 4)
-
     def test_alphas_pure_and_commute(self):
         for n in range(2, 7):
             alphas = [alpha_generator(n, j) for j in range(1, n)]

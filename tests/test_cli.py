@@ -18,6 +18,7 @@ from tcbounds.cli import (
     EXIT_RESOURCE,
     EXIT_USAGE,
     EXIT_VERIFICATION,
+    build_parser,
     main,
     scenario_report,
 )
@@ -90,10 +91,17 @@ class TestRaag:
     @pytest.mark.parametrize("k1, k2, message", [
         ("a", "2", "--k1: expected comma-separated vertices, got 'a'"),
         ("1", "2,a", "--k2: expected comma-separated vertices, got '2,a'"),
+        # entries follow the JSON integer rule of words.json_int
+        ("1_0", "2", "--k1: expected comma-separated vertices, got '1_0'"),
+        ("1", "\u0663", "--k2: expected comma-separated vertices, got '\u0663'"),
     ])
     def test_bound_vertex_list_not_integers(self, capsys, path3_file, k1, k2, message):
         code, out, err = run(capsys, "raag", "bound", path3_file, "--k1", k1, "--k2", k2)
         assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
+
+    def test_bound_vertex_list_entries_are_stripped(self, capsys, path3_file):
+        doc = run_json(capsys, "raag", "bound", path3_file, "--k1", " 1", "--k2", "2, 3")
+        assert (doc["k1"], doc["k2"]) == ([1], [2, 3])
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "raag", "z", "/nonexistent.json")
@@ -154,6 +162,23 @@ class TestBraid:
         assert proc.stdout == ""
         assert proc.stderr == ("resource cap exceeded: free-group image length 65 "
                                "exceeds cap 64\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["braid", "lk", "--n", "4000", ""],
+        ["braid", "perm", "--n", "2000000", ""],
+        ["braid", "equal", "--n", "1001", "s1", "s1"],
+    ])
+    def test_strand_cap_refused_at_once(self, argv):
+        start = time.perf_counter()
+        proc = run_limited(40, "--json", *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (proc.returncode, proc.stdout) == (EXIT_RESOURCE, "")
+        assert proc.stderr == (f"resource cap exceeded: braid on {argv[3]} strands exceeds "
+                               f"the cap of {words.MAX_BRAID_STRANDS} strands\n")
+
+    def test_strand_cap_is_inclusive(self, capsys):
+        doc = run_json(capsys, "braid", "perm", "--n", str(words.MAX_BRAID_STRANDS), "s1")
+        assert doc["permutation"][:3] == [2, 1, 3]
 
     def test_bad_word(self, capsys):
         code, _, err = run(capsys, "braid", "perm", "--n", "3", "q7")
@@ -284,9 +309,34 @@ class TestTree:
         assert time.perf_counter() - start < 1.0
 
     def test_ball_resource_cap(self, capsys):
-        code, _, err = run(capsys, "--max-ball", "50", "tree", "ball",
-                           "--radius", "6", "--cap", "2")
-        assert code == EXIT_RESOURCE
+        # 2 + 2 * (4 + 4^2 + ... + 4^11) = 11,184,810 vertices
+        code, out, err = run(capsys, "tree", "ball", "--radius", "11")
+        assert (code, out) == (EXIT_RESOURCE, "")
+        assert err == ("resource cap exceeded: tree ball of radius 11 exceeds "
+                       f"{words.MAX_BALL_VERTICES} vertices; lower the radius or exponent cap\n")
+
+    @pytest.mark.parametrize("argv, reason", [
+        # factor elements of 10^10 letters for a ball of 400,002 vertices
+        (["tree", "ball", "--radius", "1", "--cap", "100000"],
+         "free factor elements up to exponent cap 100000 exceed 1000000 letters"),
+        # factor elements of 9,003,000 letters, and (2 * 3000)^2 words
+        (["tree", "verify-lemma", "--k", "1", "--radius", "1", "--cap", "3000"],
+         "free factor elements up to exponent cap 3000 exceed 1000000 letters"),
+        # 3^13 - 1 vectors of 13 coordinates for a ball of 3,188,646 vertices
+        (["tree", "ball", "--kind", "free_abelian", "--rank", "13", "--cap", "1", "--radius", "1"],
+         "free_abelian factor elements up to exponent cap 1 exceed 1000000 letters"),
+        # a ball of 439,322 vertices, but 60^2 + 60^4 = 12,963,600 words
+        (["tree", "verify-lemma", "--k", "2", "--radius", "3", "--cap", "30"],
+         "the tree lemma for k 2 and exponent cap 30 checks more than 5000000 words"),
+    ])
+    def test_inputs_sized_before_they_are_built(self, argv, reason):
+        # refused by the size check, not by running out of the data limit
+        start = time.perf_counter()
+        proc = run_limited(40, "--json", *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (proc.returncode, proc.stdout) == (EXIT_RESOURCE, "")
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith(f"resource cap exceeded: {reason}; lower ")
 
     def test_verify_lemma(self, capsys):
         doc = run_json(capsys, "tree", "verify-lemma", "--k", "2",
@@ -657,7 +707,6 @@ class TestUsageErrors:
         # integer flags follow the JSON integer rule of tc-report --case pbn N
         (["braid", "tc-bound", "--n", "1_0"], "argument --n: invalid int value: '1_0'"),
         (["braid", "perm", "--n", "\u0663", "s1"], "argument --n: invalid int value: '\u0663'"),
-        (["--max-ball", " 50", "tree", "ball"], "argument --max-ball: invalid int value: ' 50'"),
     ])
     def test_usage_error_exits_1(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
@@ -666,6 +715,11 @@ class TestUsageErrors:
         assert exc.value.code == EXIT_USAGE
         assert err.startswith("usage: tcbounds")
         assert err.endswith(f"error: {message}\n")
+
+    def test_global_options(self):
+        parser = build_parser()
+        assert [a.option_strings[0] for a in parser._actions if a.option_strings] == \
+            ["-h", "--json", "--max-word"]
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -15,6 +15,8 @@ from oracles import (
     tree_depth,
     tree_distance,
 )
+from tcbounds import freeprod
+from tcbounds.words import MAX_EXPANDED_LENGTH
 from tcbounds.freeprod import (
     A_SIDE,
     B_SIDE,
@@ -56,6 +58,28 @@ class TestFactor:
         f = Factor("free", 2)
         a = ((1, 1), (2, 1))
         assert f.multiply(a, factor_inverse(f, a)) == ()
+
+    @pytest.mark.parametrize("kind, rank, cap", [
+        ("free", 1, 4), ("free", 2, 3), ("free", 3, 2), ("free_abelian", 1, 3),
+        ("free_abelian", 2, 2), ("free_abelian", 3, 1),
+    ])
+    def test_size_counts_the_built_list(self, kind, rank, cap):
+        f = Factor(kind, rank)
+        assert f._size(cap) == sum(len(e) for e in f.elements(cap))
+
+    def test_size_cap_is_exact(self):
+        # cap c in F_1: 2 words of each length 1..c, c(c + 1) letters
+        assert len(Factor("free", 1).elements(999)) == 2 * 999
+        with pytest.raises(ResourceCapError, match="exponent cap 1000 exceed 1000000 letters"):
+            Factor("free", 1).elements(1000)
+
+    @pytest.mark.parametrize("factor, cap", [
+        (Factor("free", 10**9), 1), (Factor("free_abelian", 10**9), 1),
+        (Factor("free_abelian", 1), 10**12), (Factor("free", 1), 10**7),
+    ])
+    def test_oversized_size_counted_cheaply(self, factor, cap):
+        # the count stops once it passes the cap; elements() would not fit in memory
+        assert factor._size(cap) > MAX_EXPANDED_LENGTH
 
     def test_elements_all_distinct(self):
         for f in (Factor("free", 2), Factor("free_abelian", 2)):
@@ -214,15 +238,18 @@ class TestTreeBall:
         with pytest.raises(FreeProductError):
             ball.coset_vertex(zz_word(5), B_SIDE)
 
-    def test_vertex_budget(self):
+    def test_vertex_budget(self, monkeypatch):
+        monkeypatch.setattr(freeprod, "MAX_BALL_VERTICES", 100)
         with pytest.raises(ResourceCapError):
-            build_tree_ball(ZZ, radius=6, cap=3, max_vertices=100)
+            build_tree_ball(ZZ, radius=6, cap=3)
 
-    def test_budget_is_exact(self):
+    def test_budget_is_exact(self, monkeypatch):
         # radius 2, cap 1 in Z * Z: 2 + 2 * (2 + 4) = 14 vertices
-        assert build_tree_ball(ZZ, radius=2, cap=1, max_vertices=14).vertex_count == 14
+        monkeypatch.setattr(freeprod, "MAX_BALL_VERTICES", 14)
+        assert build_tree_ball(ZZ, radius=2, cap=1).vertex_count == 14
+        monkeypatch.setattr(freeprod, "MAX_BALL_VERTICES", 13)
         with pytest.raises(ResourceCapError):
-            build_tree_ball(ZZ, radius=2, cap=1, max_vertices=13)
+            build_tree_ball(ZZ, radius=2, cap=1)
 
     def test_build_allocates_no_per_vertex_storage(self):
         # 2 + 2 * sum of 4^d for d = 1..10 vertices, held as a table of blocks
@@ -309,6 +336,15 @@ class TestLengthOracle:
         if any(abs(e[0]) > 2 for _, e in g.syllables):
             return  # outside this ball's exponent cap
         assert hyperbolic_length_bfs(ball, g) == hyperbolic_length(g)
+
+
+def test_lemma_word_count_cap_is_exact(monkeypatch):
+    # radius 3, cap 2: a ball of 170 vertices and 16 + 256 = 272 words
+    monkeypatch.setattr(freeprod, "MAX_BALL_VERTICES", 272)
+    assert verify_tree_lemma(2, 2, 3) == (272, [])
+    monkeypatch.setattr(freeprod, "MAX_BALL_VERTICES", 271)
+    with pytest.raises(ResourceCapError, match="checks more than 271 words"):
+        verify_tree_lemma(2, 2, 3)
 
 
 def test_lemma_fails_when_the_search_stops_short(monkeypatch):
