@@ -14,6 +14,7 @@ not load them.
 
 from __future__ import annotations
 
+from functools import cache, partial
 from itertools import combinations
 from typing import Sequence
 
@@ -248,13 +249,10 @@ def pure_braid_report(n: int) -> BoundReport:
     from . import braids
     if n < 2:
         raise braids.BraidError("pure braid groups need n >= 2")
-    alphas: dict[int, braids.BraidWord] = {}
-
-    def alpha(j: int) -> braids.BraidWord:
-        if j not in alphas:
-            alphas[j] = braids.alpha_generator(n, j)
-        return alphas[j]
-
+    if n > words.MAX_BRAID_STRANDS:
+        raise words.ResourceCapError(
+            f"braid on {n} strands exceeds the cap of {words.MAX_BRAID_STRANDS} strands")
+    alpha = cache(partial(braids.alpha_generator, n))
     for i, j in combinations(range(1, n), 2):
         a, b = alpha(i), alpha(j)
         if not braids.braid_equal(a * b, b * a):

@@ -163,8 +163,6 @@ def linking_matrix(b: BraidWord) -> LinkingMatrix:
     Entries are indexed by each strand's starting position; see
     LinkingMatrix for how conjugation by a non-pure braid permutes them.
     """
-    if not is_pure(b):
-        raise BraidError("linking numbers of the closure need a pure braid")
     pos = list(range(1, b.n + 1))  # pos[p-1] = strand currently at position p
     counts: dict[tuple[int, int], int] = {}
     for i, s in b.letters:
@@ -172,6 +170,8 @@ def linking_matrix(b: BraidWord) -> LinkingMatrix:
         pair = (min(a, c), max(a, c))
         counts[pair] = counts.get(pair, 0) + s
         pos[i - 1], pos[i] = pos[i], pos[i - 1]
+    if pos != list(range(1, b.n + 1)):
+        raise BraidError("linking numbers of the closure need a pure braid")
     entries = [[0] * b.n for _ in range(b.n)]
     for (a, c), total in counts.items():
         if total % 2:

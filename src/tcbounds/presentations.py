@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .words import InputError, Word, exponent_sum, identity, parse_word
+from .words import (MAX_EXPANDED_LENGTH, InputError, ResourceCapError, Word, exponent_sum, identity,
+                    parse_word)
 
 
 class PresentationError(InputError):
@@ -122,8 +123,6 @@ def _snf_with_left_transform(matrix: Sequence[Sequence[int]]) -> tuple[list[int]
 
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Invariant factors d_1 | d_2 | ... (with d_i >= 0) of an integer matrix."""
-    if not matrix or not matrix[0]:
-        return ()
     diag, _ = _snf_with_left_transform(matrix)
     return tuple(diag)
 
@@ -161,15 +160,15 @@ class AbelianInvariants:
 
 
 def abelianization(p: Presentation) -> AbelianInvariants:
-    """Abelianize via Smith normal form of the exponent matrix."""
-    g = p.rank
-    if g == 0:
-        return AbelianInvariants(0, (), ())
+    """Abelianize via Smith normal form of the exponent matrix.  Its g x g
+    transform and the g images of up to g coordinates are counted against
+    MAX_EXPANDED_LENGTH entries before any is built."""
+    g, r = p.rank, len(p.relators)
+    if g * max(g, r) > MAX_EXPANDED_LENGTH:
+        raise ResourceCapError(f"abelianization of {g} generators and {r} relators needs {g * max(g, r)} "
+                               f"matrix entries, more than the cap of {MAX_EXPANDED_LENGTH}")
     # columns of `cols` are the relator vectors: Z^r -> Z^g, coker = H_1
     rows = p.exponent_matrix()
-    if not rows:
-        images = tuple(tuple(int(i == j) for j in range(g)) for i in range(g))
-        return AbelianInvariants(g, (), images)
     cols = [[rows[i][j] for i in range(len(rows))] for j in range(g)]
     diag, u = _snf_with_left_transform(cols)
     d = list(diag) + [0] * (g - len(diag))

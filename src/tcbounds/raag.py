@@ -94,9 +94,7 @@ class SimpleGraph:
         return tuple(maximal_cliques(self))
 
     def clique_number(self) -> int:
-        if self.n == 0:
-            return 0
-        return max(len(c) for c in self.cliques)
+        return max((len(c) for c in self.cliques), default=0)
 
 
 @dataclass(frozen=True)
@@ -112,10 +110,7 @@ def maximal_cliques(graph: SimpleGraph) -> list[tuple[int, ...]]:
     """All inclusion-maximal cliques, each sorted, via Bron-Kerbosch with pivot."""
     if graph.n > VERTEX_LIMIT:
         raise GraphError(f"graph has {graph.n} vertices, limit is {VERTEX_LIMIT}")
-    adj = graph.adjacency_masks()
-    nbr = [0] * graph.n
-    for v in range(1, graph.n + 1):
-        nbr[v - 1] = adj[v]
+    nbr = graph.adjacency_masks()[1:]  # nbr[i]: neighbours of vertex i + 1
     out: list[tuple[int, ...]] = []
 
     def bits(mask: int):

@@ -235,13 +235,13 @@ class TestPureBraidReport:
 
     def test_alphas_are_built_when_the_check_reaches_them(self, monkeypatch):
         # alpha_1 alpha_2 already meets the image cap, so no other alpha of
-        # the 4,999 is built
+        # the 999 is built
         built = []
         alpha_generator = braids.alpha_generator
         monkeypatch.setattr(braids, "alpha_generator",
                             lambda n, j: built.append(j) or alpha_generator(n, j))
         with pytest.raises(ResourceCapError, match="image length 65 exceeds cap 64"):
-            pure_braid_report(5000)
+            pure_braid_report(1000)
         assert built == [1, 2]
 
 

@@ -158,8 +158,9 @@ class TestAlphaGenerators:
 
 class TestLinking:
     def test_needs_pure_braid(self):
-        with pytest.raises(BraidError):
-            linking_matrix(braid("s1"))
+        for word in ("s1", "s1 s2 s1^-1", "s2^2 s1"):
+            with pytest.raises(BraidError, match="linking numbers of the closure need a pure braid"):
+                linking_matrix(braid(word))
 
     def test_sigma1_squared(self):
         lk = linking_matrix(braid("s1^2"))

@@ -157,7 +157,7 @@ class TestBraid:
 
     def test_tc_bound_meets_the_image_cap_in_little_memory(self):
         # the commuting check builds only alpha_1 and alpha_2 before the cap
-        proc = run_limited(40, "--json", "braid", "tc-bound", "--n", "2000")
+        proc = run_limited(40, "--json", "braid", "tc-bound", "--n", str(words.MAX_BRAID_STRANDS))
         assert proc.returncode == EXIT_RESOURCE
         assert proc.stdout == ""
         assert proc.stderr == ("resource cap exceeded: free-group image length 65 "
@@ -167,6 +167,10 @@ class TestBraid:
         ["braid", "lk", "--n", "4000", ""],
         ["braid", "perm", "--n", "2000000", ""],
         ["braid", "equal", "--n", "1001", "s1", "s1"],
+        ["braid", "tc-bound", "--n", "1001"],
+        ["braid", "tc-bound", "--n", "5000000"],
+        ["tc-report", "--case", "pbn", "1001"],
+        ["tc-report", "--case", "pbn", "5000000"],
     ])
     def test_strand_cap_refused_at_once(self, argv):
         start = time.perf_counter()
@@ -195,6 +199,19 @@ class TestPres:
         doc = run_json(capsys, "pres", "abel", str(f))
         assert doc["free_rank"] == 1
         assert doc["generator_images"]["y"] == [0]
+
+    @pytest.mark.parametrize("g", [2000, 20_000])
+    def test_abel_entry_cap_refused_at_once(self, tmp_path, g):
+        f = tmp_path / "wide.json"
+        f.write_text(json.dumps({"generators": [f"g{i}" for i in range(1, g + 1)],
+                                 "relators": ["g1 g2"]}))
+        start = time.perf_counter()
+        proc = run_limited(40, "--json", "pres", "abel", str(f))
+        assert time.perf_counter() - start < 1.0
+        assert (proc.returncode, proc.stdout) == (EXIT_RESOURCE, "")
+        assert proc.stderr == (f"resource cap exceeded: abelianization of {g} generators and 1 "
+                               f"relators needs {g * g} matrix entries, more than the cap of "
+                               f"{MAX_EXPANDED_LENGTH}\n")
 
     def test_relator_not_a_string(self, capsys, tmp_path):
         err = run_bad_file(capsys, tmp_path, {"generators": ["x"], "relators": [5]},

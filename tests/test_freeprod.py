@@ -205,8 +205,22 @@ class TestTreeBall:
         assert ball.edge_count == 5
 
     def test_ball_is_a_tree(self):
-        ball = build_tree_ball(ZZ, radius=3, cap=2)
-        assert ball.edge_count == ball.vertex_count - 1
+        # |E| = |V| - 1 and every vertex is reached from v: connected, so a tree
+        for factors, radius, cap in [(ZZ, 3, 2), (F2A, 2, 1)]:
+            ball = build_tree_ball(factors, radius=radius, cap=cap)
+            edges = list(ball.edges())
+            assert len(edges) == ball.vertex_count - 1 == ball.edge_count
+            adj = {vid: [] for vid in range(ball.vertex_count)}
+            for a, b in edges:
+                adj[a].append(b)
+                adj[b].append(a)
+            seen, stack = {ball.v}, [ball.v]
+            while stack:
+                for nxt in adj[stack.pop()]:
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        stack.append(nxt)
+            assert len(seen) == ball.vertex_count
 
     def test_mixed_factors(self):
         ball = build_tree_ball(F2A, radius=2, cap=1)

@@ -19,6 +19,7 @@ from tcbounds.groupexpr import (
     chd,
     evaluate,
     expr_from_json,
+    leaves,
 )
 from tcbounds.raag import SimpleGraph
 
@@ -245,6 +246,16 @@ class TestAgainstOracle:
     def test_shared_subtree(self, a, b):
         x = Product(a, b)
         self.assert_matches(Product(x, x))
+
+    @given(trees(6))
+    @settings(max_examples=100, deadline=None)
+    def test_leaves_left_to_right(self, e):
+        def oracle(node):
+            if isinstance(node, (Product, FreeProduct)):
+                return oracle(node.left) + oracle(node.right)
+            return [node]
+
+        assert [id(leaf) for leaf in leaves(e)] == [id(leaf) for leaf in oracle(e)]
 
 
 def test_deep_chain_trace_is_linear():

@@ -21,7 +21,7 @@ from tcbounds.presentations import (
     check_hom,
     smith_normal_form,
 )
-from tcbounds.words import generator, identity, parse_word
+from tcbounds.words import ResourceCapError, generator, identity, parse_word
 
 from oracles import abelian_images_error, bareiss_det, determinantal_divisors, naive_smith
 
@@ -35,6 +35,10 @@ BLOWUP_CASE = ("import random; from tcbounds.presentations import smith_normal_f
 class TestSmithNormalForm:
     def test_identity(self):
         assert smith_normal_form([[1, 0], [0, 1]]) == (1, 1)
+
+    def test_empty_shapes(self):
+        for matrix in ([], [[]], [[], []]):
+            assert smith_normal_form(matrix) == ()
 
     def test_already_diagonal(self):
         assert smith_normal_form([[2, 0], [0, 4]]) == (2, 4)
@@ -163,7 +167,41 @@ class TestAbelianization:
         p = Presentation(("x", "y"), ())
         inv = abelianization(p)
         assert inv.free_rank == 2
-        assert inv.survives(1) and inv.survives(2)
+        assert inv.generator_images == ((1, 0), (0, 1))
+
+    def test_no_generators(self):
+        assert abelianization(Presentation((), ())) == AbelianInvariants(0, (), ())
+
+
+class TestAbelianizationCap:
+    """g * max(g, relators) entries are counted before exponent_matrix, which
+    is stubbed out here so that a broken count cannot build the matrices."""
+
+    class Reached(Exception):
+        pass
+
+    @pytest.fixture(autouse=True)
+    def stub_matrix(self, monkeypatch):
+        def exponent_matrix(p):
+            raise self.Reached
+
+        monkeypatch.setattr(Presentation, "exponent_matrix", exponent_matrix)
+
+    @staticmethod
+    def presentation(g, r):
+        return Presentation(tuple(f"x{i}" for i in range(1, g + 1)),
+                            (generator(1, g) * generator(2, g),) * r)
+
+    @pytest.mark.parametrize("g, r", [(1000, 1), (1000, 1000), (10, 100_000)])
+    def test_at_the_cap_passes(self, g, r):
+        with pytest.raises(self.Reached):
+            abelianization(self.presentation(g, r))
+
+    @pytest.mark.parametrize("g, r, entries", [(1001, 1, 1_002_001), (10, 100_001, 1_000_010)])
+    def test_past_the_cap_refused(self, g, r, entries):
+        with pytest.raises(ResourceCapError, match=f"abelianization of {g} generators and {r} "
+                                                   f"relators needs {entries} matrix entries"):
+            abelianization(self.presentation(g, r))
 
 
 @st.composite

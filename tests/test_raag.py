@@ -63,6 +63,7 @@ class TestSimpleGraph:
         assert complete(5).clique_number() == 5
         assert cycle(5).clique_number() == 2
         assert empty(4).clique_number() == 1
+        assert empty(0).clique_number() == 0
 
 
 class TestMaximalCliques:
