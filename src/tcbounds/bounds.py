@@ -7,18 +7,18 @@ Oprea).  Upper bounds come from TC <= 2 * (geometric dimension), and
 cat(G) = chd(G) (Eilenberg-Ganea / Stallings / Swan) supplies the
 baseline lower bound cat <= TC.
 
-braids and freeprod are imported inside the one report that uses each
-(``pure_braid_report``, ``higman_case_study``), so the other reports do
-not load them.
+braids, freeprod, presentations and raag are imported inside the
+functions that call them, so no report loads a module it does not run:
+``braid tc-bound`` loads neither presentations nor raag.
 """
 
 from __future__ import annotations
 
 from functools import cache, partial
 from itertools import combinations
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from . import groupexpr, raag, words
+from . import groupexpr, words
 from .certificates import (
     BoundReport,
     CertStep,
@@ -27,9 +27,10 @@ from .certificates import (
     Provenance,
 )
 from .groupexpr import GroupExpr
-from .presentations import FreeHom, Presentation, abelianization
-from .raag import CliquePair, SimpleGraph
 from .words import Word, conjugate_in_free, primitive_root
+
+if TYPE_CHECKING:
+    from . import presentations, raag
 
 THEOREM_CITE = "conjugate-disjointness criterion (Grant-Lupton-Oprea)"
 CAT_CITE = "cat(G) = chd(G) (Eilenberg-Ganea, Stallings, Swan)"
@@ -40,7 +41,7 @@ DIM_CITE = "TC <= 2 * dim of an aspherical complex"
 # Certificate verifiers
 
 def verify_retraction_certificate(
-    source: Presentation,
+    source: presentations.Presentation,
     a_gens: Sequence[str],
     b_gens: Sequence[str],
     images: dict[str, tuple[int, ...]],
@@ -86,13 +87,14 @@ def verify_retraction_certificate(
     )
 
 
-def clique_pair_bound(graph: SimpleGraph, k1: Sequence[int], k2: Sequence[int]
+def clique_pair_bound(graph: raag.SimpleGraph, k1: Sequence[int], k2: Sequence[int]
                       ) -> tuple[int, DisjointnessCertificate]:
     """(|K1| + |K2| = chd(Z^m x Z^n), certificate) for disjoint cliques.
 
     The certificate machine-checks the coordinate retraction onto the
     free abelian subgroup spanned by K2, which kills every other generator.
     """
+    from . import raag
     s1, s2 = sorted(set(k1)), sorted(set(k2))
     if set(s1) & set(s2):
         raise raag.GraphError("cliques must be disjoint")
@@ -107,8 +109,8 @@ def clique_pair_bound(graph: SimpleGraph, k1: Sequence[int], k2: Sequence[int]
 
 
 def verify_split_extension_certificate(
-    source: Presentation,
-    p: FreeHom,
+    source: presentations.Presentation,
+    p: presentations.FreeHom,
     a_gen: str,
     beta: Word,
 ) -> DisjointnessCertificate:
@@ -200,13 +202,14 @@ def tc_report(
     )
 
 
-def raag_report(graph: SimpleGraph) -> tuple[CliquePair, BoundReport]:
+def raag_report(graph: raag.SimpleGraph) -> tuple[raag.CliquePair, BoundReport]:
     """(maximizing clique pair, report) for a graph group; z is the pair's
     union_size, and the certified bound report.lower equals it.
 
     The certificate uses the coordinate retraction for a disjoint clique
     pair with the same union as the maximizing pair.
     """
+    from . import raag
     z, witness = raag.z_number(graph)
     k1, k2 = _disjoint_cliques(witness)
     _, cert = clique_pair_bound(graph, k1, k2)
@@ -219,7 +222,7 @@ def raag_report(graph: SimpleGraph) -> tuple[CliquePair, BoundReport]:
     return witness, report
 
 
-def _disjoint_cliques(witness: CliquePair) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _disjoint_cliques(witness: raag.CliquePair) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Shrink a clique pair to disjoint cliques with the same union."""
     k2 = tuple(witness.k2)
     k1 = tuple(v for v in witness.k1 if v not in set(k2))
@@ -290,8 +293,9 @@ def pure_braid_report(n: int) -> BoundReport:
 # ---------------------------------------------------------------------------
 # Case studies
 
-def borromean_presentation() -> Presentation:
-    return Presentation.from_strings(["a", "b", "c"], ["[a,[b^-1,c]]", "[b,[c^-1,a]]"])
+def borromean_presentation() -> presentations.Presentation:
+    from . import presentations
+    return presentations.Presentation.from_strings(["a", "b", "c"], ["[a,[b^-1,c]]", "[b,[c^-1,a]]"])
 
 
 def borromean_case_study() -> BoundReport:
@@ -301,10 +305,11 @@ def borromean_case_study() -> BoundReport:
     with A = <a> and B = p^-1<beta> the split-extension certificate
     applies, and chd(A x B) = 1 + chd(B) = 3 since B is not free.
     """
+    from . import presentations
     pres = borromean_presentation()
     alpha = words.generator(1, 2)
     beta = words.generator(2, 2)
-    p = FreeHom(pres, 2, (alpha, beta, words.identity(2)))
+    p = presentations.FreeHom(pres, 2, (alpha, beta, words.identity(2)))
     cert = verify_split_extension_certificate(pres, p, "a", beta)
 
     # chd(B) = 2: b and [c^-1, a] lie in B and commute (second relator),
@@ -340,8 +345,9 @@ HIGMAN_GENERATORS = ("x", "y", "z", "w")
 HIGMAN_RELATORS = ("x y x^-1 y^-2", "y z y^-1 z^-2", "z w z^-1 w^-2", "w x w^-1 x^-2")
 
 
-def higman_presentation() -> Presentation:
-    return Presentation.from_strings(HIGMAN_GENERATORS, HIGMAN_RELATORS)
+def higman_presentation() -> presentations.Presentation:
+    from . import presentations
+    return presentations.Presentation.from_strings(HIGMAN_GENERATORS, HIGMAN_RELATORS)
 
 
 # Step (2) of the Higman pipeline: alternating words of at most this many
@@ -365,16 +371,16 @@ def higman_case_study() -> BoundReport:
     dimension 2, so chd(H_xy x H_zw) = 4.  The upper bound 4 comes from
     the aspherical presentation 2-complex.
     """
-    from . import freeprod
+    from . import freeprod, presentations
     steps: list[CertStep] = []
 
     # (1) abelianization facts
-    full = abelianization(higman_presentation())
+    full = presentations.abelianization(higman_presentation())
     if not full.is_trivial:
         raise CertificateError(f"full presentation abelianization is not trivial: {full}")
     for i in range(4):
         gens = [HIGMAN_GENERATORS[(i + j) % 4] for j in range(3)]
-        inv = abelianization(Presentation.from_strings(
+        inv = presentations.abelianization(presentations.Presentation.from_strings(
             gens, (HIGMAN_RELATORS[i], HIGMAN_RELATORS[(i + 1) % 4])))
         label = "H_" + "".join(gens)
         for j, name in enumerate(gens, start=1):

@@ -10,12 +10,12 @@ with running position tracking.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .words import (
     DEFAULT_WORD_CAP,
     MAX_BRAID_STRANDS,
     InputError,
+    Record,
     ResourceCapError,
     Word,
     _free_reduce,
@@ -27,8 +27,7 @@ class BraidError(InputError):
     """Invalid braid data."""
 
 
-@dataclass(frozen=True)
-class BraidWord:
+class BraidWord(Record):
     """A word in the Artin generators sigma_i^{+-1} of B_n; the constructor
     does not check (``parse_braid`` checks outside input)."""
 
@@ -135,8 +134,7 @@ def braid_equal(u: BraidWord, v: BraidWord, word_cap: int = DEFAULT_WORD_CAP) ->
 # ---------------------------------------------------------------------------
 # Linking numbers of the closure
 
-@dataclass(frozen=True)
-class LinkingMatrix:
+class LinkingMatrix(Record):
     """Pairwise linking numbers of the closure's ordered components.
 
     Component i is the closure of the strand that starts at position i, so

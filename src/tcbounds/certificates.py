@@ -10,13 +10,10 @@ verification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .words import SCHEMA, CertificateError
+from .words import SCHEMA, CertificateError, Record
 
 
-@dataclass(frozen=True)
-class CertStep:
+class CertStep(Record):
     description: str
     status: str  # "machine-verified" | "cited"
     citation: str = ""  # required when cited
@@ -28,8 +25,7 @@ class CertStep:
         return d
 
 
-@dataclass(frozen=True)
-class DisjointnessCertificate:
+class DisjointnessCertificate(Record):
     """Witness that conjugates of A intersect B trivially inside G."""
 
     variant: str  # "retraction" | "split-extension" | "linking" | "trusted-chain"
@@ -50,8 +46,7 @@ class DisjointnessCertificate:
         }
 
 
-@dataclass(frozen=True)
-class Provenance:
+class Provenance(Record):
     rule: str
     value: int
 
@@ -59,8 +54,7 @@ class Provenance:
         return {"rule": self.rule, "value": self.value}
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Record):
     """An interval for TC with per-bound provenance and certificates."""
 
     group: str
@@ -68,8 +62,8 @@ class BoundReport:
     upper: int
     lower_provenance: tuple[Provenance, ...]
     upper_provenance: tuple[Provenance, ...]
-    certificates: tuple[DisjointnessCertificate, ...] = field(default=())
-    notes: tuple[str, ...] = field(default=())
+    certificates: tuple[DisjointnessCertificate, ...] = ()
+    notes: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if self.lower > self.upper:

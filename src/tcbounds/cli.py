@@ -13,7 +13,8 @@ the function, so a request compiles and imports only what its
 subcommand runs: each request is a fresh process, and for a short one
 start-up is most of its wall time.  They use ``from . import module``
 and attribute access, so a wrapper installed on a module attribute (as
-the benchmark's traced runner does) sees every call.
+the benchmark's traced runner does) sees every call.  ``bounds`` and
+``groupexpr`` import the algebra modules below them the same way.
 
 Exit codes: 0 success; 1 malformed input (any ``words.InputError``),
 a command-line usage error, or stdout closed before the report was
@@ -391,12 +392,16 @@ def cmd_tc_report(args) -> dict:
 # ---------------------------------------------------------------------------
 # Argument parsing
 
-def _int_arg(text: str) -> int:
-    """An integer flag, read by the JSON integer rule of words.json_int."""
+def _int_arg(text: str, low: int | None = None) -> int:
+    """An integer flag, read by the JSON integer rule of words.json_int, and
+    at least low if low is given."""
     try:
-        return json_int(text)
+        value = json_int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if low is not None and value < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+    return value
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -413,7 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Certified topological-complexity bounds for aspherical groups",
     )
     parser.add_argument("--json", action="store_true", help="emit the JSON report")
-    parser.add_argument("--max-word", type=_int_arg, default=DEFAULT_WORD_CAP,
+    # every free-group image starts as one letter
+    parser.add_argument("--max-word", type=lambda text: _int_arg(text, 1), default=DEFAULT_WORD_CAP,
                         help="braid free-group image length cap")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -19,11 +19,10 @@ Distances inside the ball are edge counts of the tree (a BFS in
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Sequence
 
-from .words import (MAX_BALL_VERTICES, MAX_DOT_VERTICES, MAX_EXPANDED_LENGTH, InputError,
+from .words import (MAX_BALL_VERTICES, MAX_DOT_VERTICES, MAX_EXPANDED_LENGTH, InputError, Record,
                     ResourceCapError, _free_reduce)
 
 
@@ -31,8 +30,7 @@ class FreeProductError(InputError):
     """Invalid syllable data."""
 
 
-@dataclass(frozen=True)
-class Factor:
+class Factor(Record):
     """A free or free-abelian factor of finite rank."""
 
     kind: str  # "free" | "free_abelian"
@@ -110,12 +108,16 @@ class Factor:
 Syllable = tuple[int, object]  # (factor tag 0 or 1, canonical factor element)
 
 
-@dataclass(frozen=True)
-class FPWord:
-    """An element of factors[0] * factors[1] in syllable normal form, unchecked."""
+class FPWord(Record):
+    """An element of factors[0] * factors[1] in syllable normal form, unchecked;
+    a tree lemma builds one per word it checks, so ``__init__`` is written out."""
 
     factors: tuple[Factor, Factor]
     syllables: tuple[Syllable, ...]
+
+    def __init__(self, factors: tuple[Factor, Factor], syllables: tuple[Syllable, ...]) -> None:
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "syllables", syllables)
 
     @property
     def syllable_length(self) -> int:

@@ -8,35 +8,35 @@ forces it (one factor orientable PD, or both factors duality groups),
 since subadditivity chd(AxB) <= chd(A) + chd(B) can be strict in
 general.  Expression nodes only store their fields; expr_from_json
 checks the ones it reads (ranks, strand counts, genera, opaque data).
+raag is imported only where expr_from_json reads a raag node.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
-from .raag import GraphError, SimpleGraph
-from .words import InputError, json_int
+from .words import InputError, Record, json_int
+
+if TYPE_CHECKING:
+    from .raag import SimpleGraph
 
 
 class ExprError(InputError):
     """Invalid expression or missing dimension data."""
 
 
-class GroupExpr:
+class GroupExpr(Record):
     """Base class for group expressions."""
 
     def label(self) -> str:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class Trivial(GroupExpr):
     def label(self) -> str:
         return "1"
 
 
-@dataclass(frozen=True)
 class Free(GroupExpr):
     rank: int
 
@@ -44,7 +44,6 @@ class Free(GroupExpr):
         return f"F{self.rank}"
 
 
-@dataclass(frozen=True)
 class FreeAbelian(GroupExpr):
     rank: int
 
@@ -52,7 +51,6 @@ class FreeAbelian(GroupExpr):
         return f"Z^{self.rank}"
 
 
-@dataclass(frozen=True)
 class PureBraid(GroupExpr):
     n: int
 
@@ -60,7 +58,6 @@ class PureBraid(GroupExpr):
         return f"PB_{self.n}"
 
 
-@dataclass(frozen=True)
 class BaumslagSolitar12(GroupExpr):
     """B(1,2) = <x, y | x y x^-1 = y^2>, a duality group of dimension 2."""
 
@@ -68,7 +65,6 @@ class BaumslagSolitar12(GroupExpr):
         return "B(1,2)"
 
 
-@dataclass(frozen=True)
 class SurfaceGroup(GroupExpr):
     genus: int
 
@@ -76,7 +72,6 @@ class SurfaceGroup(GroupExpr):
         return f"Surface_{self.genus}"
 
 
-@dataclass(frozen=True)
 class Raag(GroupExpr):
     graph: SimpleGraph
 
@@ -84,7 +79,6 @@ class Raag(GroupExpr):
         return f"RAAG(n={self.graph.n})"
 
 
-@dataclass(frozen=True)
 class Opaque(GroupExpr):
     """A group known only through externally supplied dimension data.
 
@@ -105,7 +99,6 @@ class Opaque(GroupExpr):
         return self.name
 
 
-@dataclass(frozen=True)
 class Product(GroupExpr):
     left: GroupExpr
     right: GroupExpr
@@ -114,7 +107,6 @@ class Product(GroupExpr):
         return f"({self.left.label()} x {self.right.label()})"
 
 
-@dataclass(frozen=True)
 class FreeProduct(GroupExpr):
     left: GroupExpr
     right: GroupExpr
@@ -123,13 +115,12 @@ class FreeProduct(GroupExpr):
         return f"({self.left.label()} * {self.right.label()})"
 
 
-@dataclass(frozen=True)
-class ChdResult:
+class ChdResult(Record):
     """An exact value or interval for chd, with the applied rule trace."""
 
     lower: int
     upper: int
-    trace: tuple[str, ...] = field(default=())
+    trace: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if self.lower > self.upper:
@@ -146,8 +137,7 @@ class ChdResult:
         return self.lower
 
 
-@dataclass(frozen=True)
-class Evaluation:
+class Evaluation(Record):
     """What the rules derive about one expression.  pd_dim / duality_dim:
     the dimension if derivably an orientable PD / duality group, else None
     (never a false positive).  caveat: geom_dim, an upper bound for the
@@ -185,7 +175,8 @@ def evaluate(e: GroupExpr) -> Evaluation:
             stack.append(_base(node))
         lines += stack[-1].chd.trace
     root = stack.pop()
-    return replace(root, chd=replace(root.chd, trace=tuple(lines)))
+    return Evaluation(ChdResult(root.chd.lower, root.chd.upper, tuple(lines)), root.pd_dim,
+                      root.duality_dim, root.geom_dim, root.caveat)
 
 
 def chd(e: GroupExpr) -> ChdResult:
@@ -313,7 +304,11 @@ def expr_from_json(data) -> GroupExpr:
             case "surface":
                 return SurfaceGroup(at_least("genus", 1, "surface genus must be >= 1"))
             case "raag":
-                return Raag(SimpleGraph.from_json(data))
+                from . import raag
+                try:
+                    return Raag(raag.SimpleGraph.from_json(data))
+                except raag.GraphError as exc:
+                    raise ExprError(f"raag: {exc}") from None
             case "opaque":
                 lo = num("chd_lower", num("chd", 0))
                 return _check_opaque(Opaque(
@@ -331,8 +326,6 @@ def expr_from_json(data) -> GroupExpr:
                 return FreeProduct(expr_from_json(data["left"]), expr_from_json(data["right"]))
     except KeyError as exc:
         raise ExprError(f"expression node {kind!r} missing field {exc}") from None
-    except GraphError as exc:
-        raise ExprError(f"raag: {exc}") from None
     raise ExprError(f"unknown expression kind {kind!r}")
 
 

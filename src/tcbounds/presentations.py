@@ -10,19 +10,17 @@ y are trivial" are directly checkable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
-from .words import (MAX_EXPANDED_LENGTH, InputError, ResourceCapError, Word, exponent_sum, identity,
-                    parse_word)
+from .words import (MAX_EXPANDED_LENGTH, InputError, Record, ResourceCapError, Word, exponent_sum,
+                    identity, parse_word)
 
 
 class PresentationError(InputError):
     """Invalid presentation or homomorphism data."""
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Record):
     """A finite presentation: distinct named generators plus nonempty relator
     words of their rank; the constructor does not check (``from_strings``
     checks outside input)."""
@@ -130,8 +128,7 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # Abelianization
 
-@dataclass(frozen=True)
-class AbelianInvariants:
+class AbelianInvariants(Record):
     """H_1 of a presented group: free rank, torsion chain, generator images.
 
     generator_images[i] gives the image of generator i in the canonical
@@ -189,8 +186,7 @@ def abelianization(p: Presentation) -> AbelianInvariants:
 # ---------------------------------------------------------------------------
 # Homomorphisms into free groups
 
-@dataclass(frozen=True)
-class FreeHom:
+class FreeHom(Record):
     """A homomorphism from a presented group into a free group: one image of
     rank target_rank per source generator.
 

@@ -11,12 +11,11 @@ combinatorics; the clique-pair certificate is built in tcbounds.bounds.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .words import InputError, Word, json_int
+from .words import InputError, Record, Word, json_int
 
 if TYPE_CHECKING:
     from . import presentations
@@ -29,8 +28,7 @@ class GraphError(InputError):
 VERTEX_LIMIT = 64
 
 
-@dataclass(frozen=True)
-class SimpleGraph:
+class SimpleGraph(Record):
     """A finite simple graph on vertices 1..n, edges (u, v) with u < v; the
     constructor does not check (``from_edges`` checks outside input)."""
 
@@ -97,8 +95,7 @@ class SimpleGraph:
         return max((len(c) for c in self.cliques), default=0)
 
 
-@dataclass(frozen=True)
-class CliquePair:
+class CliquePair(Record):
     """Two cliques and the size of their vertex union."""
 
     k1: tuple[int, ...]

@@ -12,10 +12,54 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 Letter = tuple[int, int]  # (generator index >= 1, sign in {+1, -1})
+
+
+class Record:
+    """A frozen record as ``@dataclass(frozen=True)`` made one, set up once per
+    class without generating code, since start-up is most of a request.  The
+    fields are the class's own annotations in order, a class attribute is a
+    default, and ``__post_init__`` runs if the class has one.  Equality needs
+    the same class and compares the field tuples; the hash is the tuple's."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls.__match_args__ = tuple(cls.__annotations__)  # the class's own, from Python 3.10 on
+        cls._check = hasattr(cls, "__post_init__")
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields, own = self.__match_args__, vars(type(self))
+        if len(args) < len(fields):  # Record stands for a field with no value
+            args += tuple(kwargs.pop(field, own.get(field, Record)) for field in fields[len(args):])
+        if kwargs or len(args) != len(fields) or Record in args:
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(fields)}")
+        for field, value in zip(fields, args):
+            object.__setattr__(self, field, value)
+        if self._check:
+            self.__post_init__()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, field) for field in self.__match_args__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{field}={getattr(self, field)!r}" for field in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"a {type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
 
 class InputError(ValueError):
@@ -83,12 +127,25 @@ def _free_reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
     return tuple(stack)
 
 
-@dataclass(frozen=True, slots=True)
-class Word:
-    """A freely reduced word of the given rank; the constructor does not check."""
+class Word(Record):
+    """A freely reduced word of the given rank; the constructor does not check.
+    Words are built and compared in bulk, so their record methods are written out."""
 
+    __slots__ = ("letters", "rank")
     letters: tuple[Letter, ...]
     rank: int
+
+    def __init__(self, letters: tuple[Letter, ...], rank: int) -> None:
+        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "rank", rank)
+
+    def __eq__(self, other):
+        if other.__class__ is not Word:
+            return NotImplemented
+        return self.letters == other.letters and self.rank == other.rank
+
+    def __hash__(self) -> int:
+        return hash((self.letters, self.rank))
 
     def __len__(self) -> int:
         return len(self.letters)

@@ -724,6 +724,11 @@ class TestUsageErrors:
         # integer flags follow the JSON integer rule of tc-report --case pbn N
         (["braid", "tc-bound", "--n", "1_0"], "argument --n: invalid int value: '1_0'"),
         (["braid", "perm", "--n", "\u0663", "s1"], "argument --n: invalid int value: '\u0663'"),
+        # every free-group image starts as one letter, so a cap below 1 is no cap
+        (["--max-word", "0", "braid", "equal", "--n", "3", "s1", "s1"],
+         "argument --max-word: must be at least 1, got 0"),
+        (["--max-word", "-5", "braid", "equal", "--n", "3", "s1", "s1"],
+         "argument --max-word: must be at least 1, got -5"),
     ])
     def test_usage_error_exits_1(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:

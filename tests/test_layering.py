@@ -11,7 +11,8 @@ fields, except the few that check what the engine computed.
 
 The CLI imports a subcommand's modules only when it dispatches to it, so
 a request loads only what it runs; the subprocess tests below pin the
-module set of each subcommand.
+module set of each subcommand.  Records derive from words.Record, so no
+command line loads dataclasses, or the inspect module it imports.
 """
 
 import ast
@@ -117,37 +118,55 @@ MODULE_SETS = [
     # only Higman's report reaches freeprod through bounds
     (["raag", "z", "@graph"], ("braids", "freeprod"), ("bounds",)),
     (["raag", "bound", "@graph", "--k1", "1", "--k2", "2,3"], ("braids", "freeprod"), ("bounds",)),
-    (["braid", "tc-bound", "--n", "4"], ("freeprod",), ("bounds", "braids")),
-    (["tc-report", "--case", "pbn", "4"], ("freeprod",), ("bounds", "braids")),
-    (["tc-report", "--case", "borromean"], ("braids", "freeprod"), ("bounds",)),
+    (["braid", "tc-bound", "--n", "4"], ("freeprod", "presentations", "raag"), ("bounds", "braids")),
+    (["tc-report", "--case", "pbn", "4"], ("freeprod", "presentations", "raag"), ("bounds", "braids")),
+    (["tc-report", "--case", "borromean"], ("braids", "freeprod", "raag"), ("bounds",)),
     (["tc-report", "--case", "raag", "@graph"], ("braids", "freeprod"), ("bounds",)),
     (["tc-report", "@scenario"], ("braids", "freeprod"), ("bounds",)),
     (["tc-report", "--case", "higman"], ("braids",), ("bounds", "freeprod")),
 ]
+# standard-library modules no command line loads, unless the interpreter
+# alone (importing json and sys, as the probe does) already has
+STDLIB_ABSENT = ("dataclasses", "inspect")
 # runs cli.main on its arguments, then prints the loaded tcbounds modules
-# as the last line of stdout and exits with main's code
-PROBE = """\
+# and the loaded modules of STDLIB_ABSENT as the last line of stdout and
+# exits with main's code
+PROBE = f"""\
 import json, sys
 from tcbounds import cli
 code = cli.main(sys.argv[1:])
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("tcbounds."))))
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("tcbounds.") or m in {STDLIB_ABSENT})))
 sys.exit(code)
 """
+BARE = f"import json, sys; print(json.dumps([m for m in {STDLIB_ABSENT} if m in sys.modules]))"
+
+
+@pytest.fixture(scope="module")
+def env():
+    return dict(os.environ, PYTHONPATH=str(SRC.parent))
+
+
+@pytest.fixture(scope="module")
+def bare_stdlib(env):
+    """The modules of STDLIB_ABSENT that a bare interpreter loads by itself."""
+    proc = subprocess.run([sys.executable, "-c", BARE], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    return set(json.loads(proc.stdout))
 
 
 @pytest.mark.parametrize("argv, absent, present", MODULE_SETS,
                          ids=[" ".join(argv) for argv, _, _ in MODULE_SETS])
-def test_subcommand_loads_only_its_modules(tmp_path, argv, absent, present):
+def test_subcommand_loads_only_its_modules(tmp_path, env, bare_stdlib, argv, absent, present):
     for name, doc in INPUTS.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
     argv = [str(tmp_path / f"{arg[1:]}.json") if arg.startswith("@") else arg for arg in argv]
-    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     proc = subprocess.run([sys.executable, "-c", PROBE, "--json", *argv], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     loaded = {m.removeprefix("tcbounds.") for m in json.loads(proc.stdout.splitlines()[-1])}
     assert loaded & set(absent) == set()
     assert set(present) <= loaded
+    assert loaded & set(STDLIB_ABSENT) <= bare_stdlib
 
 
 SUBCOMMANDS = {

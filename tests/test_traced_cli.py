@@ -37,3 +37,10 @@ def test_raag_z_counts_derived_words(tmp_path):
     _, doc = traced(tmp_path, "raag", "z", str(graph))
     # raag_presentation builds one word for each of the two commuting relators
     assert doc["counters"]["words.word.constructed"] == 2
+
+
+def test_braid_equal_counts_every_image_word(tmp_path):
+    report, doc = traced(tmp_path, "braid", "equal", "--n", "3", "s1 s2 s1", "s2 s1 s2")
+    assert report["equal"] is True
+    # free_group_action builds the n image words of each of the two braids
+    assert doc["counters"]["words.word.constructed"] == 6
