@@ -392,15 +392,19 @@ def cmd_tc_report(args) -> dict:
 # ---------------------------------------------------------------------------
 # Argument parsing
 
-def _int_arg(text: str, low: int | None = None) -> int:
-    """An integer flag, read by the JSON integer rule of words.json_int, and
-    at least low if low is given."""
+def _int_arg(text: str) -> int:
+    """An integer flag, read by the JSON integer rule of words.json_int."""
     try:
-        value = json_int(text)
+        return json_int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if low is not None and value < low:
-        raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+
+
+def _word_cap_arg(text: str) -> int:
+    """--max-word: every free-group image starts as one letter, so at least 1."""
+    value = _int_arg(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
 
 
@@ -418,8 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Certified topological-complexity bounds for aspherical groups",
     )
     parser.add_argument("--json", action="store_true", help="emit the JSON report")
-    # every free-group image starts as one letter
-    parser.add_argument("--max-word", type=lambda text: _int_arg(text, 1), default=DEFAULT_WORD_CAP,
+    parser.add_argument("--max-word", type=_word_cap_arg, default=DEFAULT_WORD_CAP,
                         help="braid free-group image length cap")
     sub = parser.add_subparsers(dest="command", required=True)
 

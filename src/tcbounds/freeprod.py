@@ -109,15 +109,10 @@ Syllable = tuple[int, object]  # (factor tag 0 or 1, canonical factor element)
 
 
 class FPWord(Record):
-    """An element of factors[0] * factors[1] in syllable normal form, unchecked;
-    a tree lemma builds one per word it checks, so ``__init__`` is written out."""
+    """An element of factors[0] * factors[1] in syllable normal form, unchecked."""
 
     factors: tuple[Factor, Factor]
     syllables: tuple[Syllable, ...]
-
-    def __init__(self, factors: tuple[Factor, Factor], syllables: tuple[Syllable, ...]) -> None:
-        object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "syllables", syllables)
 
     @property
     def syllable_length(self) -> int:

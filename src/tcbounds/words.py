@@ -28,7 +28,6 @@ class Record:
 
     def __init_subclass__(cls) -> None:
         cls.__match_args__ = tuple(cls.__annotations__)  # the class's own, from Python 3.10 on
-        cls._check = hasattr(cls, "__post_init__")
 
     def __init__(self, *args, **kwargs) -> None:
         fields, own = self.__match_args__, vars(type(self))
@@ -38,7 +37,7 @@ class Record:
             raise TypeError(f"{type(self).__name__} takes the fields {', '.join(fields)}")
         for field, value in zip(fields, args):
             object.__setattr__(self, field, value)
-        if self._check:
+        if hasattr(self, "__post_init__"):
             self.__post_init__()
 
     def _values(self) -> tuple:
@@ -129,7 +128,7 @@ def _free_reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
 
 class Word(Record):
     """A freely reduced word of the given rank; the constructor does not check.
-    Words are built and compared in bulk, so their record methods are written out."""
+    Words are built and compared in bulk, so ``__init__`` and ``__eq__`` are written out."""
 
     __slots__ = ("letters", "rank")
     letters: tuple[Letter, ...]
@@ -144,8 +143,7 @@ class Word(Record):
             return NotImplemented
         return self.letters == other.letters and self.rank == other.rank
 
-    def __hash__(self) -> int:
-        return hash((self.letters, self.rank))
+    __hash__ = Record.__hash__  # defining __eq__ would otherwise clear it
 
     def __len__(self) -> int:
         return len(self.letters)

@@ -64,9 +64,6 @@ def test_every_record_has_a_sample():
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__qualname__)
 class TestContract:
-    def test_fields_are_the_own_annotations_in_order(self, cls):
-        assert cls.__match_args__ == tuple(cls.__annotations__)
-
     def test_assigning_or_deleting_raises(self, cls):
         r = SAMPLES[cls]
         for name in cls.__match_args__ or ("anything",):
