@@ -127,23 +127,11 @@ def _free_reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
 
 
 class Word(Record):
-    """A freely reduced word of the given rank; the constructor does not check.
-    Words are built and compared in bulk, so ``__init__`` and ``__eq__`` are written out."""
+    """A freely reduced word of the given rank; the constructor does not check."""
 
     __slots__ = ("letters", "rank")
     letters: tuple[Letter, ...]
     rank: int
-
-    def __init__(self, letters: tuple[Letter, ...], rank: int) -> None:
-        object.__setattr__(self, "letters", letters)
-        object.__setattr__(self, "rank", rank)
-
-    def __eq__(self, other):
-        if other.__class__ is not Word:
-            return NotImplemented
-        return self.letters == other.letters and self.rank == other.rank
-
-    __hash__ = Record.__hash__  # defining __eq__ would otherwise clear it
 
     def __len__(self) -> int:
         return len(self.letters)
