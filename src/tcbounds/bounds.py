@@ -244,21 +244,19 @@ def pure_braid_report(n: int) -> BoundReport:
     of A meeting B forces all linking numbers with the last closure
     component to vanish, which pins the alpha-exponents to zero.
 
-    The commuting check runs first: it is the one that meets the image
-    length cap, and the linking loop is quadratic in n per alpha.  Each
+    n passes braids.check_strands first.  The commuting check runs
+    next: it is the one that meets the image length cap, and the linking
+    loop is quadratic in n per alpha.  Each
     alpha is built when the check first reaches it, so a large n meets
     the cap before the n - 1 words of about 2n letters each exist.
     """
     from . import braids
-    if n < 2:
-        raise braids.BraidError("pure braid groups need n >= 2")
-    if n > words.MAX_BRAID_STRANDS:
-        raise words.ResourceCapError(
-            f"braid on {n} strands exceeds the cap of {words.MAX_BRAID_STRANDS} strands")
+    braids.check_strands(n)
     alpha = cache(partial(braids.alpha_generator, n))
     for i, j in combinations(range(1, n), 2):
         a, b = alpha(i), alpha(j)
-        if not braids.braid_equal(a * b, b * a):
+        # the fixed cap, not --max-word: the known defect pb-bound-ignores-max-word
+        if not braids.braid_equal(a * b, b * a, words.DEFAULT_WORD_CAP):
             raise CertificateError(f"alpha_{i}, alpha_{j} do not commute")
     for j in range(1, n):
         lk = braids.linking_matrix(alpha(j))  # raises BraidError unless alpha_j is pure

@@ -4,7 +4,8 @@ The word problem is decided through the faithful action on the free
 group (sigma_i sends x_i to x_i x_{i+1} x_i^-1 and x_{i+1} to x_i);
 image words are compared after free reduction, so everything is exact.
 Linking numbers of the braid closure come from signed crossing counts
-with running position tracking.
+with running position tracking.  ``check_strands`` is the one strand
+rule; the action functions take their image-length cap from the caller.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import re
 
 from .words import (
-    DEFAULT_WORD_CAP,
     MAX_BRAID_STRANDS,
     InputError,
     Record,
@@ -46,6 +46,14 @@ class BraidWord(Record):
 _BRAID_TOKEN = re.compile(r"s(\d+)(?:\^(-?\d+))?$")
 
 
+def check_strands(n: int) -> None:
+    """The strand rule of parse_braid and bounds.pure_braid_report."""
+    if n < 2:
+        raise BraidError("need at least 2 strands")
+    if n > MAX_BRAID_STRANDS:
+        raise ResourceCapError(f"braid on {n} strands exceeds the cap of {MAX_BRAID_STRANDS} strands")
+
+
 def parse_braid(text: str, n: int) -> BraidWord:
     """Parse "s1 s2^-1 s3" into a braid word in B_n."""
     letters: list[tuple[int, int]] = []
@@ -57,10 +65,7 @@ def parse_braid(text: str, n: int) -> BraidWord:
         e = int(m.group(2)) if m.group(2) else 1
         check_expanded_length(len(letters) + abs(e), "braid word")
         letters.extend([(i, 1 if e > 0 else -1)] * abs(e))
-    if n < 2:
-        raise BraidError("need at least 2 strands")
-    if n > MAX_BRAID_STRANDS:
-        raise ResourceCapError(f"braid on {n} strands exceeds the cap of {MAX_BRAID_STRANDS} strands")
+    check_strands(n)
     for i, _ in letters:
         if not 1 <= i <= n - 1:
             raise BraidError(f"generator index {i} out of range for B_{n}")
@@ -112,7 +117,7 @@ def _act_letter(images: list[tuple], i: int, s: int) -> None:
         images[i] = _free_reduce(inv_b + a + b)
 
 
-def free_group_action(b: BraidWord, word_cap: int = DEFAULT_WORD_CAP) -> tuple[Word, ...]:
+def free_group_action(b: BraidWord, word_cap: int) -> tuple[Word, ...]:
     """Images of the free generators x_1..x_n under the braid automorphism."""
     images: list[tuple] = [((k, 1),) for k in range(1, b.n + 1)]
     for i, s in b.letters:
@@ -126,7 +131,7 @@ def free_group_action(b: BraidWord, word_cap: int = DEFAULT_WORD_CAP) -> tuple[W
     return tuple(Word(w, b.n) for w in images)
 
 
-def braid_equal(u: BraidWord, v: BraidWord, word_cap: int = DEFAULT_WORD_CAP) -> bool:
+def braid_equal(u: BraidWord, v: BraidWord, word_cap: int) -> bool:
     """Equality in B_n, decided via the faithful free-group action."""
     return free_group_action(u, word_cap) == free_group_action(v, word_cap)
 

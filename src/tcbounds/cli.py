@@ -365,11 +365,6 @@ def cmd_tree_ball(args) -> dict | str:
 def cmd_tree_verify_lemma(args) -> dict:
     """Check d(gw, v) = 2k-1 and d(gw, w) = 2k for all alternating words."""
     from . import freeprod
-    if args.radius < 2 * args.k - 1:
-        raise InputError(
-            f"--radius {args.radius} is too small for --k {args.k}: the deepest checked "
-            f"vertex gw lies at depth {2 * args.k - 1}"
-        )
     total, failures = freeprod.verify_tree_lemma(args.k, args.cap, args.radius)
     return {
         "k_max": args.k,

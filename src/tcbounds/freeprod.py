@@ -2,8 +2,9 @@
 
 Elements are kept in syllable normal form (alternating nontrivial
 syllables from the two factors).  ``FPWord(...)`` only stores its
-fields: syllables from outside are checked and merged by
-``normal_form``, and words the engine derives are built directly.
+fields; ``normal_form`` merges engine-built syllables.  ``TreeBall``
+checks its factors, radius and exponent cap, and ``verify_tree_lemma``
+its radius, k and word count.
 
 The tree of the free product A * B has one vertex per coset gA or gB
 and one edge per group element.  A finite ball around the base edge,
@@ -27,20 +28,15 @@ from .words import (MAX_BALL_VERTICES, MAX_DOT_VERTICES, MAX_EXPANDED_LENGTH, In
 
 
 class FreeProductError(InputError):
-    """Invalid syllable data."""
+    """Invalid factor, ball, lemma or syllable data."""
 
 
 class Factor(Record):
-    """A free or free-abelian factor of finite rank."""
+    """A free or free-abelian factor of finite rank; the constructor does
+    not check (``TreeBall`` checks the factors it is given)."""
 
     kind: str  # "free" | "free_abelian"
     rank: int
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("free", "free_abelian"):
-            raise FreeProductError(f"unknown factor kind {self.kind!r}")
-        if self.rank < 1:
-            raise FreeProductError("factor rank must be >= 1")
 
     # Elements are canonical tuples: reduced letter tuples for free
     # factors, integer vectors for free-abelian ones.
@@ -50,17 +46,6 @@ class Factor(Record):
 
     def is_identity(self, elem) -> bool:
         return elem == self.identity()
-
-    def validate(self, elem) -> None:
-        if self.kind == "free":
-            for g, s in elem:
-                if not 1 <= g <= self.rank or s not in (-1, 1):
-                    raise FreeProductError(f"letter {(g, s)} outside factor of rank {self.rank}")
-            if tuple(elem) != _free_reduce(elem):
-                raise FreeProductError("free-factor element not reduced")
-        else:
-            if len(elem) != self.rank:
-                raise FreeProductError("abelian element has wrong length")
 
     def multiply(self, a, b):
         if self.kind == "free":
@@ -125,10 +110,6 @@ class FPWord(Record):
 
 def normal_form(factors: tuple[Factor, Factor], raw: Sequence[Syllable]) -> FPWord:
     """Merge same-factor neighbours and drop identity syllables."""
-    for tag, elem in raw:
-        if tag not in (0, 1):
-            raise FreeProductError(f"bad factor tag {tag}")
-        factors[tag].validate(elem)
     stack: list[Syllable] = []
     for tag, elem in raw:
         if factors[tag].is_identity(elem):
@@ -203,6 +184,11 @@ class TreeBall:
     """
 
     def __init__(self, factors: tuple[Factor, Factor], radius: int, cap: int):
+        for f in factors:
+            if f.kind not in ("free", "free_abelian"):
+                raise FreeProductError(f"unknown factor kind {f.kind!r}")
+            if f.rank < 1:
+                raise FreeProductError("factor rank must be >= 1")
         if radius < 1:
             raise FreeProductError("radius must be >= 1")
         if cap < 1:
@@ -372,10 +358,16 @@ def verify_tree_lemma(k_max: int, cap: int, radius: int) -> tuple[int, list[list
     with 2k <= 2 k_max syllables, by BFS on the F(x) * F(y) tree ball.
 
     The BFS stops at depth 2 k_max, the largest distance the check reads;
-    a vertex it does not reach fails the check.  More than
+    a vertex it does not reach fails the check.  A radius below 2 k_max - 1,
+    the depth of the deepest gw, is refused, and more than
     MAX_BALL_VERTICES words raise ResourceCapError before the BFS runs.
     Returns (words checked, exponent lists of the failing words).
     """
+    if radius < 2 * k_max - 1:
+        raise FreeProductError(
+            f"--radius {radius} is too small for --k {k_max}: the deepest checked "
+            f"vertex gw lies at depth {2 * k_max - 1}"
+        )
     if k_max < 1:
         raise FreeProductError(f"the tree lemma needs k_max >= 1, got {k_max}")
     ball = build_tree_ball(RANK1_FREE, radius, cap)

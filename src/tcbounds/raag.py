@@ -15,14 +15,14 @@ from functools import cached_property
 from itertools import combinations
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .words import InputError, Record, Word, json_int
+from .words import InputError, Record, ResourceCapError, Word, json_int
 
 if TYPE_CHECKING:
     from . import presentations
 
 
 class GraphError(InputError):
-    """Invalid graph data or size limit exceeded."""
+    """Invalid graph data."""
 
 
 VERTEX_LIMIT = 64
@@ -106,7 +106,7 @@ class CliquePair(Record):
 def maximal_cliques(graph: SimpleGraph) -> list[tuple[int, ...]]:
     """All inclusion-maximal cliques, each sorted, via Bron-Kerbosch with pivot."""
     if graph.n > VERTEX_LIMIT:
-        raise GraphError(f"graph has {graph.n} vertices, limit is {VERTEX_LIMIT}")
+        raise ResourceCapError(f"graph has {graph.n} vertices, limit is {VERTEX_LIMIT}")
     nbr = graph.adjacency_masks()[1:]  # nbr[i]: neighbours of vertex i + 1
     out: list[tuple[int, ...]] = []
 

@@ -223,6 +223,17 @@ class TestPureBraidReport:
         with pytest.raises(BraidError):
             pure_braid_report(1)
 
+    @pytest.mark.parametrize("n, error, message", [
+        (1, BraidError, "need at least 2 strands"),
+        (1001, ResourceCapError, "braid on 1001 strands exceeds the cap of 1000 strands"),
+    ])
+    def test_strands_follow_parse_braid(self, n, error, message):
+        # one strand rule, braids.check_strands, for the report and the parser
+        for build in (lambda: pure_braid_report(n), lambda: braids.parse_braid("", n)):
+            with pytest.raises(error) as exc:
+                build()
+            assert str(exc.value) == message
+
     def test_image_cap_is_met_before_the_linking_loop(self, monkeypatch):
         # at n = 800 the commuting check meets the 64-letter image cap; the
         # linking loop, quadratic in n per alpha, must not have run by then

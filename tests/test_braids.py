@@ -93,21 +93,21 @@ class TestPermutation:
 
 class TestFreeGroupAction:
     def test_sigma1_images(self):
-        x1, x2, x3, x4 = free_group_action(braid("s1"))
+        x1, x2, x3, x4 = free_group_action(braid("s1"), 64)
         assert x1.letters == ((1, 1), (2, 1), (1, -1))
         assert x2.letters == ((1, 1),)
         assert x3.letters == ((3, 1),)
         assert x4.letters == ((4, 1),)
 
     def test_inverse_action(self):
-        x1, x2, _, _ = free_group_action(braid("s1^-1"))
+        x1, x2, _, _ = free_group_action(braid("s1^-1"), 64)
         assert x1.letters == ((2, 1),)
         assert x2.letters == ((2, -1), (1, 1), (2, 1))
 
     @given(random_braid(max_len=6))
     @settings(max_examples=40, deadline=None)
     def test_inverse_word_inverts_action(self, b):
-        assert braid_equal(b * braid_inverse(b), BraidWord(4, ()))
+        assert braid_equal(b * braid_inverse(b), BraidWord(4, ()), 64)
 
     @given(random_braid(max_len=8))
     def test_images_are_reduced_words(self, b):
@@ -116,9 +116,9 @@ class TestFreeGroupAction:
 
     def test_braid_relations(self):
         # far commutation and the braid relation, via the faithful action
-        assert braid_equal(braid("s1 s3"), braid("s3 s1"))
-        assert braid_equal(braid("s1 s2 s1"), braid("s2 s1 s2"))
-        assert not braid_equal(braid("s1"), braid("s2"))
+        assert braid_equal(braid("s1 s3"), braid("s3 s1"), 64)
+        assert braid_equal(braid("s1 s2 s1"), braid("s2 s1 s2"), 64)
+        assert not braid_equal(braid("s1"), braid("s2"), 64)
 
     def test_word_cap(self):
         with pytest.raises(ResourceCapError):
@@ -153,7 +153,7 @@ class TestAlphaGenerators:
                 assert is_pure(a)
             for i in range(len(alphas)):
                 for j in range(i + 1, len(alphas)):
-                    assert braid_equal(alphas[i] * alphas[j], alphas[j] * alphas[i])
+                    assert braid_equal(alphas[i] * alphas[j], alphas[j] * alphas[i], 64)
 
 
 class TestLinking:

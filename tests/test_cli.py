@@ -683,6 +683,14 @@ class TestInputChecks:
                   "error: need at least 2 strands"),
         bad_input("braid-index", ["braid", "perm", "--n", "3", "s3"], None, EXIT_USAGE,
                   "error: generator index 3 out of range for B_3"),
+        bad_input("tc-bound-strands", ["braid", "tc-bound", "--n", "1"], None, EXIT_USAGE,
+                  "error: need at least 2 strands"),
+        bad_input("pbn-strands", ["tc-report", "--case", "pbn", "1"], None, EXIT_USAGE,
+                  "error: need at least 2 strands"),
+        bad_input("graph-vertex-limit", ["raag", "z"], {"n": 65, "edges": []}, EXIT_RESOURCE,
+                  "resource cap exceeded: graph has 65 vertices, limit is 64"),
+        bad_input("raag-node-vertex-limit", ["chd"], {"kind": "raag", "n": 65, "edges": []},
+                  EXIT_RESOURCE, "resource cap exceeded: graph has 65 vertices, limit is 64"),
         # two faults: the first check the parser runs wins
         bad_input("braid-token-before-strands", ["braid", "perm", "--n", "1", "t1"], None,
                   EXIT_USAGE, "error: bad braid token 't1'; expected like s2 or s2^-1"),

@@ -43,8 +43,8 @@ def zz_word(*exps):
 
 class TestFactor:
     def test_bad_kind(self):
-        with pytest.raises(FreeProductError):
-            Factor("cyclic", 3)
+        with pytest.raises(FreeProductError, match="unknown factor kind 'cyclic'"):
+            TreeBall((Factor("cyclic", 3), Factor("free", 1)), 1, 1)
 
     def test_abelian_elements_count(self):
         # nonzero vectors in [-2, 2]^2
@@ -247,6 +247,16 @@ class TestTreeBall:
             assert tree_distance(ball, gw, ball.v) == 2 * k - 1
             assert tree_distance(ball, gw, ball.w) == 2 * k
 
+    @pytest.mark.parametrize("factors, message", [
+        ((Factor("cyclic", 0), Factor("free", 1)), "unknown factor kind 'cyclic'"),
+        ((Factor("free", 1), Factor("free_abelian", 0)), "factor rank must be >= 1"),
+        (RANK1_FREE, "radius must be >= 1"),
+    ])
+    def test_ball_checks_factors_then_radius(self, factors, message):
+        with pytest.raises(FreeProductError) as exc:
+            build_tree_ball(factors, 0, 0)
+        assert str(exc.value) == message
+
     def test_cap_exceeded(self):
         ball = build_tree_ball(ZZ, radius=2, cap=1)
         with pytest.raises(FreeProductError):
@@ -359,6 +369,18 @@ def test_lemma_word_count_cap_is_exact(monkeypatch):
     monkeypatch.setattr(freeprod, "MAX_BALL_VERTICES", 271)
     with pytest.raises(ResourceCapError, match="checks more than 271 words"):
         verify_tree_lemma(2, 2, 3)
+
+
+@pytest.mark.parametrize("k_max, radius, message", [
+    (2, 2, "--radius 2 is too small for --k 2: the deepest checked vertex gw lies at depth 3"),
+    # two faults: the radius rule is checked first
+    (0, -2, "--radius -2 is too small for --k 0: the deepest checked vertex gw lies at depth -1"),
+    (0, 1, "the tree lemma needs k_max >= 1, got 0"),
+])
+def test_lemma_refuses_radius_below_deepest_word(k_max, radius, message):
+    with pytest.raises(FreeProductError) as exc:
+        verify_tree_lemma(k_max, 1, radius)
+    assert str(exc.value) == message
 
 
 def test_lemma_fails_when_the_search_stops_short(monkeypatch):

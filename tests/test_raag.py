@@ -13,6 +13,8 @@ from tcbounds.raag import (
     z_number,
 )
 
+from tcbounds.words import ResourceCapError
+
 from oracles import brute_force_z
 
 
@@ -78,7 +80,7 @@ class TestMaximalCliques:
         assert maximal_cliques(complete(4)) == [(1, 2, 3, 4)]
 
     def test_vertex_limit(self):
-        with pytest.raises(GraphError):
+        with pytest.raises(ResourceCapError, match="graph has 65 vertices, limit is 64"):
             maximal_cliques(empty(65))
 
     def test_every_maximal_clique_found(self):

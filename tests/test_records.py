@@ -130,8 +130,9 @@ def test_wrong_arguments_raise_type_error(args, kwargs):
     (lambda: presentations.AbelianInvariants(0, (1,), ()), presentations.PresentationError),
     (lambda: presentations.FreeHom(presentations.Presentation.from_strings(["a"], ["a"]), 1, (U,)),
      presentations.PresentationError),
-    (lambda: freeprod.Factor("cyclic", 1), freeprod.FreeProductError),
-    (lambda: freeprod.Factor("free", 0), freeprod.FreeProductError),
+    # a Factor only stores; the ball it is built into checks kind and rank
+    (lambda: freeprod.TreeBall((freeprod.Factor("cyclic", 1),) * 2, 1, 1), freeprod.FreeProductError),
+    (lambda: freeprod.TreeBall((freeprod.Factor("free", 0),) * 2, 1, 1), freeprod.FreeProductError),
 ], ids=["BoundReport", "ChdResult", "AbelianInvariants-chain", "AbelianInvariants-small",
         "FreeHom", "Factor-kind", "Factor-rank"])
 def test_post_init_checks_still_raise(build, error):
