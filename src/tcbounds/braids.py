@@ -3,9 +3,14 @@
 The word problem is decided through the faithful action on the free
 group (sigma_i sends x_i to x_i x_{i+1} x_i^-1 and x_{i+1} to x_i);
 image words are compared after free reduction, so everything is exact.
+The images stay reduced, so a rewritten image is reduced by cancelling
+across its two junctions only.
 Linking numbers of the braid closure come from signed crossing counts
 with running position tracking.  ``check_strands`` is the one strand
 rule; the action functions take their image-length cap from the caller.
+``act`` is the one action loop: it continues a state (the images as raw
+letter tuples) by further letters, so a caller can act a braid once and
+continue from its state, as the pure-braid commuting check does.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ from .words import (
     Record,
     ResourceCapError,
     Word,
-    _free_reduce,
     check_expanded_length,
 )
 
@@ -101,6 +105,15 @@ def alpha_generator(n: int, j: int) -> BraidWord:
 # ---------------------------------------------------------------------------
 # Word problem via the action on the free group
 
+def _join(u: tuple, v: tuple) -> tuple:
+    """The free reduction of u v for reduced u and v: letters cancel only
+    across the junction, so only the cancelling letters are compared."""
+    k, m = 0, min(len(u), len(v))
+    while k < m and u[-1 - k][0] == v[k][0] and u[-1 - k][1] == -v[k][1]:
+        k += 1
+    return u[:len(u) - k] + v[k:]
+
+
 def _act_letter(images: list[tuple], i: int, s: int) -> None:
     """Apply sigma_i^{s} on the right of the automorphism given by images."""
     # Compose: new images = old images with x_i, x_{i+1} rewritten.
@@ -108,27 +121,41 @@ def _act_letter(images: list[tuple], i: int, s: int) -> None:
     if s == 1:
         # x_i -> x_i x_{i+1} x_i^-1, x_{i+1} -> x_i
         inv_a = tuple((g, -t) for g, t in reversed(a))
-        images[i - 1] = _free_reduce(a + b + inv_a)
+        images[i - 1] = _join(_join(a, b), inv_a)
         images[i] = a
     else:
         # x_i -> x_{i+1}, x_{i+1} -> x_{i+1}^-1 x_i x_{i+1}
         inv_b = tuple((g, -t) for g, t in reversed(b))
         images[i - 1] = b
-        images[i] = _free_reduce(inv_b + a + b)
+        images[i] = _join(_join(inv_b, a), b)
 
 
-def free_group_action(b: BraidWord, word_cap: int) -> tuple[Word, ...]:
-    """Images of the free generators x_1..x_n under the braid automorphism."""
-    images: list[tuple] = [((k, 1),) for k in range(1, b.n + 1)]
-    for i, s in b.letters:
-        _act_letter(images, i, s)
+def free_basis(n: int) -> tuple[tuple, ...]:
+    """The identity automorphism's images x_1..x_n, as raw letter tuples."""
+    return tuple(((k, 1),) for k in range(1, n + 1))
+
+
+def act(images: tuple[tuple, ...], letters: tuple[tuple[int, int], ...],
+        word_cap: int) -> tuple[tuple, ...]:
+    """The images after acting further by the braid letters, each reduced;
+    an image longer than word_cap after any letter raises ResourceCapError.
+    This is the one action loop: free_group_action runs it from the free
+    basis, and the pure-braid check continues cached states with it."""
+    out = list(images)
+    for i, s in letters:
+        _act_letter(out, i, s)
         # only x_i and x_{i+1} changed, and every other image is within the cap
-        longest = max(len(images[i - 1]), len(images[i]))
+        longest = max(len(out[i - 1]), len(out[i]))
         if longest > word_cap:
             raise ResourceCapError(
                 f"free-group image length {longest} exceeds cap {word_cap}"
             )
-    return tuple(Word(w, b.n) for w in images)
+    return tuple(out)
+
+
+def free_group_action(b: BraidWord, word_cap: int) -> tuple[Word, ...]:
+    """Images of the free generators x_1..x_n under the braid automorphism."""
+    return tuple(Word(w, b.n) for w in act(free_basis(b.n), b.letters, word_cap))
 
 
 def braid_equal(u: BraidWord, v: BraidWord, word_cap: int) -> bool:

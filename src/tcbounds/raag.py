@@ -6,11 +6,14 @@ and a commuting relation per edge.  The quantity z(G) -- the maximum
 number of vertices covered by two cliques -- equals the topological
 complexity of the group (Cohen-Pruidze).  This module holds only that
 combinatorics; the clique-pair certificate is built in tcbounds.bounds.
+``z_number`` is a branch-and-bound search over the clique pairs, and
+``maximal_cliques`` refuses a graph with more than MAX_CLIQUES of them.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from functools import cached_property
 from itertools import combinations
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -26,6 +29,10 @@ class GraphError(InputError):
 
 
 VERTEX_LIMIT = 64
+# Bron-Kerbosch refuses a graph with more maximal cliques than this before
+# its list grows past it; a complete multipartite graph with 11 parts of
+# size 3 has 3^11 = 177,147.
+MAX_CLIQUES = 100_000
 
 
 class SimpleGraph(Record):
@@ -104,7 +111,8 @@ class CliquePair(Record):
 
 
 def maximal_cliques(graph: SimpleGraph) -> list[tuple[int, ...]]:
-    """All inclusion-maximal cliques, each sorted, via Bron-Kerbosch with pivot."""
+    """All inclusion-maximal cliques, each sorted, via Bron-Kerbosch with
+    pivot; more than MAX_CLIQUES of them raise ResourceCapError."""
     if graph.n > VERTEX_LIMIT:
         raise ResourceCapError(f"graph has {graph.n} vertices, limit is {VERTEX_LIMIT}")
     nbr = graph.adjacency_masks()[1:]  # nbr[i]: neighbours of vertex i + 1
@@ -118,6 +126,8 @@ def maximal_cliques(graph: SimpleGraph) -> list[tuple[int, ...]]:
 
     def expand(r: int, p: int, x: int) -> None:
         if not p and not x:
+            if len(out) == MAX_CLIQUES:
+                raise ResourceCapError(f"graph has more than {MAX_CLIQUES} maximal cliques")
             out.append(tuple(i + 1 for i in bits(r)))
             return
         pivot = max(bits(p | x), key=lambda i: (nbr[i] & p).bit_count())
@@ -134,21 +144,42 @@ def maximal_cliques(graph: SimpleGraph) -> list[tuple[int, ...]]:
 
 def z_number(graph: SimpleGraph) -> tuple[int, CliquePair]:
     """max |K1 union K2| over clique pairs, with a lexicographically
-    minimal witness among the maximizing pairs of maximal cliques."""
+    minimal witness among the maximizing pairs of maximal cliques.
+
+    A branch-and-bound search finds the value: cliques are visited by
+    decreasing size, and a pair whose two sizes sum to at most the best
+    union so far is not scanned.  A second pass then rescans the pairs
+    (i, j), i <= j, in index order, skipping those whose sizes sum to
+    less than the value, and returns the first one that reaches it: the
+    pair an all-pairs scan with a strict improvement rule keeps.
+    """
     if graph.n < 1:
         raise GraphError("graph must have at least one vertex")
     cliques = graph.cliques
     masks = [sum(1 << (v - 1) for v in c) for c in cliques]
-    best = -1
-    witness = None
+    sizes = [len(c) for c in cliques]
+    order = sorted(range(len(cliques)), key=sizes.__getitem__, reverse=True)
+    best = sizes[order[0]]
+    for a, i in enumerate(order):
+        if 2 * sizes[i] <= best:
+            break
+        for b in range(a + 1, len(order)):
+            j = order[b]
+            if sizes[i] + sizes[j] <= best:
+                break
+            best = max(best, (masks[i] | masks[j]).bit_count())
+    # at_least[t]: ascending indices of the cliques with at least t vertices
+    at_least: dict[int, list[int]] = {}
     for i in range(len(cliques)):
-        for j in range(i, len(cliques)):
-            size = (masks[i] | masks[j]).bit_count()
-            if size > best:
-                best = size
-                witness = (cliques[i], cliques[j])
-    assert witness is not None
-    return best, CliquePair(witness[0], witness[1], best)
+        t = best - sizes[i]
+        if t not in at_least:
+            at_least[t] = [k for k in range(len(cliques)) if sizes[k] >= t]
+        partners = at_least[t]
+        for b in range(bisect_left(partners, i), len(partners)):
+            j = partners[b]
+            if (masks[i] | masks[j]).bit_count() == best:
+                return best, CliquePair(cliques[i], cliques[j], best)
+    raise AssertionError("the value's own pair was not found again")
 
 
 def raag_presentation(graph: SimpleGraph) -> presentations.Presentation:

@@ -3,9 +3,11 @@
 These deliberately avoid the library's optimized code paths: the Smith
 reducer below works by blind elementary operations with no pivot
 strategy, conjugacy is decided by exhaustive conjugator search, the
-two-clique number is maximized over all subset pairs, tree balls are
+two-clique number is maximized over all subset pairs (and, with its
+witness, over all maximal-clique pairs), tree balls are
 grown by BFS over explicit coset keys, braid images are measured all
-at once after every letter, and the chd calculus is evaluated by four
+at once after every letter, commuting alphas are checked pair by pair
+from the identity, and the chd calculus is evaluated by four
 mutually recursive dispatches on the node kind.  Free-product and braid
 products, inverses and powers, which no report needs, are built here:
 free-product ones through the checked builder ``normal_form``, braid
@@ -19,12 +21,14 @@ from itertools import combinations, product
 from math import gcd
 from typing import Optional
 
-from tcbounds.braids import BraidWord, _act_letter
+from tcbounds import braids
+from tcbounds.braids import BraidWord
 from tcbounds.freeprod import Factor, FPWord, FreeProductError, cyclic_normal_form, normal_form
 from tcbounds.groupexpr import (
     BaumslagSolitar12, ChdResult, ExprError, Free, FreeAbelian, FreeProduct, GroupExpr,
     Opaque, Product, PureBraid, Raag, SurfaceGroup, Trivial,
 )
+from tcbounds.raag import SimpleGraph
 from tcbounds.words import ResourceCapError, Word, identity, reduce as free_reduce
 
 
@@ -230,6 +234,32 @@ def brute_force_z(n: int, edge_masks: list[int]) -> int:
     return best
 
 
+def multipartite(parts, isolated=0):
+    """The complete multipartite graph with the given part sizes, then
+    `isolated` vertices with no edges; it has prod(parts) + isolated
+    maximal cliques."""
+    labels = [k for k, size in enumerate(parts) for _ in range(size)]
+    return SimpleGraph.from_edges(len(labels) + isolated, [
+        (u + 1, v + 1) for u, v in combinations(range(len(labels)), 2)
+        if labels[u] != labels[v]])
+
+
+def all_pairs_z(graph) -> tuple[int, tuple[tuple[int, ...], tuple[int, ...]]]:
+    """raag.z_number by scanning every pair (i, j), i <= j, of the graph's
+    sorted maximal cliques and keeping the first strictly larger union."""
+    cliques = graph.cliques
+    masks = [sum(1 << (v - 1) for v in c) for c in cliques]
+    best = -1
+    witness = None
+    for i in range(len(cliques)):
+        for j in range(i, len(cliques)):
+            size = (masks[i] | masks[j]).bit_count()
+            if size > best:
+                best = size
+                witness = (cliques[i], cliques[j])
+    return best, witness
+
+
 # ---------------------------------------------------------------------------
 # Bass-Serre tree balls
 
@@ -396,16 +426,37 @@ def braid_power(b: BraidWord, k: int) -> BraidWord:
     return BraidWord(b.n, (b if k >= 0 else braid_inverse(b)).letters * abs(k))
 
 
+def _inverse(letters: tuple) -> tuple:
+    return tuple((g, -t) for g, t in reversed(letters))
+
+
 def free_group_action_all_images(b, word_cap: int) -> tuple[Word, ...]:
     """braids.free_group_action with the cap checked against the longest
-    of all n images after every letter."""
+    of all n images after every letter, and each rewritten image reduced
+    as a whole rather than across its junctions."""
     images = [((k, 1),) for k in range(1, b.n + 1)]
     for i, s in b.letters:
-        _act_letter(images, i, s)
+        x, y = images[i - 1], images[i]
+        if s == 1:  # x_i -> x_i x_{i+1} x_i^-1, x_{i+1} -> x_i
+            images[i - 1:i + 1] = [free_reduce(x + y + _inverse(x), b.n).letters, x]
+        else:  # x_i -> x_{i+1}, x_{i+1} -> x_{i+1}^-1 x_i x_{i+1}
+            images[i - 1:i + 1] = [y, free_reduce(_inverse(y) + x + y, b.n).letters]
         longest = max(len(w) for w in images)
         if longest > word_cap:
             raise ResourceCapError(f"free-group image length {longest} exceeds cap {word_cap}")
     return tuple(Word(w, b.n) for w in images)
+
+
+def first_noncommuting_alphas(n: int, word_cap: int) -> Optional[tuple[int, int]]:
+    """The first pair (i, j), i < j, with alpha_i alpha_j != alpha_j alpha_i
+    by a pairwise braid_equal from the identity, or None; an image past
+    word_cap raises ResourceCapError.  Alphas are read from
+    braids.alpha_generator at call time, so a patched one is seen."""
+    for i, j in combinations(range(1, n), 2):
+        a, b = braids.alpha_generator(n, i), braids.alpha_generator(n, j)
+        if not braids.braid_equal(a * b, b * a, word_cap):
+            return i, j
+    return None
 
 
 # ---------------------------------------------------------------------------

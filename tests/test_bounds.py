@@ -30,6 +30,8 @@ from tcbounds.presentations import FreeHom, Presentation
 from tcbounds.raag import GraphError, SimpleGraph, z_number
 from tcbounds.words import ResourceCapError, generator, identity, parse_word
 
+from oracles import first_noncommuting_alphas
+
 
 PATH3 = SimpleGraph.from_edges(3, [(1, 2), (2, 3)])
 C4 = SimpleGraph.from_edges(4, [(1, 2), (2, 3), (3, 4), (4, 1)])
@@ -244,16 +246,53 @@ class TestPureBraidReport:
         with pytest.raises(ResourceCapError, match="image length 65 exceeds cap 64"):
             pure_braid_report(800)
 
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_cached_check_agrees_with_pairwise_check(self, n):
+        assert first_noncommuting_alphas(n, 64) is None
+        assert pure_braid_report(n).lower == 2 * n - 3
+
+    @pytest.mark.parametrize("n, k, position", [
+        (3, 1, 0), (4, 2, 1), (6, 1, 3), (7, 4, 0), (9, 2, 5), (12, 6, 2), (12, 10, 1),
+    ])
+    def test_mutant_alpha_fails_at_the_pairwise_pair(self, monkeypatch, n, k, position):
+        # flip the sign of one letter of alpha_k
+        alpha_generator = braids.alpha_generator
+
+        def mutant(n, j):
+            b = alpha_generator(n, j)
+            if j != k:
+                return b
+            letters = list(b.letters)
+            i, s = letters[position]
+            letters[position] = (i, -s)
+            return braids.BraidWord(n, tuple(letters))
+
+        monkeypatch.setattr(braids, "alpha_generator", mutant)
+        pair = first_noncommuting_alphas(n, 64)
+        assert pair is not None
+        with pytest.raises(CertificateError) as exc:
+            pure_braid_report(n)
+        assert str(exc.value) == "alpha_{}, alpha_{} do not commute".format(*pair)
+
+    @pytest.mark.parametrize("n", [*range(31, 41), 800])
+    def test_cap_message_is_the_pairwise_message(self, n):
+        with pytest.raises(ResourceCapError) as pairwise:
+            first_noncommuting_alphas(n, 64)
+        with pytest.raises(ResourceCapError) as cached:
+            pure_braid_report(n)
+        assert str(cached.value) == str(pairwise.value) == \
+            "free-group image length 65 exceeds cap 64"
+
     def test_alphas_are_built_when_the_check_reaches_them(self, monkeypatch):
-        # alpha_1 alpha_2 already meets the image cap, so no other alpha of
-        # the 999 is built
+        # acting alpha_1 alone already meets the image cap, so no other
+        # alpha of the 999 is built
         built = []
         alpha_generator = braids.alpha_generator
         monkeypatch.setattr(braids, "alpha_generator",
                             lambda n, j: built.append(j) or alpha_generator(n, j))
         with pytest.raises(ResourceCapError, match="image length 65 exceeds cap 64"):
             pure_braid_report(1000)
-        assert built == [1, 2]
+        assert built == [1]
 
 
 class TestReportAssembly:

@@ -25,6 +25,8 @@ from tcbounds.cli import (
 from tcbounds.freeprod import TreeBall
 from tcbounds.words import MAX_EXPANDED_LENGTH, InputError
 
+from oracles import multipartite
+
 
 @pytest.fixture
 def path3_file(tmp_path):
@@ -648,6 +650,12 @@ def bad_input(name, argv, doc, code, line):
     return pytest.param(argv, doc, code, line, id=name)
 
 
+# five parts of size 2 and five of size 5, then one isolated vertex:
+# 2^5 * 5^5 + 1 = MAX_CLIQUES + 1 maximal cliques
+_past_cap = multipartite([2] * 5 + [5] * 5, isolated=1)
+PAST_CLIQUE_CAP = {"n": _past_cap.n, "edges": sorted(map(list, _past_cap.edges))}
+
+
 class TestInputChecks:
     """Each check on outside input prints its own line.  An input with two
     faults reports the one its parser checks first."""
@@ -691,6 +699,8 @@ class TestInputChecks:
                   "resource cap exceeded: graph has 65 vertices, limit is 64"),
         bad_input("raag-node-vertex-limit", ["chd"], {"kind": "raag", "n": 65, "edges": []},
                   EXIT_RESOURCE, "resource cap exceeded: graph has 65 vertices, limit is 64"),
+        bad_input("graph-clique-cap", ["raag", "z"], PAST_CLIQUE_CAP, EXIT_RESOURCE,
+                  "resource cap exceeded: graph has more than 100000 maximal cliques"),
         # two faults: the first check the parser runs wins
         bad_input("braid-token-before-strands", ["braid", "perm", "--n", "1", "t1"], None,
                   EXIT_USAGE, "error: bad braid token 't1'; expected like s2 or s2^-1"),

@@ -1,9 +1,11 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
+from tcbounds import raag
 from tcbounds.raag import (
     CliquePair,
     GraphError,
@@ -15,7 +17,7 @@ from tcbounds.raag import (
 
 from tcbounds.words import ResourceCapError
 
-from oracles import brute_force_z
+from oracles import all_pairs_z, brute_force_z, multipartite
 
 
 def complete(n):
@@ -32,6 +34,29 @@ def path(n):
 
 def cycle(n):
     return SimpleGraph.from_edges(n, [(i, i % n + 1) for i in range(1, n + 1)])
+
+
+def disjoint_cliques(count, size):
+    blocks = [range(b * size + 1, (b + 1) * size + 1) for b in range(count)]
+    return SimpleGraph.from_edges(count * size, [
+        e for block in blocks for e in itertools.combinations(block, 2)])
+
+
+@st.composite
+def dense_graph(draw, max_n=14):
+    n = draw(st.integers(1, max_n))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    keep = draw(st.lists(st.sampled_from([True, True, True, False]),
+                         min_size=len(pairs), max_size=len(pairs)))
+    return SimpleGraph.from_edges(n, [e for e, k in zip(pairs, keep) if k])
+
+
+# graphs with many maximal cliques of equal size, hence many tied pairs
+tied_graph = st.one_of(
+    st.builds(multipartite, st.lists(st.integers(1, 3), min_size=1, max_size=7)),
+    st.builds(disjoint_cliques, st.integers(1, 5), st.integers(1, 4)),
+    dense_graph(),
+)
 
 
 @st.composite
@@ -82,6 +107,15 @@ class TestMaximalCliques:
     def test_vertex_limit(self):
         with pytest.raises(ResourceCapError, match="graph has 65 vertices, limit is 64"):
             maximal_cliques(empty(65))
+
+    def test_clique_cap(self, monkeypatch):
+        # the cap is checked before each clique is appended: a graph with
+        # exactly MAX_CLIQUES cliques passes, one more is refused
+        monkeypatch.setattr(raag, "MAX_CLIQUES", 8)
+        assert len(maximal_cliques(multipartite([2, 2, 2]))) == 8
+        with pytest.raises(ResourceCapError) as exc:
+            maximal_cliques(multipartite([2, 2, 2], isolated=1))
+        assert str(exc.value) == "graph has more than 8 maximal cliques"
 
     def test_every_maximal_clique_found(self):
         # cross-check against direct enumeration on random graphs
@@ -153,6 +187,22 @@ class TestZNumber:
             g = SimpleGraph.from_edges(n, edges)
             masks = g.adjacency_masks()
             assert z_number(g)[0] == brute_force_z(n, masks[1:]), g
+
+    @given(tied_graph)
+    def test_value_and_witness_match_all_pairs_scan(self, g):
+        z, pair = z_number(g)
+        assert (z, (pair.k1, pair.k2)) == all_pairs_z(g)
+
+    @pytest.mark.parametrize("parts", [6, 8, 10])
+    def test_complete_multipartite(self, parts):
+        # every maximal clique takes one vertex from each part of size 3, so
+        # two cliques cover at most 2 * parts vertices, and disjoint ones do;
+        # 10 parts give 3^10 = 59,049 cliques, which an all-pairs scan of
+        # 1.7e9 pairs could not finish within the limit below
+        start = time.perf_counter()
+        z, pair = z_number(multipartite([3] * parts))
+        assert z == pair.union_size == 2 * parts
+        assert time.perf_counter() - start < 10
 
     def test_bounds_by_clique_number(self):
         rng = random.Random(9)
