@@ -3,8 +3,8 @@
 The word problem is decided through the faithful action on the free
 group (sigma_i sends x_i to x_i x_{i+1} x_i^-1 and x_{i+1} to x_i);
 image words are compared after free reduction, so everything is exact.
-The images stay reduced, so a rewritten image is reduced by cancelling
-across its two junctions only.
+The images stay reduced, so a rewritten image is reduced by the one
+product of reduced words, ``words._join``, across its two junctions only.
 Linking numbers of the braid closure come from signed crossing counts
 with running position tracking.  ``check_strands`` is the one strand
 rule; the action functions take their image-length cap from the caller.
@@ -17,14 +17,10 @@ from __future__ import annotations
 
 import re
 
-from .words import (
-    MAX_BRAID_STRANDS,
-    InputError,
-    Record,
-    ResourceCapError,
-    Word,
-    check_expanded_length,
-)
+from .words import InputError, Record, ResourceCapError, Word, _join, check_expanded_length
+
+# Most strands of a parsed braid; its linking matrix has an entry per pair.
+MAX_BRAID_STRANDS = 1000
 
 
 class BraidError(InputError):
@@ -104,15 +100,6 @@ def alpha_generator(n: int, j: int) -> BraidWord:
 
 # ---------------------------------------------------------------------------
 # Word problem via the action on the free group
-
-def _join(u: tuple, v: tuple) -> tuple:
-    """The free reduction of u v for reduced u and v: letters cancel only
-    across the junction, so only the cancelling letters are compared."""
-    k, m = 0, min(len(u), len(v))
-    while k < m and u[-1 - k][0] == v[k][0] and u[-1 - k][1] == -v[k][1]:
-        k += 1
-    return u[:len(u) - k] + v[k:]
-
 
 def _act_letter(images: list[tuple], i: int, s: int) -> None:
     """Apply sigma_i^{s} on the right of the automorphism given by images."""

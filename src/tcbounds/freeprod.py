@@ -23,8 +23,14 @@ from bisect import bisect_right
 from itertools import product
 from typing import Iterator, Sequence
 
-from .words import (MAX_BALL_VERTICES, MAX_DOT_VERTICES, MAX_EXPANDED_LENGTH, InputError, Record,
-                    ResourceCapError, _free_reduce)
+from .words import MAX_EXPANDED_LENGTH, InputError, Record, ResourceCapError, _free_reduce
+
+# Largest tree ball, in vertices, that is built; its size is computed first.
+MAX_BALL_VERTICES = 5_000_000
+
+# Largest tree ball, in vertices, that is rendered as DOT text (two lines
+# per vertex, all held in memory); checked before the first line is built.
+MAX_DOT_VERTICES = 100_000
 
 
 class FreeProductError(InputError):

@@ -5,15 +5,16 @@ exponent matrix, computed over arbitrary-precision integers by one loop
 that repivots on the smallest remainder and keeps the divisibility
 chain as an invariant.  The result carries generator images in the
 abelianized group, so claims like "powers of x survive while powers of
-y are trivial" are directly checkable.
+y are trivial" are directly checkable.  A relator's image under a map
+to a free group is substituted letter by letter and reduced once.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .words import (MAX_EXPANDED_LENGTH, InputError, Record, ResourceCapError, Word, exponent_sum,
-                    identity, parse_word)
+from .words import (MAX_EXPANDED_LENGTH, InputError, Letter, Record, ResourceCapError, Word,
+                    _free_reduce, check_expanded_length, exponent_sum, parse_word)
 
 
 class PresentationError(InputError):
@@ -208,12 +209,15 @@ class FreeHom(Record):
 
 
 def apply_images(w: Word, target_rank: int, images: Sequence[Word]) -> Word:
-    """Substitute generator images into w and freely reduce."""
-    result = identity(target_rank)
+    """Substitute generator images into w and freely reduce once; an image
+    past MAX_EXPANDED_LENGTH letters before reduction raises ResourceCapError
+    before it is built."""
+    letters: list[Letter] = []
     for g, s in w.letters:
-        img = images[g - 1]
-        result = result * (img if s == 1 else img.inverse())
-    return result
+        img = images[g - 1].letters
+        check_expanded_length(len(letters) + len(img), "image")
+        letters += img if s == 1 else [(h, -t) for h, t in reversed(img)]
+    return Word(_free_reduce(letters), target_rank)
 
 
 def check_hom(

@@ -5,7 +5,9 @@ freely reduced.  Generator indices are 1-based; rank 0 (the trivial
 group) is allowed.  All values are immutable and all operations pure.
 ``Word(...)`` only stores its fields: letters are checked where they
 enter (``generator``, ``reduce``, ``parse_word``), and words derived
-from checked words are built directly.
+from checked words are built directly.  ``_join`` is the one product of
+reduced words, which cancels across the junction only; a word built
+from many pieces collects their letters and is reduced once.
 """
 
 from __future__ import annotations
@@ -81,22 +83,13 @@ SCHEMA = "tcbounds/1"  # the schema of every JSON document the CLI writes
 
 
 # Longest word, in letters before free reduction, that the word and braid
-# parsers expand an exponent or commutator into.
+# parsers expand an exponent or commutator into, and that a relator's image
+# under a free-group homomorphism expands into.
 MAX_EXPANDED_LENGTH = 1_000_000
 
 # Longest free-group image, in letters, that the braid action builds; the
 # default of --max-word.
 DEFAULT_WORD_CAP = 64
-
-# Largest tree ball, in vertices, that is built; its size is computed first.
-MAX_BALL_VERTICES = 5_000_000
-
-# Largest tree ball, in vertices, that is rendered as DOT text (two lines
-# per vertex, all held in memory); checked before the first line is built.
-MAX_DOT_VERTICES = 100_000
-
-# Most strands of a parsed braid; its linking matrix has an entry per pair.
-MAX_BRAID_STRANDS = 1000
 
 
 def check_expanded_length(length: int, what: str) -> None:
@@ -126,6 +119,15 @@ def _free_reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
     return tuple(stack)
 
 
+def _join(u: tuple, v: tuple) -> tuple:
+    """The free reduction of u v for reduced u and v: letters cancel only
+    across the junction, so only the cancelling letters are compared."""
+    k, m = 0, min(len(u), len(v))
+    while k < m and u[-1 - k][0] == v[k][0] and u[-1 - k][1] == -v[k][1]:
+        k += 1
+    return u[:len(u) - k] + v[k:]
+
+
 class Word(Record):
     """A freely reduced word of the given rank; the constructor does not check."""
 
@@ -137,7 +139,7 @@ class Word(Record):
         return len(self.letters)
 
     def __mul__(self, other: "Word") -> "Word":
-        return Word(_free_reduce(self.letters + other.letters), self.rank)
+        return Word(_join(self.letters, other.letters), self.rank)
 
     def inverse(self) -> "Word":
         return Word(tuple((g, -s) for g, s in reversed(self.letters)), self.rank)
@@ -198,13 +200,14 @@ def conjugate_in_free(u: Word, v: Word) -> bool:
     """
     cu, _ = cyclically_reduce(u)
     cv, _ = cyclically_reduce(v)
-    if len(cu) != len(cv):
-        return False
-    if not cu.letters:
-        return True
-    doubled = cu.letters + cu.letters
-    n = len(cv.letters)
-    return any(doubled[i : i + n] == cv.letters for i in range(n))
+    return len(cu) == len(cv) and _delimited(cv.letters) in _delimited(cu.letters * 2)
+
+
+def _delimited(letters: Sequence[Letter]) -> str:
+    """The letters as signed indices, each closed by a comma and the first
+    opened by one, so a match of one such text in another starts and ends
+    on letter boundaries (",1," is not inside ",11,"); str search is linear."""
+    return "," + "".join(f"{g * s}," for g, s in letters)
 
 
 def exponent_sum(w: Word, i: int) -> int:
@@ -267,12 +270,12 @@ class _Parser:
         return tok
 
     def parse_word(self) -> Word:
-        w = identity(self.rank)
+        letters: list[Letter] = []
         while self.peek() is not None and self.peek() not in (",", "]"):
             term = self.parse_term()
-            check_expanded_length(len(w) + len(term), "word")
-            w = w * term
-        return w
+            check_expanded_length(len(letters) + len(term), "word")
+            letters += term.letters
+        return Word(_free_reduce(letters), self.rank)
 
     def parse_term(self) -> Word:
         tok = self.next()

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tcbounds
-from tcbounds import groupexpr, words
+from tcbounds import braids, freeprod, groupexpr
 from tcbounds.certificates import CertificateError
 from tcbounds.cli import (
     EXIT_OK,
@@ -159,7 +159,7 @@ class TestBraid:
 
     def test_tc_bound_meets_the_image_cap_in_little_memory(self):
         # the commuting check builds only alpha_1 and alpha_2 before the cap
-        proc = run_limited(40, "--json", "braid", "tc-bound", "--n", str(words.MAX_BRAID_STRANDS))
+        proc = run_limited(40, "--json", "braid", "tc-bound", "--n", str(braids.MAX_BRAID_STRANDS))
         assert proc.returncode == EXIT_RESOURCE
         assert proc.stdout == ""
         assert proc.stderr == ("resource cap exceeded: free-group image length 65 "
@@ -180,10 +180,10 @@ class TestBraid:
         assert time.perf_counter() - start < 1.0
         assert (proc.returncode, proc.stdout) == (EXIT_RESOURCE, "")
         assert proc.stderr == (f"resource cap exceeded: braid on {argv[3]} strands exceeds "
-                               f"the cap of {words.MAX_BRAID_STRANDS} strands\n")
+                               f"the cap of {braids.MAX_BRAID_STRANDS} strands\n")
 
     def test_strand_cap_is_inclusive(self, capsys):
-        doc = run_json(capsys, "braid", "perm", "--n", str(words.MAX_BRAID_STRANDS), "s1")
+        doc = run_json(capsys, "braid", "perm", "--n", str(braids.MAX_BRAID_STRANDS), "s1")
         assert doc["permutation"][:3] == [2, 1, 3]
 
     def test_bad_word(self, capsys):
@@ -232,6 +232,12 @@ class TestPres:
         }))
         doc = run_json(capsys, "pres", "hom-check", str(f))
         assert doc["well_defined"] is True
+
+    def test_hom_check_image_at_the_cap(self, capsys, tmp_path):
+        f = tmp_path / "hom.json"
+        half = MAX_EXPANDED_LENGTH // 2
+        f.write_text(json.dumps(hom_check_doc(f"x^{half}", f"x^-{half}")))
+        assert run_json(capsys, "pres", "hom-check", str(f))["well_defined"] is True
 
     def test_hom_check_failure_exit(self, capsys, tmp_path):
         f = tmp_path / "hom.json"
@@ -324,7 +330,7 @@ class TestTree:
         code, out, err = run(capsys, "tree", "ball", "--radius", "8", "--cap", "2", "--dot")
         assert (code, out) == (EXIT_RESOURCE, "")
         assert err == (f"resource cap exceeded: DOT output of a ball of 174762 vertices "
-                       f"exceeds the cap of {words.MAX_DOT_VERTICES}; lower the radius or exponent cap\n")
+                       f"exceeds the cap of {freeprod.MAX_DOT_VERTICES}; lower the radius or exponent cap\n")
         assert time.perf_counter() - start < 1.0
 
     def test_ball_resource_cap(self, capsys):
@@ -332,7 +338,7 @@ class TestTree:
         code, out, err = run(capsys, "tree", "ball", "--radius", "11")
         assert (code, out) == (EXIT_RESOURCE, "")
         assert err == ("resource cap exceeded: tree ball of radius 11 exceeds "
-                       f"{words.MAX_BALL_VERTICES} vertices; lower the radius or exponent cap\n")
+                       f"{freeprod.MAX_BALL_VERTICES} vertices; lower the radius or exponent cap\n")
 
     @pytest.mark.parametrize("argv, reason", [
         # factor elements of 10^10 letters for a ball of 400,002 vertices
@@ -656,6 +662,12 @@ _past_cap = multipartite([2] * 5 + [5] * 5, isolated=1)
 PAST_CLIQUE_CAP = {"n": _past_cap.n, "edges": sorted(map(list, _past_cap.edges))}
 
 
+def hom_check_doc(a, b):
+    """A hom-check file mapping a and b, of the relator a b, to the given words in x."""
+    return {"presentation": {"generators": ["a", "b"], "relators": ["a b"]},
+            "target_generators": ["x"], "images": {"a": a, "b": b}}
+
+
 class TestInputChecks:
     """Each check on outside input prints its own line.  An input with two
     faults reports the one its parser checks first."""
@@ -701,6 +713,9 @@ class TestInputChecks:
                   EXIT_RESOURCE, "resource cap exceeded: graph has 65 vertices, limit is 64"),
         bad_input("graph-clique-cap", ["raag", "z"], PAST_CLIQUE_CAP, EXIT_RESOURCE,
                   "resource cap exceeded: graph has more than 100000 maximal cliques"),
+        bad_input("hom-image-cap", ["pres", "hom-check"], hom_check_doc("x^600000", "x^600000"),
+                  EXIT_RESOURCE, "resource cap exceeded: image expands to 1200000 letters, "
+                  f"more than the cap of {MAX_EXPANDED_LENGTH}"),
         # two faults: the first check the parser runs wins
         bad_input("braid-token-before-strands", ["braid", "perm", "--n", "1", "t1"], None,
                   EXIT_USAGE, "error: bad braid token 't1'; expected like s2 or s2^-1"),

@@ -18,10 +18,11 @@ from tcbounds.presentations import (
     PresentationError,
     _snf_with_left_transform,
     abelianization,
+    apply_images,
     check_hom,
     smith_normal_form,
 )
-from tcbounds.words import ResourceCapError, generator, identity, parse_word
+from tcbounds.words import ResourceCapError, generator, identity, parse_word, reduce
 
 from oracles import abelian_images_error, bareiss_det, determinantal_divisors, naive_smith
 
@@ -297,3 +298,18 @@ class TestHomomorphisms:
         p = borromean_p()
         for r in BORROMEAN.relators:
             assert p(r).is_identity
+
+
+def rank_words(rank, max_len):
+    return st.lists(st.tuples(st.integers(1, rank), st.sampled_from([-1, 1])),
+                    max_size=max_len).map(lambda ls: reduce(ls, rank))
+
+
+class TestApplyImages:
+    @given(rank_words(3, 12), st.lists(rank_words(2, 5), min_size=3, max_size=3))
+    def test_is_substitute_then_reduce(self, w, images):
+        substituted = []
+        for g, s in w.letters:
+            img = images[g - 1] if s == 1 else images[g - 1].inverse()
+            substituted += img.letters
+        assert apply_images(w, 2, images) == reduce(substituted, 2)

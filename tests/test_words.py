@@ -1,11 +1,17 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tcbounds
 from tcbounds.words import (
     MAX_EXPANDED_LENGTH,
     ResourceCapError,
+    Word,
     WordError,
     commutator,
     conjugate_in_free,
@@ -59,6 +65,12 @@ class TestReduce:
         once = reduce(letters, 2)
         assert reduce(once.letters, 2) == once
 
+    @given(random_word(), random_word(), random_word())
+    def test_product_reduces_the_concatenation(self, u, v, c):
+        # c then c^-1 at the junction cancels deeply
+        for x, y in ((u, v), (u * c, c.inverse() * v)):
+            assert x * y == reduce(x.letters + y.letters, 2)
+
     @given(random_word())
     def test_inverse_cancels(self, u):
         assert (u * u.inverse()).is_identity
@@ -107,6 +119,27 @@ class TestConjugacy:
     @settings(max_examples=60, deadline=None)
     def test_agrees_with_conjugator_search(self, u, v):
         assert conjugate_in_free(u, v) == conjugate_by_search(u, v, 6)
+
+    def test_index_is_matched_whole(self):
+        x1, x11 = generator(1, 12), generator(11, 12)
+        for u, v in ((x1, x11), (x1.inverse(), x1), (x1 * x1, x11 * x1)):
+            assert not conjugate_in_free(u, v) and not conjugate_in_free(v, u)
+
+    @given(random_word(max_len=6), random_word(max_len=6), random_word(max_len=6), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_agrees_with_search_on_indices_1_and_11(self, u, v, c, conjugate):
+        """a -> x_1, b -> x_11 embeds F(a, b) in F_12 as a free factor, and the
+        retraction onto it keeps conjugacy both ways, so the search over F(a, b)
+        decides it; a conjugator of length <= 6 always exists here."""
+        if conjugate:
+            v = c * u * c.inverse()
+
+        def to_rank_12(x):
+            return Word(tuple((1 if g == 1 else 11, s) for g, s in x.letters), 12)
+
+        expected = conjugate_by_search(u, v, 6)
+        assert conjugate_in_free(to_rank_12(u), to_rank_12(v)) == expected
+        assert conjugate_in_free(to_rank_12(v), to_rank_12(u)) == expected
 
 
 class TestExponentSum:
@@ -158,6 +191,12 @@ class TestParseFormat:
     def test_expansion_cap(self, text):
         with pytest.raises(ResourceCapError):
             w(text)
+
+    def test_cap_counts_letters_before_reduction(self):
+        # 1,200,000 letters that reduce to 400,000
+        half = MAX_EXPANDED_LENGTH * 2 // 5
+        with pytest.raises(ResourceCapError, match=f"word expands to {3 * half} letters"):
+            w(f"a^{half} a^-{half} a^{half}")
 
     @given(random_word(), st.integers(-4, 4))
     def test_power_is_repeated_product(self, u, n):
@@ -220,3 +259,22 @@ def test_generator_out_of_range():
 def test_word_count_sanity():
     # 1 + 4 + 4*3 reduced words of length <= 2 in F_2
     assert len(all_reduced_words(2, 2)) == 17
+
+
+# 100,000 letters each; a loop that rescans what it has built takes minutes
+LONG_WORD_RUNS = {
+    "parse": "w = parse_word('a b ' * 50_000, 'ab'); assert len(w) == 100_000",
+    "images": "r = reduce([(1, 1), (2, 1)] * 50_000, 2); "
+              "assert len(apply_images(r, 2, (generator(2, 2), generator(1, 2)))) == 100_000",
+    "conjugacy": "u = reduce([(1, 1)] * 99_999 + [(2, 1)], 2); v = reduce([(1, 1)] * 99_999 + [(2, -1)], 2); "
+                 "assert not conjugate_in_free(u, v); assert conjugate_in_free(u, u ** 2 * u.inverse())",
+}
+
+
+@pytest.mark.parametrize("name", LONG_WORD_RUNS)
+def test_long_words_take_linear_time(name):
+    code = ("from tcbounds.words import conjugate_in_free, generator, parse_word, reduce; "
+            "from tcbounds.presentations import apply_images; " + LONG_WORD_RUNS[name])
+    env = dict(os.environ, PYTHONPATH=str(Path(tcbounds.__file__).parents[1]))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=30)
+
