@@ -1,5 +1,6 @@
 """The bound engine: every disjointness certificate and report, including
-the packaged case studies (Borromean rings group, Higman's group).
+the packaged case studies (Borromean rings group, Higman's group) and
+the ``expr`` and ``presentation`` scenarios with their notes.
 
 Lower bounds all flow through one criterion: if conjugates of A always
 meet B trivially inside G, then TC(G) >= chd(A x B) (Grant-Lupton-
@@ -109,21 +110,23 @@ def clique_pair_bound(graph: raag.SimpleGraph, k1: Sequence[int], k2: Sequence[i
 
 
 def verify_split_extension_certificate(
-    source: presentations.Presentation,
     p: presentations.FreeHom,
     a_gen: str,
     beta: Word,
 ) -> DisjointnessCertificate:
-    """Certificate for A = <a> and B = p^-1<beta> inside the presented group.
+    """Certificate for A = <a> and B = p^-1<beta> inside p's source group.
 
-    Machine checks: p is a homomorphism (done at FreeHom construction),
-    p(a) is nontrivial, and no nonzero powers of p(a) and beta are
-    conjugate in the free target (primitive-root comparison on cyclic
-    words).  The remaining step -- a^n in ker(p) forces n = 0 because
-    p(a)^n != 1 -- is pure normality logic applied to those checks.
+    Machine checks: p kills every relator (``check_hom``), p(a) is
+    nontrivial, and no nonzero powers of p(a) and beta are conjugate in
+    the free target (primitive-root comparison on cyclic words).  The
+    remaining step -- a^n in ker(p) forces n = 0 because p(a)^n != 1 --
+    is pure normality logic applied to those checks.
     """
-    idx = source.generator_index(a_gen)
-    pa = p(words.generator(idx, source.rank))
+    from . import presentations
+    ok, witness = presentations.check_hom(p.source, p.target_rank, p.images)
+    if not ok:
+        raise CertificateError(f"not a homomorphism: relator {witness} does not map to 1")
+    pa = p(words.generator(p.source.generator_index(a_gen), p.source.rank))
     if pa.is_identity:
         raise CertificateError(f"p({a_gen}) is trivial; the cyclic subgroup <{a_gen}> dies")
     if beta.is_identity:
@@ -200,6 +203,35 @@ def tc_report(
         certificates=tuple(cert_list),
         notes=tuple(all_notes),
     )
+
+
+def expr_report(expr: GroupExpr) -> BoundReport:
+    """The report for an ``expr`` scenario: no certificate, and one note
+    for each Opaque leaf, whose dimension data is the input's claim."""
+    return tc_report(expr, [], notes=[
+        f"chd({leaf.name}) in [{leaf.chd_lower}, {leaf.chd_upper}] taken from the "
+        f"scenario's expr, not verified ({leaf.justification})"
+        for leaf in groupexpr.leaves(expr) if isinstance(leaf, groupexpr.Opaque)])
+
+
+def split_extension_report(p: presentations.FreeHom, a_gen: str, beta: Word, b_expr: GroupExpr,
+                           group: GroupExpr, notes: Sequence[str]) -> BoundReport:
+    """The report whose one certificate is the split extension's: A = <a>
+    is infinite cyclic (Z^1), and B = p^-1<beta> has chd given by b_expr."""
+    cert = verify_split_extension_certificate(p, a_gen, beta)
+    return tc_report(group, [(groupexpr.FreeAbelian(1), b_expr, cert)], notes)
+
+
+def presentation_scenario_report(p: presentations.FreeHom, a_gen: str, beta: Word,
+                                 b_expr: GroupExpr, group: GroupExpr) -> BoundReport:
+    """The split-extension report of a ``presentation`` scenario.  Its
+    b_expr and group_expr are claims about the presented group that
+    nothing checks, and the report says so in one note each."""
+    return split_extension_report(p, a_gen, beta, b_expr, group, notes=(
+        f"chd(B) taken from the scenario's b_expr ({b_expr.label()}), not verified",
+        f"chd(G) and the geometric dimension taken from the scenario's group_expr "
+        f"({group.label()}), not verified",
+    ))
 
 
 def raag_report(graph: raag.SimpleGraph) -> tuple[raag.CliquePair, BoundReport]:
@@ -314,12 +346,9 @@ def borromean_case_study() -> BoundReport:
     applies, and chd(A x B) = 1 + chd(B) = 3 since B is not free.
     """
     from . import presentations
-    pres = borromean_presentation()
-    alpha = words.generator(1, 2)
     beta = words.generator(2, 2)
-    p = presentations.FreeHom(pres, 2, (alpha, beta, words.identity(2)))
-    cert = verify_split_extension_certificate(pres, p, "a", beta)
-
+    p = presentations.FreeHom(borromean_presentation(), 2,
+                              (words.generator(1, 2), beta, words.identity(2)))
     # chd(B) = 2: b and [c^-1, a] lie in B and commute (second relator),
     # yet generate a non-cyclic subgroup since p(b^n) = beta^n differs
     # from p([c^-1, a]) = 1 for n != 0; a group with such a relation is
@@ -331,7 +360,6 @@ def borromean_case_study() -> BoundReport:
         justification="B contains the commuting, non-powers pair b and [c^-1,a], so B is "
         "not free (chd >= 2); B embeds in the 2-dimensional link group (chd <= 2)",
     )
-    a_sub = groupexpr.FreeAbelian(1)
     g = groupexpr.Opaque(
         name="Borromean rings group",
         chd_lower=2,
@@ -340,12 +368,8 @@ def borromean_case_study() -> BoundReport:
         "2-complex and the group is not free",
         geom_dim=2,
     )
-    return tc_report(
-        g,
-        [(a_sub, b_sub, cert)],
-        notes=("zero-divisor methods top out at 2 here; the conjugate-disjointness "
-               "bound reaches 3",),
-    )
+    return split_extension_report(p, "a", beta, b_sub, g, notes=(
+        "zero-divisor methods top out at 2 here; the conjugate-disjointness bound reaches 3",))
 
 
 HIGMAN_GENERATORS = ("x", "y", "z", "w")

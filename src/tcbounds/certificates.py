@@ -33,10 +33,6 @@ class DisjointnessCertificate(Record):
     b_label: str
     steps: tuple[CertStep, ...]  # at least one
 
-    @property
-    def fully_machine_verified(self) -> bool:
-        return all(s.status == "machine-verified" for s in self.steps)
-
     def to_json(self) -> dict:
         return {
             "variant": self.variant,

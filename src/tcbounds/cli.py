@@ -2,11 +2,11 @@
 
 Subcommands: raag z|bound, braid perm|lk|equal|tc-bound, pres
 abel|hom-check, chd, tree ball|verify-lemma, tc-report.  Each cmd_*
-handler validates its input and returns a document without a schema
-key (``tree ball --dot`` returns its DOT text).  ``main`` alone stamps
-the schema, renders the document as JSON (--json, byte-deterministic
-for identical inputs) or as text derived from the same document, and
-picks the exit code.
+handler reads and checks its input, dispatches (``bounds`` builds every
+report and its notes) and returns a document, or DOT text for ``tree
+ball --dot``.  ``main`` stamps the schema on it (``BoundReport.to_json``
+stamps the reports nested in ``raag z`` and ``braid tc-bound``), renders
+it as JSON (--json, byte-deterministic) or as text, and picks the exit code.
 
 Handlers and loaders import the modules they call on dispatch, inside
 the function, so a request compiles and imports only what its
@@ -158,8 +158,7 @@ def scenario_report(data, where: str) -> bounds.BoundReport:
         _, report = bounds.raag_report(load_graph(data, where))
         return report
     if kind == "expr":
-        expr = load_expr(_require(data, "expr", where), where)
-        return bounds.tc_report(expr, [], notes=_opaque_notes(expr))
+        return bounds.expr_report(load_expr(_require(data, "expr", where), where))
     if kind == "presentation":
         return _presentation_report(data, where)
     raise InputError(f"{where}: unknown scenario kind {kind!r}")
@@ -182,20 +181,9 @@ def case_scenario(case: list[str]) -> tuple[dict, str]:
     return ({**graph, "kind": "raag"} if isinstance(graph, dict) else graph), rest[0]
 
 
-def _opaque_notes(expr: groupexpr.GroupExpr) -> list[str]:
-    """One note for each Opaque leaf of an expression read from a scenario:
-    its dimension data is the input's claim, and nothing here checks it."""
-    from . import groupexpr
-    return [f"chd({leaf.name}) in [{leaf.chd_lower}, {leaf.chd_upper}] taken from the "
-            f"scenario's expr, not verified ({leaf.justification})"
-            for leaf in groupexpr.leaves(expr) if isinstance(leaf, groupexpr.Opaque)]
-
-
 def _presentation_report(data, where: str) -> bounds.BoundReport:
-    """The split-extension report.  Its certificate proves that <a> is
-    infinite cyclic, so a_expr must be Z^1; b_expr and group_expr are
-    claims about the presented group that nothing checks, and the report
-    says so in one note each."""
+    """Load a ``presentation`` scenario and hand it to bounds.  The
+    certificate proves that <a> is infinite cyclic, so a_expr must be Z^1."""
     from . import bounds, groupexpr, presentations, words
     a_expr, b_expr, g_expr = (load_expr(_require(data, field, where), f"{where}: {field}")
                               for field in ("a_expr", "b_expr", "group_expr"))
@@ -204,14 +192,11 @@ def _presentation_report(data, where: str) -> bounds.BoundReport:
                          f"the infinite cyclic <a> the certificate proves, got {a_expr.label()}")
     pres = load_presentation(data, where)
     target, images = load_hom(_require(data, "hom", where), pres, f"{where}: hom")
-    p = presentations.FreeHom(pres, len(target), images)
+    a_gen = _require(data, "a_generator", where)
+    _parsed(f"{where}: a_generator", pres.generator_index, a_gen)
     beta = _parsed(f"{where}: beta", words.parse_word, _require(data, "beta", where), target)
-    cert = bounds.verify_split_extension_certificate(pres, p, _require(data, "a_generator", where), beta)
-    return bounds.tc_report(g_expr, [(a_expr, b_expr, cert)], notes=(
-        f"chd(B) taken from the scenario's b_expr ({b_expr.label()}), not verified",
-        f"chd(G) and the geometric dimension taken from the scenario's group_expr "
-        f"({g_expr.label()}), not verified",
-    ))
+    return bounds.presentation_scenario_report(presentations.FreeHom(pres, len(target), images),
+                                               a_gen, beta, b_expr, g_expr)
 
 
 # ---------------------------------------------------------------------------

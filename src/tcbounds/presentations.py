@@ -6,7 +6,8 @@ that repivots on the smallest remainder and keeps the divisibility
 chain as an invariant.  The result carries generator images in the
 abelianized group, so claims like "powers of x survive while powers of
 y are trivial" are directly checkable.  A relator's image under a map
-to a free group is substituted letter by letter and reduced once.
+to a free group is substituted letter by letter and reduced once, and
+``check_hom`` is the one check that such a map is well defined.
 """
 
 from __future__ import annotations
@@ -188,21 +189,13 @@ def abelianization(p: Presentation) -> AbelianInvariants:
 # Homomorphisms into free groups
 
 class FreeHom(Record):
-    """A homomorphism from a presented group into a free group: one image of
-    rank target_rank per source generator.
-
-    Well-definedness (every relator mapping to the identity) is checked
-    at construction.
-    """
+    """A candidate homomorphism from a presented group into a free group:
+    one image of rank target_rank per source generator.  It only stores;
+    ``check_hom`` checks that every relator maps to the identity."""
 
     source: Presentation
     target_rank: int
     images: tuple[Word, ...]
-
-    def __post_init__(self) -> None:
-        ok, witness = check_hom(self.source, self.target_rank, self.images)
-        if not ok:
-            raise PresentationError(f"not a homomorphism: relator {witness} does not map to 1")
 
     def __call__(self, w: Word) -> Word:
         return apply_images(w, self.target_rank, self.images)

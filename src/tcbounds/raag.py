@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -146,32 +146,34 @@ def z_number(graph: SimpleGraph) -> tuple[int, CliquePair]:
     """max |K1 union K2| over clique pairs, with a lexicographically
     minimal witness among the maximizing pairs of maximal cliques.
 
-    A branch-and-bound search finds the value: cliques are visited by
-    decreasing size, and a pair whose two sizes sum to at most the best
-    union so far is not scanned.  A second pass then rescans the pairs
-    (i, j), i <= j, in index order, skipping those whose sizes sum to
-    less than the value, and returns the first one that reaches it: the
-    pair an all-pairs scan with a strict improvement rule keeps.
+    A branch-and-bound search finds the value.  With c the number of
+    vertices common to all maximal cliques, |K_i u K_j| <= |K_i| + |K_j| - c:
+    cliques are visited by decreasing size, and a pair whose bound is at
+    most the best union so far is not scanned.  A second pass then
+    rescans the pairs (i, j), i <= j, in index order, skipping those whose
+    bound is below the value, and returns the first one that reaches it:
+    the pair an all-pairs scan with a strict improvement rule keeps.
     """
     if graph.n < 1:
         raise GraphError("graph must have at least one vertex")
     cliques = graph.cliques
     masks = [sum(1 << (v - 1) for v in c) for c in cliques]
     sizes = [len(c) for c in cliques]
+    common = reduce(int.__and__, masks).bit_count()
     order = sorted(range(len(cliques)), key=sizes.__getitem__, reverse=True)
     best = sizes[order[0]]
     for a, i in enumerate(order):
-        if 2 * sizes[i] <= best:
+        if 2 * sizes[i] - common <= best:
             break
         for b in range(a + 1, len(order)):
             j = order[b]
-            if sizes[i] + sizes[j] <= best:
+            if sizes[i] + sizes[j] - common <= best:
                 break
             best = max(best, (masks[i] | masks[j]).bit_count())
     # at_least[t]: ascending indices of the cliques with at least t vertices
     at_least: dict[int, list[int]] = {}
     for i in range(len(cliques)):
-        t = best - sizes[i]
+        t = best - sizes[i] + common
         if t not in at_least:
             at_least[t] = [k for k in range(len(cliques)) if sizes[k] >= t]
         partners = at_least[t]

@@ -16,7 +16,8 @@ ones as plain ``BraidWord`` records of already valid letters.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
+from functools import cache
 from itertools import combinations, product
 from math import gcd
 from typing import Optional
@@ -51,12 +52,26 @@ def all_reduced_words(rank: int, max_len: int) -> list[Word]:
     return out
 
 
+@cache
+def _conjugators(rank: int, max_len: int) -> tuple[tuple[tuple, tuple], ...]:
+    """Each reduced word of length <= max_len as (its letters, its inverse's)."""
+    return tuple((c.letters, _inverse(c.letters)) for c in all_reduced_words(rank, max_len))
+
+
+def _reduced_product(a: tuple, b: tuple) -> tuple:
+    """The reduced product of two reduced letter tuples: cancel at the seam."""
+    k, n = 0, min(len(a), len(b))
+    while k < n and a[-1 - k] == (b[k][0], -b[k][1]):
+        k += 1
+    return a[:len(a) - k] + b[k:]
+
+
 def conjugate_by_search(u: Word, v: Word, max_conjugator_len: int) -> bool:
-    """True iff some c with |c| <= max_conjugator_len has c u c^-1 = v."""
-    for c in all_reduced_words(u.rank, max_conjugator_len):
-        if (c * u * c.inverse()).letters == v.letters:
-            return True
-    return False
+    """True iff some c with |c| <= max_conjugator_len has c u c^-1 = v.  The
+    conjugators are built once per rank and length, and the products are
+    taken on letter tuples."""
+    return any(_reduced_product(_reduced_product(c, u.letters), c_inv) == v.letters
+               for c, c_inv in _conjugators(u.rank, max_conjugator_len))
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +257,15 @@ def multipartite(parts, isolated=0):
     return SimpleGraph.from_edges(len(labels) + isolated, [
         (u + 1, v + 1) for u, v in combinations(range(len(labels)), 2)
         if labels[u] != labels[v]])
+
+
+def cone(graph, drop_first=False):
+    """graph plus an apex vertex n + 1 joined to every vertex (to every
+    vertex but 1 if drop_first): the apex lies in every maximal clique of a
+    cone, and only in those without vertex 1 of a near-cone."""
+    apex = graph.n + 1
+    return SimpleGraph.from_edges(apex, [*graph.edges, *((v, apex) for v in range(
+        2 if drop_first else 1, apex))])
 
 
 def all_pairs_z(graph) -> tuple[int, tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -616,3 +640,11 @@ def geometric_dimension(e: GroupExpr) -> tuple[int, bool]:
             # configuration space, surface, Salvetti complex, one-relator
             # presentation complex), so chd is realized geometrically
             return chd(e).upper, False
+
+
+# ---------------------------------------------------------------------------
+# Certificates
+
+def status_counts(cert) -> Counter:
+    """How many steps of a certificate carry each status."""
+    return Counter(step.status for step in cert.steps)

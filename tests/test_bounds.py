@@ -30,7 +30,7 @@ from tcbounds.presentations import FreeHom, Presentation
 from tcbounds.raag import GraphError, SimpleGraph, z_number
 from tcbounds.words import ResourceCapError, generator, identity, parse_word
 
-from oracles import first_noncommuting_alphas
+from oracles import first_noncommuting_alphas, status_counts
 
 
 PATH3 = SimpleGraph.from_edges(3, [(1, 2), (2, 3)])
@@ -86,12 +86,13 @@ class TestCertificateRecords:
             assert cert.steps, cert
 
     def test_fully_machine_verified(self):
+        # a certificate is fully machine-verified when it has no other status
         mv = CertStep("ok", "machine-verified")
         cited = CertStep("fact", "cited", "somewhere")
-        assert DisjointnessCertificate("retraction", "A", "B", (mv,)).fully_machine_verified
-        assert not DisjointnessCertificate(
-            "trusted-chain", "A", "B", (mv, cited)
-        ).fully_machine_verified
+        assert status_counts(DisjointnessCertificate("retraction", "A", "B", (mv,))) == {
+            "machine-verified": 1}
+        assert status_counts(DisjointnessCertificate("trusted-chain", "A", "B", (mv, cited))) == {
+            "machine-verified": 1, "cited": 1}
 
     def test_report_interval_validated(self):
         with pytest.raises(CertificateError):
@@ -103,8 +104,7 @@ class TestRetractionVerifier:
     def test_raag_coordinate_retraction(self):
         _, cert = clique_pair_bound(PATH3, [1], [2, 3])
         assert cert.variant == "retraction"
-        assert cert.fully_machine_verified
-        assert len(cert.steps) == 3
+        assert status_counts(cert) == {"machine-verified": 3}
 
     def test_non_homomorphism_rejected(self):
         # the map x -> 1, y -> e_1 does not kill the relator x y x^-1 y^-2
@@ -126,40 +126,40 @@ class TestRetractionVerifier:
                                           {"x": (1,), "y": (1,)})
 
 
-def borromean_p():
-    pres = borromean_presentation()
-    return pres, FreeHom(pres, 2, (generator(1, 2), generator(2, 2), identity(2)))
+def borromean_p(c_image=identity(2)):
+    """The strand-forgetting map a -> u, b -> v and c -> 1 (or c_image)."""
+    return FreeHom(borromean_presentation(), 2, (generator(1, 2), generator(2, 2), c_image))
 
 
 class TestSplitExtensionVerifier:
     def test_borromean_certificate(self):
-        pres, p = borromean_p()
-        cert = verify_split_extension_certificate(pres, p, "a", generator(2, 2))
+        cert = verify_split_extension_certificate(borromean_p(), "a", generator(2, 2))
         assert cert.variant == "split-extension"
-        assert cert.fully_machine_verified
-        assert len(cert.steps) == 4
+        assert status_counts(cert) == {"machine-verified": 4}
+
+    def test_non_homomorphism_rejected(self):
+        # the verifier runs check_hom itself: a -> u, b -> v, c -> u does not
+        # kill the first relator, and FreeHom stores the map unchecked
+        with pytest.raises(CertificateError, match=r"^not a homomorphism: relator "
+                           r"a b\^-1 c b c\^-1 a\^-1 c b\^-1 c\^-1 b does not map to 1$"):
+            verify_split_extension_certificate(borromean_p(generator(1, 2)), "a", generator(2, 2))
 
     def test_conjugate_powers_rejected(self):
         # beta = p(a) makes the powers trivially conjugate
-        pres, p = borromean_p()
         with pytest.raises(CertificateError, match="conjugate"):
-            verify_split_extension_certificate(pres, p, "a", generator(1, 2))
+            verify_split_extension_certificate(borromean_p(), "a", generator(1, 2))
 
     def test_inverse_conjugate_rejected(self):
-        pres, p = borromean_p()
         with pytest.raises(CertificateError, match="conjugate"):
-            verify_split_extension_certificate(pres, p, "a",
-                                               generator(1, 2).inverse())
+            verify_split_extension_certificate(borromean_p(), "a", generator(1, 2).inverse())
 
     def test_trivial_image_rejected(self):
-        pres, p = borromean_p()
         with pytest.raises(CertificateError, match="trivial"):
-            verify_split_extension_certificate(pres, p, "c", generator(2, 2))
+            verify_split_extension_certificate(borromean_p(), "c", generator(2, 2))
 
     def test_trivial_beta_rejected(self):
-        pres, p = borromean_p()
         with pytest.raises(CertificateError):
-            verify_split_extension_certificate(pres, p, "a", identity(2))
+            verify_split_extension_certificate(borromean_p(), "a", identity(2))
 
 
 class TestCliquePairBound:
@@ -167,7 +167,7 @@ class TestCliquePairBound:
         bound, cert = clique_pair_bound(PATH3, [1], [2, 3])
         assert bound == 3
         assert cert.variant == "retraction"
-        assert cert.fully_machine_verified
+        assert status_counts(cert) == {"machine-verified": 3}
 
     def test_overlapping_cliques_rejected(self):
         with pytest.raises(GraphError):
@@ -192,7 +192,7 @@ class TestCliquePairBound:
                 continue  # witness cliques coincide
             bound, cert = clique_pair_bound(g, k1, k2)
             assert bound == z
-            assert cert.fully_machine_verified
+            assert status_counts(cert) == {"machine-verified": 3}
 
     def test_raag_report_lower_is_z(self):
         # raag z prints witness.union_size as z and report.lower as the
@@ -216,10 +216,9 @@ class TestPureBraidReport:
 
     def test_certificate_has_cited_step(self):
         (cert,) = pure_braid_report(4).certificates
-        assert not cert.fully_machine_verified
+        assert status_counts(cert) == {"machine-verified": 2, "cited": 1}
         assert any(s.status == "cited" and "conjugation by pure braids" in s.description
                    for s in cert.steps)
-        assert sum(1 for s in cert.steps if s.status == "machine-verified") == 2
 
     def test_n_too_small(self):
         with pytest.raises(BraidError):
@@ -335,7 +334,14 @@ class TestBorromeanCaseStudy:
         report = borromean_case_study()
         (cert,) = report.certificates
         assert cert.variant == "split-extension"
-        assert cert.fully_machine_verified
+        assert status_counts(cert) == {"machine-verified": 4}
+
+    def test_presentation_scenario_shares_the_builder(self):
+        # a presentation scenario holding Borromean's data: same interval,
+        # same certificate; only the group's label and the notes differ
+        case, scenario = borromean_case_study(), scenario_report(PRESENTATION_SCENARIO, "scenario")
+        assert (scenario.lower, scenario.upper) == (case.lower, case.upper) == (3, 4)
+        assert scenario.certificates == case.certificates
 
     def test_presentation(self):
         pres = borromean_presentation()
@@ -347,9 +353,7 @@ class TestBorromeanCaseStudy:
     def test_commutator_in_b_maps_to_one(self):
         # B's chd of 2 rests on b and [c^-1,a] commuting inside B, which
         # needs p([c^-1,a]) = 1; p sends c to 1, so the image is trivial
-        pres = borromean_presentation()
-        p = FreeHom(pres, 2, (generator(1, 2), generator(2, 2), identity(2)))
-        assert p(parse_word("[c^-1,a]", pres.generators)).is_identity
+        assert borromean_p()(parse_word("[c^-1,a]", ("a", "b", "c"))).is_identity
 
 
 @pytest.fixture(scope="module")

@@ -426,6 +426,7 @@ class TestTree:
 
 
 BORROMEAN = {"generators": ["a", "b", "c"], "relators": ["[a,[b^-1,c]]", "[b,[c^-1,a]]"]}
+BORROMEAN_IMAGES = {"a": "u", "b": "v", "c": ""}
 
 
 def presentation_scenario(images):
@@ -499,7 +500,7 @@ class TestTcReport:
 
     def test_scenario_presentation(self, capsys, tmp_path):
         f = tmp_path / "scenario.json"
-        f.write_text(json.dumps(presentation_scenario({"a": "u", "b": "v", "c": ""})))
+        f.write_text(json.dumps(presentation_scenario(BORROMEAN_IMAGES)))
         doc = run_json(capsys, "tc-report", str(f))
         assert (doc["tc_lower"], doc["tc_upper"]) == (3, 4)
         assert doc["notes"] == [
@@ -508,11 +509,26 @@ class TestTcReport:
             "not verified",
         ]
 
+    def test_scenario_non_homomorphism_exits_2(self, capsys, tmp_path):
+        # the certificate runs check_hom, so a map that does not kill a
+        # relator is a failed check (exit 2), as in pres hom-check
+        images = {"a": "u", "b": "v", "c": "u"}
+        relator = "a b^-1 c b c^-1 a^-1 c b^-1 c^-1 b"
+        f = tmp_path / "scenario.json"
+        f.write_text(json.dumps(presentation_scenario(images)))
+        assert run(capsys, "tc-report", str(f)) == (
+            EXIT_VERIFICATION, "",
+            f"verification failure: not a homomorphism: relator {relator} does not map to 1\n")
+        f.write_text(json.dumps({"presentation": BORROMEAN, "target_generators": ["u", "v"],
+                                 "images": images}))
+        code, out, _ = run(capsys, "--json", "pres", "hom-check", str(f))
+        assert (code, json.loads(out)["failing_relator"]) == (EXIT_VERIFICATION, relator)
+
     def test_scenario_a_expr_must_be_z(self, capsys, tmp_path):
         # the certificate proves <a> infinite cyclic; Z^9 x Z^9 read from the
         # input used to give the certified interval [18, 18]
         z9 = {"kind": "free_abelian", "rank": 9}
-        doc = {**presentation_scenario({"a": "u", "b": "v", "c": ""}), "a_expr": z9,
+        doc = {**presentation_scenario(BORROMEAN_IMAGES), "a_expr": z9,
                "b_expr": z9, "group_expr": {"kind": "opaque", "chd": 2, "geom_dim": 9}}
         err = run_bad_file(capsys, tmp_path, doc, "tc-report")
         assert err.endswith('a_expr: expected {"kind": "free_abelian", "rank": 1}, the '
@@ -520,7 +536,7 @@ class TestTcReport:
 
     def test_scenario_b_expr_is_noted_as_supplied(self, capsys, tmp_path):
         f = tmp_path / "scenario.json"
-        f.write_text(json.dumps({**presentation_scenario({"a": "u", "b": "v", "c": ""}),
+        f.write_text(json.dumps({**presentation_scenario(BORROMEAN_IMAGES),
                                  "b_expr": {"kind": "free_abelian", "rank": 9},
                                  "group_expr": {"kind": "opaque", "chd": 2, "geom_dim": 9}}))
         doc = run_json(capsys, "tc-report", str(f))
@@ -624,7 +640,7 @@ def chd_upper(expr_json) -> int:
 def test_presentation_lower_bound_rests_on_z_times_b(a, b, g):
     """A presentation scenario certifies chd(Z x B) = 1 + chd(B) at most,
     whatever its a_expr claims."""
-    data = {**presentation_scenario({"a": "u", "b": "v", "c": ""}),
+    data = {**presentation_scenario(BORROMEAN_IMAGES),
             "a_expr": a, "b_expr": b, "group_expr": g}
     try:
         report = scenario_report(data, "scenario")
@@ -736,6 +752,13 @@ class TestInputChecks:
         bad_input("opaque-lower-before-interval", ["chd"],
                   {"kind": "opaque", "chd_lower": -1, "chd_upper": -2}, EXIT_USAGE,
                   "error: {f}: chd lower bound must be >= 0"),
+        # a_generator is checked where the scenario is read, not in the verifier
+        bad_input("a-generator-unknown", ["tc-report"],
+                  {**presentation_scenario(BORROMEAN_IMAGES), "a_generator": "q"}, EXIT_USAGE,
+                  "error: {f}: a_generator: unknown generator 'q'"),
+        bad_input("a-generator-list", ["tc-report"],
+                  {**presentation_scenario(BORROMEAN_IMAGES), "a_generator": ["a"]}, EXIT_USAGE,
+                  "error: {f}: a_generator: unknown generator ['a']"),
     ])
     def test_one_line(self, capsys, tmp_path, argv, doc, code, line):
         f = tmp_path / "input.json"

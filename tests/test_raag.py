@@ -3,7 +3,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tcbounds import raag
 from tcbounds.raag import (
@@ -17,7 +17,7 @@ from tcbounds.raag import (
 
 from tcbounds.words import ResourceCapError
 
-from oracles import all_pairs_z, brute_force_z, multipartite
+from oracles import all_pairs_z, brute_force_z, cone, multipartite
 
 
 def complete(n):
@@ -52,11 +52,14 @@ def dense_graph(draw, max_n=14):
 
 
 # graphs with many maximal cliques of equal size, hence many tied pairs
-tied_graph = st.one_of(
+tied_base = st.one_of(
     st.builds(multipartite, st.lists(st.integers(1, 3), min_size=1, max_size=7)),
     st.builds(disjoint_cliques, st.integers(1, 5), st.integers(1, 4)),
     dense_graph(),
 )
+# and their cones (the apex lies in every maximal clique) and near-cones (it
+# lies in some), which the common-vertex bound must not get wrong
+tied_graph = st.one_of(tied_base, st.builds(cone, tied_base, st.booleans()))
 
 
 @st.composite
@@ -188,7 +191,11 @@ class TestZNumber:
             masks = g.adjacency_masks()
             assert z_number(g)[0] == brute_force_z(n, masks[1:]), g
 
+    # no deadline: the all-pairs oracle takes about 0.2 s on the 2,187-clique
+    # graphs of 7 parts of size 3, and z_number about 0.35 s on their
+    # near-cones, whose pairs the common-vertex bound cannot prune
     @given(tied_graph)
+    @settings(deadline=None)
     def test_value_and_witness_match_all_pairs_scan(self, g):
         z, pair = z_number(g)
         assert (z, (pair.k1, pair.k2)) == all_pairs_z(g)
@@ -203,6 +210,17 @@ class TestZNumber:
         z, pair = z_number(multipartite([3] * parts))
         assert z == pair.union_size == 2 * parts
         assert time.perf_counter() - start < 10
+
+    def test_cone_over_multipartite(self):
+        # the apex lies in all 3^9 = 19,683 maximal cliques; without
+        # subtracting it from |K_i| + |K_j| no pair bound falls to the best
+        # union, and the search scans about 1.9e8 pairs
+        g = cone(multipartite([3] * 9))
+        assert len(g.cliques) == 3**9
+        start = time.perf_counter()
+        z, pair = z_number(g)
+        assert z == pair.union_size == 19
+        assert time.perf_counter() - start < 1
 
     def test_bounds_by_clique_number(self):
         rng = random.Random(9)

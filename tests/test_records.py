@@ -128,13 +128,12 @@ def test_wrong_arguments_raise_type_error(args, kwargs):
     (lambda: groupexpr.ChdResult(3, 2), groupexpr.ExprError),
     (lambda: presentations.AbelianInvariants(0, (2, 3), ()), presentations.PresentationError),
     (lambda: presentations.AbelianInvariants(0, (1,), ()), presentations.PresentationError),
-    (lambda: presentations.FreeHom(presentations.Presentation.from_strings(["a"], ["a"]), 1, (U,)),
-     presentations.PresentationError),
+    # a FreeHom only stores: the split-extension verifier runs check_hom
     # a Factor only stores; the ball it is built into checks kind and rank
     (lambda: freeprod.TreeBall((freeprod.Factor("cyclic", 1),) * 2, 1, 1), freeprod.FreeProductError),
     (lambda: freeprod.TreeBall((freeprod.Factor("free", 0),) * 2, 1, 1), freeprod.FreeProductError),
 ], ids=["BoundReport", "ChdResult", "AbelianInvariants-chain", "AbelianInvariants-small",
-        "FreeHom", "Factor-kind", "Factor-rank"])
+        "Factor-kind", "Factor-rank"])
 def test_post_init_checks_still_raise(build, error):
     with pytest.raises(error):
         build()
