@@ -123,8 +123,8 @@ def verify_split_extension_certificate(
     is pure normality logic applied to those checks.
     """
     from . import presentations
-    ok, witness = presentations.check_hom(p.source, p.target_rank, p.images)
-    if not ok:
+    witness = presentations.check_hom(p)
+    if witness is not None:
         raise CertificateError(f"not a homomorphism: relator {witness} does not map to 1")
     pa = p(words.generator(p.source.generator_index(a_gen), p.source.rank))
     if pa.is_identity:
@@ -174,7 +174,7 @@ def tc_report(
     rests on chd = 2 without an explicit aspherical 2-complex.
     """
     ev = groupexpr.evaluate(group)
-    lower = ev.chd.lower
+    lower = ev.lower
     lower_prov = [Provenance(f"cat(G) <= TC(G) with {CAT_CITE}", lower)]
     cert_list = []
     for a_expr, b_expr, cert in certs:

@@ -34,14 +34,6 @@ class BraidWord(Record):
     n: int
     letters: tuple[tuple[int, int], ...]  # (index 1..n-1, sign +-1)
 
-    def __mul__(self, other: "BraidWord") -> "BraidWord":
-        return BraidWord(self.n, self.letters + other.letters)
-
-    def __str__(self) -> str:
-        if not self.letters:
-            return "1"
-        return " ".join(f"s{i}" if s == 1 else f"s{i}^-1" for i, s in self.letters)
-
 
 _BRAID_TOKEN = re.compile(r"s(\d+)(?:\^(-?\d+))?$")
 

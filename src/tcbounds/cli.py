@@ -4,7 +4,9 @@ Subcommands: raag z|bound, braid perm|lk|equal|tc-bound, pres
 abel|hom-check, chd, tree ball|verify-lemma, tc-report.  Each cmd_*
 handler reads and checks its input, dispatches (``bounds`` builds every
 report and its notes) and returns a document, or DOT text for ``tree
-ball --dot``.  ``main`` stamps the schema on it (``BoundReport.to_json``
+ball --dot``.  A loader returns the one record the engine takes, such
+as ``load_hom``'s ``presentations.FreeHom``, which the verifier reads.
+``main`` stamps the schema on the document (``BoundReport.to_json``
 stamps the reports nested in ``raag z`` and ``braid tc-bound``), renders
 it as JSON (--json, byte-deterministic) or as text, and picks the exit code.
 
@@ -120,21 +122,24 @@ def load_presentation(data, where: str) -> presentations.Presentation:
 
 
 def load_hom(data, source: presentations.Presentation,
-             where: str) -> tuple[list[str], tuple[words.Word, ...]]:
-    """Target generator names and the images of the source generators from
-    {"target_generators": [names], "images": {generator: word}}.  Every
-    source generator needs an entry; "" is the identity."""
-    from . import words
+             where: str) -> tuple[list[str], presentations.FreeHom]:
+    """Target generator names and the map from {"target_generators": [names],
+    "images": {generator: word}}: the names follow the name rule, and each
+    source generator, and no other, has an image ("" is the identity)."""
+    from . import presentations, words
     target = _string_list(data, "target_generators", where)
+    _parsed(f"{where}: target_generators", words.check_names, target)
     image_map = _require(data, "images", where)
     if not isinstance(image_map, dict):
         raise InputError(f"{where}: images: expected an object mapping generators to words")
-    images = []
+    images, rest = [], dict(image_map)
     for name in source.generators:
-        if name not in image_map:
+        if name not in rest:
             raise InputError(f"{where}: images: no image for generator {name!r}")
-        images.append(_parsed(f"{where}: images: {name}", words.parse_word, image_map[name], target))
-    return target, tuple(images)
+        images.append(_parsed(f"{where}: images: {name}", words.parse_word, rest.pop(name), target))
+    if rest:
+        raise InputError(f"{where}: images: unknown generator {next(iter(rest))!r}")
+    return target, presentations.FreeHom(source, len(target), tuple(images))
 
 
 # ---------------------------------------------------------------------------
@@ -184,19 +189,18 @@ def case_scenario(case: list[str]) -> tuple[dict, str]:
 def _presentation_report(data, where: str) -> bounds.BoundReport:
     """Load a ``presentation`` scenario and hand it to bounds.  The
     certificate proves that <a> is infinite cyclic, so a_expr must be Z^1."""
-    from . import bounds, groupexpr, presentations, words
+    from . import bounds, groupexpr, words
     a_expr, b_expr, g_expr = (load_expr(_require(data, field, where), f"{where}: {field}")
                               for field in ("a_expr", "b_expr", "group_expr"))
     if a_expr != groupexpr.FreeAbelian(1):
         raise InputError(f'{where}: a_expr: expected {{"kind": "free_abelian", "rank": 1}}, '
                          f"the infinite cyclic <a> the certificate proves, got {a_expr.label()}")
     pres = load_presentation(data, where)
-    target, images = load_hom(_require(data, "hom", where), pres, f"{where}: hom")
+    target, p = load_hom(_require(data, "hom", where), pres, f"{where}: hom")
     a_gen = _require(data, "a_generator", where)
     _parsed(f"{where}: a_generator", pres.generator_index, a_gen)
     beta = _parsed(f"{where}: beta", words.parse_word, _require(data, "beta", where), target)
-    return bounds.presentation_scenario_report(presentations.FreeHom(pres, len(target), images),
-                                               a_gen, beta, b_expr, g_expr)
+    return bounds.presentation_scenario_report(p, a_gen, beta, b_expr, g_expr)
 
 
 # ---------------------------------------------------------------------------
@@ -313,9 +317,10 @@ def cmd_pres_hom_check(args) -> dict:
     from . import presentations
     data = _load_json(args.file)
     pres = load_presentation(_require(data, "presentation", args.file), f"{args.file}: presentation")
-    target, images = load_hom(data, pres, args.file)
-    ok, witness = presentations.check_hom(pres, len(target), images)
-    return {"well_defined": True} if ok else {"well_defined": False, "failing_relator": str(witness)}
+    _, p = load_hom(data, pres, args.file)
+    witness = presentations.check_hom(p)
+    return ({"well_defined": True} if witness is None
+            else {"well_defined": False, "failing_relator": str(witness)})
 
 
 def cmd_chd(args) -> dict:

@@ -105,14 +105,6 @@ class FPWord(Record):
     factors: tuple[Factor, Factor]
     syllables: tuple[Syllable, ...]
 
-    @property
-    def syllable_length(self) -> int:
-        return len(self.syllables)
-
-    @property
-    def is_identity(self) -> bool:
-        return not self.syllables
-
 
 def normal_form(factors: tuple[Factor, Factor], raw: Sequence[Syllable]) -> FPWord:
     """Merge same-factor neighbours and drop identity syllables."""

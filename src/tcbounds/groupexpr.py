@@ -1,14 +1,15 @@
 """Symbolic cohomological-dimension calculus.
 
 A small expression language of groups with duality / Poincare-duality
-flags.  evaluate applies the rules in one post-order walk over the nodes,
-and returns an exact value or a certified interval, never a silent
-guess: products only collapse to an exact sum when a duality rule
-forces it (one factor orientable PD, or both factors duality groups),
-since subadditivity chd(AxB) <= chd(A) + chd(B) can be strict in
-general.  Expression nodes only store their fields; expr_from_json
-checks the ones it reads (ranks, strand counts, genera, opaque data).
-raag is imported only where expr_from_json reads a raag node.
+flags.  evaluate applies the rules in one post-order walk over the nodes
+and returns one Evaluation: chd, exact or a certified interval and never
+a silent guess, with its rule trace and dimension data.  Products only
+collapse to an exact sum when a duality rule forces it (one factor
+orientable PD, or both factors duality groups), since subadditivity
+chd(AxB) <= chd(A) + chd(B) can be strict in general.  Expression nodes
+only store their fields; expr_from_json checks the ones it reads (ranks,
+strand counts, genera, opaque data).  raag is imported only where
+expr_from_json reads a raag node.
 """
 
 from __future__ import annotations
@@ -115,12 +116,20 @@ class FreeProduct(GroupExpr):
         return f"({self.left.label()} * {self.right.label()})"
 
 
-class ChdResult(Record):
-    """An exact value or interval for chd, with the applied rule trace."""
+class Evaluation(Record):
+    """What the rules derive about one expression: chd in [lower, upper],
+    its rule trace, pd_dim / duality_dim (the dimension if derivably an
+    orientable PD / duality group, else None: never a false positive) and
+    geom_dim, an upper bound for the geometric dimension.  caveat: geom_dim
+    rests on chd = 2 with no explicit aspherical 2-complex (Eilenberg-Ganea)."""
 
     lower: int
     upper: int
-    trace: tuple[str, ...] = ()
+    trace: tuple[str, ...]
+    pd_dim: Optional[int]
+    duality_dim: Optional[int]
+    geom_dim: int
+    caveat: bool
 
     def __post_init__(self) -> None:
         if self.lower > self.upper:
@@ -129,26 +138,6 @@ class ChdResult(Record):
     @property
     def exact(self) -> bool:
         return self.lower == self.upper
-
-    @property
-    def value(self) -> int:
-        if not self.exact:
-            raise ExprError(f"chd is only bounded in [{self.lower}, {self.upper}]")
-        return self.lower
-
-
-class Evaluation(Record):
-    """What the rules derive about one expression.  pd_dim / duality_dim:
-    the dimension if derivably an orientable PD / duality group, else None
-    (never a false positive).  caveat: geom_dim, an upper bound for the
-    geometric dimension, rests on chd = 2 without an explicit aspherical
-    2-complex (the Eilenberg-Ganea problem leaves dimension 3 conceivable)."""
-
-    chd: ChdResult
-    pd_dim: Optional[int]
-    duality_dim: Optional[int]
-    geom_dim: int
-    caveat: bool
 
 
 def _postorder(e: GroupExpr) -> list[GroupExpr]:
@@ -163,25 +152,24 @@ def _postorder(e: GroupExpr) -> list[GroupExpr]:
 
 def evaluate(e: GroupExpr) -> Evaluation:
     """Apply the rules to the nodes of e in post-order, a shared subtree at
-    each occurrence.  A node's record holds only its own trace line; the
-    root's trace is those lines in order."""
-    stack: list[Evaluation] = []  # the records of the subtrees not yet combined
+    each occurrence.  The stack holds each uncombined subtree's Evaluation
+    fields but its trace; the root's trace is every node's line in order."""
+    stack: list[tuple] = []
     lines: list[str] = []
     for node in _postorder(e):
         if isinstance(node, (Product, FreeProduct)):
-            right = stack.pop()
-            stack.append(_combine(node, stack.pop(), right))
+            line, values = _combine(node, stack.pop(-2), stack.pop())  # left, right
         else:
-            stack.append(_base(node))
-        lines += stack[-1].chd.trace
-    root = stack.pop()
-    return Evaluation(ChdResult(root.chd.lower, root.chd.upper, tuple(lines)), root.pd_dim,
-                      root.duality_dim, root.geom_dim, root.caveat)
+            line, values = _base(node)
+        lines.append(line)
+        stack.append(values)
+    lower, upper, *dims = stack.pop()
+    return Evaluation(lower, upper, tuple(lines), *dims)
 
 
-def chd(e: GroupExpr) -> ChdResult:
+def chd(e: GroupExpr) -> Evaluation:
     """Evaluate cohomological dimension, exactly where a rule applies."""
-    return evaluate(e).chd
+    return evaluate(e)
 
 
 def leaves(e: GroupExpr) -> Iterator[GroupExpr]:
@@ -189,9 +177,9 @@ def leaves(e: GroupExpr) -> Iterator[GroupExpr]:
     return (node for node in _postorder(e) if not isinstance(node, (Product, FreeProduct)))
 
 
-def _base(e: GroupExpr) -> Evaluation:
-    """The rules for one leaf: chd with its trace line, the orientable-PD
-    dimension and, for groups not known to be PD, the duality dimension."""
+def _base(e: GroupExpr) -> tuple[str, tuple]:
+    """The rules for one leaf: its trace line and evaluate's values, with
+    the duality dimension equal to the PD dimension for a PD group."""
     pd = du = geom = None
     match e:
         case Trivial() | Free(rank=0):
@@ -229,39 +217,36 @@ def _base(e: GroupExpr) -> Evaluation:
     # the other base kinds carry explicit aspherical complexes (graph, torus,
     # configuration space, surface, Salvetti, one-relator presentation
     # complex), so chd is realized geometrically
-    return Evaluation(ChdResult(lo, hi, (line,)), pd, du if pd is None else pd,
-                      *(geom or (hi, False)))
+    return line, (lo, hi, pd, du if pd is None else pd, *(geom or (hi, False)))
 
 
-def _combine(e: GroupExpr, left: Evaluation, right: Evaluation) -> Evaluation:
-    """The product rules, or the free-product max rule, for one inner node."""
-    cl, cr = left.chd, right.chd
+def _combine(e: GroupExpr, left: tuple, right: tuple) -> tuple[str, tuple]:
+    """The product rules, or the free-product max rule, for one inner node
+    whose subtrees have evaluate's values left and right."""
+    lo_l, hi_l, pd_l, du_l, geom_l, caveat_l = left
+    lo_r, hi_r, pd_r, du_r, geom_r, caveat_r = right
     if isinstance(e, FreeProduct):
         pd = du = None
-        lo, hi = max(cl.lower, cr.lower), max(cl.upper, cr.upper)
+        lo, hi = max(lo_l, lo_r), max(hi_l, hi_r)
         line = "free product: chd = max of the (torsion-free) factors"
-        geom_dim = max(left.geom_dim, right.geom_dim)
+        geom_dim = max(geom_l, geom_r)
     else:
-        pd_l, pd_r = left.pd_dim, right.pd_dim
-        du_l, du_r = left.duality_dim, right.duality_dim
         pd = pd_l + pd_r if None not in (pd_l, pd_r) else None
         du = du_l + du_r if None not in (du_l, du_r) else None
         if pd_l is not None or pd_r is not None:
             # one factor orientable PD: chd adds exactly, so the rule shifts
             # the other factor's interval by the PD dimension
-            shift, other = (pd_l, cr) if pd_l is not None else (pd_r, cl)
-            lo, hi = shift + other.lower, shift + other.upper
+            lo, hi = (pd_l + lo_r, pd_l + hi_r) if pd_l is not None else (pd_r + lo_l, pd_r + hi_l)
             line = "orientable-PD product rule: chd(AxB) = chd(A) + chd(B)"
         elif du is not None:
             lo = hi = du
             line = f"duality product rule (Bieri-Eckmann): both factors duality, chd = {du_l} + {du_r} = {du}"
         else:
-            lo, hi = max(cl.lower, cr.lower), cl.upper + cr.upper
+            lo, hi = max(lo_l, lo_r), hi_l + hi_r
             line = ("no duality rule applies: interval [max of factors, sum of factors] "
                     "(subadditivity can be strict)")
-        geom_dim = left.geom_dim + right.geom_dim
-    return Evaluation(ChdResult(lo, hi, (line,)), pd, du,
-                      geom_dim, left.caveat or right.caveat)
+        geom_dim = geom_l + geom_r
+    return line, (lo, hi, pd, du, geom_dim, caveat_l or caveat_r)
 
 
 # ---------------------------------------------------------------------------

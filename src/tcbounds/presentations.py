@@ -5,9 +5,10 @@ exponent matrix, computed over arbitrary-precision integers by one loop
 that repivots on the smallest remainder and keeps the divisibility
 chain as an invariant.  The result carries generator images in the
 abelianized group, so claims like "powers of x survive while powers of
-y are trivial" are directly checkable.  A relator's image under a map
-to a free group is substituted letter by letter and reduced once, and
-``check_hom`` is the one check that such a map is well defined.
+y are trivial" are directly checkable.  A map to a free group is one
+``FreeHom`` record from the loader to the verifier: calling it on a word
+substitutes the images letter by letter and reduces once, and
+``check_hom`` is the one check that the map is well defined.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .words import (MAX_EXPANDED_LENGTH, InputError, Letter, Record, ResourceCapError, Word,
-                    _free_reduce, check_expanded_length, exponent_sum, parse_word)
+                    _free_reduce, check_expanded_length, check_names, exponent_sum, parse_word)
 
 
 class PresentationError(InputError):
@@ -25,7 +26,8 @@ class PresentationError(InputError):
 class Presentation(Record):
     """A finite presentation: distinct named generators plus nonempty relator
     words of their rank; the constructor does not check (``from_strings``
-    checks outside input)."""
+    checks outside input: the relators, then the name rule of
+    ``words.check_names``, then that no relator is empty)."""
 
     generators: tuple[str, ...]
     relators: tuple[Word, ...]
@@ -48,8 +50,7 @@ class Presentation(Record):
     def from_strings(generators: Sequence[str], relators: Sequence[str]) -> "Presentation":
         gens = tuple(generators)
         rels = tuple(parse_word(r, gens) for r in relators)
-        if len(set(gens)) != len(gens):
-            raise PresentationError("duplicate generator names")
+        check_names(gens)
         if any(r.is_identity for r in rels):
             raise PresentationError("empty relator not allowed")
         return Presentation(gens, rels)
@@ -198,29 +199,17 @@ class FreeHom(Record):
     images: tuple[Word, ...]
 
     def __call__(self, w: Word) -> Word:
-        return apply_images(w, self.target_rank, self.images)
+        """The images substituted into w, freely reduced once; an image past
+        MAX_EXPANDED_LENGTH letters unreduced raises ResourceCapError first."""
+        letters: list[Letter] = []
+        for g, s in w.letters:
+            img = self.images[g - 1].letters
+            check_expanded_length(len(letters) + len(img), "image")
+            letters += img if s == 1 else [(h, -t) for h, t in reversed(img)]
+        return Word(_free_reduce(letters), self.target_rank)
 
 
-def apply_images(w: Word, target_rank: int, images: Sequence[Word]) -> Word:
-    """Substitute generator images into w and freely reduce once; an image
-    past MAX_EXPANDED_LENGTH letters before reduction raises ResourceCapError
-    before it is built."""
-    letters: list[Letter] = []
-    for g, s in w.letters:
-        img = images[g - 1].letters
-        check_expanded_length(len(letters) + len(img), "image")
-        letters += img if s == 1 else [(h, -t) for h, t in reversed(img)]
-    return Word(_free_reduce(letters), target_rank)
-
-
-def check_hom(
-    source: Presentation, target_rank: int, images: Sequence[Word]
-) -> tuple[bool, Word | None]:
-    """Check that candidate images kill every relator.
-
-    Returns (True, None) or (False, failing_relator).
-    """
-    for r in source.relators:
-        if not apply_images(r, target_rank, images).is_identity:
-            return False, r
-    return True, None
+def check_hom(p: FreeHom) -> Word | None:
+    """The first relator of p's source that p does not map to 1, or None
+    when p kills every relator and so is a homomorphism."""
+    return next((r for r in p.source.relators if not p(r).is_identity), None)

@@ -235,7 +235,17 @@ def primitive_root(w: Word) -> Word:
 # ---------------------------------------------------------------------------
 # Text format: "a b^-1 a^2", with commutator shorthand "[u,v]" = u v u^-1 v^-1.
 
-_TOKEN_RE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|\^-?\d+|[\[\],])")
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"  # a generator name, the one name token
+_TOKEN_RE = re.compile(rf"\s*({_NAME}|\^-?\d+|[\[\],])")
+
+
+def check_names(names: Sequence[str]) -> None:
+    """The generator name rule: each name is one name token, and no two are equal."""
+    for name in names:
+        if not re.fullmatch(_NAME, name):
+            raise WordError(f"invalid generator name {name!r}")
+    if len(set(names)) != len(names):
+        raise WordError("duplicate generator names")
 
 
 def _tokenize(text: str) -> list[str]:

@@ -20,13 +20,13 @@ from collections import Counter, deque
 from functools import cache
 from itertools import combinations, product
 from math import gcd
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from tcbounds import braids
 from tcbounds.braids import BraidWord
 from tcbounds.freeprod import Factor, FPWord, FreeProductError, cyclic_normal_form, normal_form
 from tcbounds.groupexpr import (
-    BaumslagSolitar12, ChdResult, ExprError, Free, FreeAbelian, FreeProduct, GroupExpr,
+    BaumslagSolitar12, ExprError, Free, FreeAbelian, FreeProduct, GroupExpr,
     Opaque, Product, PureBraid, Raag, SurfaceGroup, Trivial,
 )
 from tcbounds.raag import SimpleGraph
@@ -376,13 +376,13 @@ def hyperbolic_length(g: FPWord) -> int:
     """Translation length on the Bass-Serre tree: 0 for elliptic elements,
     otherwise the syllable count of the cyclic normal form."""
     core = cyclic_normal_form(g)
-    return 0 if core.syllable_length <= 1 else core.syllable_length
+    return 0 if len(core.syllables) <= 1 else len(core.syllables)
 
 
 def is_elliptic(g) -> bool:
     """True iff the FPWord g is conjugate into one of the factors (fixes a
     tree vertex)."""
-    return cyclic_normal_form(g).syllable_length <= 1
+    return len(cyclic_normal_form(g).syllables) <= 1
 
 
 def tree_depth(ball, x: int) -> int:
@@ -446,6 +446,11 @@ def braid_inverse(b: BraidWord) -> BraidWord:
     return BraidWord(b.n, tuple((i, -s) for i, s in reversed(b.letters)))
 
 
+def braid_product(*factors: BraidWord) -> BraidWord:
+    """The braids' letters concatenated, on the strands of the first."""
+    return BraidWord(factors[0].n, tuple(lt for b in factors for lt in b.letters))
+
+
 def braid_power(b: BraidWord, k: int) -> BraidWord:
     return BraidWord(b.n, (b if k >= 0 else braid_inverse(b)).letters * abs(k))
 
@@ -478,7 +483,7 @@ def first_noncommuting_alphas(n: int, word_cap: int) -> Optional[tuple[int, int]
     braids.alpha_generator at call time, so a patched one is seen."""
     for i, j in combinations(range(1, n), 2):
         a, b = braids.alpha_generator(n, i), braids.alpha_generator(n, j)
-        if not braids.braid_equal(a * b, b * a, word_cap):
+        if not braids.braid_equal(braid_product(a, b), braid_product(b, a), word_cap):
             return i, j
     return None
 
@@ -539,6 +544,14 @@ def is_duality(e: GroupExpr) -> Optional[int]:
                 return dl + dr
             return None
     return None
+
+
+class ChdResult(NamedTuple):
+    """The reference's own result: chd in [lower, upper] with the rule trace."""
+
+    lower: int
+    upper: int
+    trace: tuple[str, ...]
 
 
 def chd(e: GroupExpr) -> ChdResult:

@@ -13,6 +13,7 @@ from tcbounds import freeprod, groupexpr
 from tcbounds.bounds import borromean_case_study, higman_case_study, pure_braid_report
 from tcbounds.braids import BraidWord, alpha_generator, braid_equal, linking_matrix
 from tcbounds.presentations import (
+    FreeHom,
     Presentation,
     abelianization,
     check_hom,
@@ -26,7 +27,7 @@ from tcbounds.words import (
     reduce as free_reduce,
 )
 
-from oracles import braid_power, brute_force_z, conjugate_by_search, naive_smith
+from oracles import braid_power, braid_product, brute_force_z, conjugate_by_search, naive_smith
 
 
 def _report(criterion: int, summary: str) -> None:
@@ -75,14 +76,13 @@ def test_criterion_3_braids():
     for n in range(2, 7):
         alphas = [alpha_generator(n, j) for j in range(1, n)]
         for a, b in itertools.combinations(alphas, 2):
-            assert braid_equal(a * b, b * a, 64)
+            assert braid_equal(braid_product(a, b), braid_product(b, a), 64)
     rng = random.Random(2024)
     for _ in range(100):
         n = rng.randint(2, 5)
         exps = [rng.randint(-3, 3) for _ in range(n - 1)]
-        braid = BraidWord(n, ())
-        for j, k in enumerate(exps, start=1):
-            braid = braid * braid_power(alpha_generator(n, j), k)
+        braid = braid_product(BraidWord(n, ()), *(braid_power(alpha_generator(n, j), k)
+                                                  for j, k in enumerate(exps, start=1)))
         assert linking_matrix(braid).last_column() == tuple(exps), exps
     elapsed = time.time() - start
     assert elapsed < 30, f"took {elapsed:.1f}s"
@@ -126,8 +126,7 @@ def test_criterion_6_borromean_pipeline():
     pres = Presentation.from_strings(["a", "b", "c"],
                                      ["[a,[b^-1,c]]", "[b,[c^-1,a]]"])
     images = (generator(1, 2), generator(2, 2), identity(2))
-    ok, witness = check_hom(pres, 2, images)
-    assert ok and witness is None
+    assert check_hom(FreeHom(pres, 2, images)) is None
     beta = generator(2, 2)
     for n in range(6):
         total = free_reduce(
@@ -172,12 +171,14 @@ def test_criterion_8_conjugacy_oracle():
 def test_criterion_9_chd_calculus():
     both = groupexpr.Product(groupexpr.BaumslagSolitar12(),
                              groupexpr.BaumslagSolitar12())
-    assert groupexpr.chd(both).value == 4
+    res = groupexpr.chd(both)
+    assert (res.lower, res.upper) == (4, 4)
     for n in range(2, 9):
-        assert groupexpr.chd(groupexpr.PureBraid(n)).value == n - 1
+        res = groupexpr.chd(groupexpr.PureBraid(n))
+        assert (res.lower, res.upper) == (n - 1, n - 1)
     opaque = groupexpr.Opaque("G", 2, 2, "assumed: chd exactly 2, no flags")
     res = groupexpr.chd(groupexpr.Product(groupexpr.FreeAbelian(1), opaque))
-    assert res.exact and res.value == 3
+    assert res.exact and (res.lower, res.upper) == (3, 3)
     assert any("orientable-PD" in line for line in res.trace)
     _report(9, "chd(B(1,2) x B(1,2)) = 4, chd(PB_n) = n-1 for n <= 8, "
                "chd(Z x Opaque(2)) = 3 via the orientable-PD rule")

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tcbounds
-from tcbounds import braids, freeprod, groupexpr
+from tcbounds import braids, freeprod, groupexpr, presentations, words
 from tcbounds.certificates import CertificateError
 from tcbounds.cli import (
     EXIT_OK,
@@ -253,7 +253,11 @@ class TestPres:
         assert code == EXIT_VERIFICATION
         doc = json.loads(out)
         assert doc["well_defined"] is False
-        assert doc["failing_relator"]
+        # the relator the command prints is the one check_hom returns
+        pres = presentations.Presentation.from_strings(["a", "b", "c"], ["[a,[b^-1,c]]", "[b,[c^-1,a]]"])
+        u, v = words.generator(1, 2), words.generator(2, 2)
+        witness = presentations.check_hom(presentations.FreeHom(pres, 2, (u, v, u)))
+        assert doc["failing_relator"] == str(witness) == "a b^-1 c b c^-1 a^-1 c b^-1 c^-1 b"
 
 
 class TestChd:
@@ -707,6 +711,19 @@ class TestInputChecks:
                   EXIT_USAGE, "error: {f}: duplicate generator names"),
         bad_input("empty-relator", ["pres", "abel"], {"generators": ["a"], "relators": ["a a^-1"]},
                   EXIT_USAGE, "error: {f}: empty relator not allowed"),
+        # a generator name is one name token of the word syntax, and names are distinct
+        bad_input("generator-name-power", ["pres", "abel"], {"generators": ["x^2"], "relators": []},
+                  EXIT_USAGE, "error: {f}: invalid generator name 'x^2'"),
+        bad_input("generator-name-empty", ["pres", "abel"], {"generators": ["a", ""], "relators": []},
+                  EXIT_USAGE, "error: {f}: invalid generator name ''"),
+        bad_input("generator-name-bracket", ["pres", "abel"], {"generators": ["["], "relators": []},
+                  EXIT_USAGE, "error: {f}: invalid generator name '['"),
+        bad_input("target-generators-duplicate", ["pres", "hom-check"],
+                  {**hom_check_doc("u", "u^-1"), "target_generators": ["u", "u"]}, EXIT_USAGE,
+                  "error: {f}: target_generators: duplicate generator names"),
+        bad_input("image-unknown-generator", ["pres", "hom-check"],
+                  {**hom_check_doc("x", "x^-1"), "images": {"a": "", "b": "", "zz": "x"}}, EXIT_USAGE,
+                  "error: {f}: images: unknown generator 'zz'"),
         bad_input("graph-loop", ["raag", "z"], {"n": 3, "edges": [[2, 2]]}, EXIT_USAGE,
                   "error: {f}: loop at vertex 2"),
         bad_input("graph-edge-range", ["raag", "z"], {"n": 3, "edges": [[1, 4]]}, EXIT_USAGE,

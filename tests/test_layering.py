@@ -80,7 +80,7 @@ def test_cap_and_certificate_errors_are_not_input_errors(error):
 def test_records_that_check_on_construction():
     # every other record only stores its fields: outside input is checked
     # once, by the parser that reads it.  These check values the engine
-    # computed (BoundReport, ChdResult, AbelianInvariants); no record runs a
+    # computed (BoundReport, Evaluation, AbelianInvariants); no record runs a
     # certificate step (FreeHom's check_hom runs in the split-extension
     # verifier).  The tree flags are checked by TreeBall and
     # verify_tree_lemma, which are not records.
@@ -89,7 +89,7 @@ def test_records_that_check_on_construction():
                 if isinstance(node, ast.ClassDef)
                 and any(isinstance(item, ast.FunctionDef) and item.name == "__post_init__"
                         for item in node.body)}
-    assert checking == {"BoundReport", "ChdResult", "AbelianInvariants"}
+    assert checking == {"BoundReport", "Evaluation", "AbelianInvariants"}
 
 
 # Input files for the module-set runs; "@name" in a run's arguments stands

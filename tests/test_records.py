@@ -35,7 +35,6 @@ SAMPLES = {
     groupexpr.Opaque: groupexpr.Opaque("G", 1, 2, "given", geom_dim=2),
     groupexpr.Product: groupexpr.Product(groupexpr.Free(2), groupexpr.Trivial()),
     groupexpr.FreeProduct: groupexpr.FreeProduct(groupexpr.Free(2), groupexpr.Trivial()),
-    groupexpr.ChdResult: groupexpr.chd(groupexpr.Free(2)),
     groupexpr.Evaluation: groupexpr.evaluate(groupexpr.Free(2)),
     presentations.Presentation: PRES,
     presentations.AbelianInvariants: presentations.abelianization(PRES),
@@ -102,37 +101,40 @@ def test_equality_needs_the_same_class(left, right):
     assert len({left, right}) == 2
 
 
+FIELDS = (1, 2, (), None, None, 2, False)  # an Evaluation's seven fields
+
+
 def test_defaults_and_keywords():
     opaque = groupexpr.Opaque(name="G", chd_lower=1, chd_upper=2, justification="given")
     assert (opaque.duality_dim, opaque.orientable_pd_dim, opaque.geom_dim) == (None, None, None)
     assert certificates.CertStep("d", "machine-verified").citation == ""
     report = certificates.BoundReport("G", 1, 2, lower_provenance=(), upper_provenance=())
     assert (report.certificates, report.notes) == ((), ())
-    assert groupexpr.ChdResult(1, 2).trace == ()
-    assert groupexpr.ChdResult(upper=2, lower=1, trace=("t",)) == groupexpr.ChdResult(1, 2, ("t",))
+    keywords = dict(upper=2, lower=1, trace=(), pd_dim=None, duality_dim=None, geom_dim=2, caveat=False)
+    assert groupexpr.Evaluation(**keywords) == groupexpr.Evaluation(*FIELDS)
 
 
 @pytest.mark.parametrize("args, kwargs", [
-    ((1,), {}),  # upper missing
-    ((1, 2, (), 4), {}),  # too many
-    ((1, 2), {"bogus": 3}),
-    ((1, 2), {"lower": 1}),  # lower given twice
+    ((1,), {}),  # upper and the rest missing
+    ((*FIELDS, 8), {}),  # too many
+    (FIELDS, {"bogus": 3}),
+    (FIELDS, {"lower": 1}),  # lower given twice
 ])
 def test_wrong_arguments_raise_type_error(args, kwargs):
     with pytest.raises(TypeError):
-        groupexpr.ChdResult(*args, **kwargs)
+        groupexpr.Evaluation(*args, **kwargs)
 
 
 @pytest.mark.parametrize("build, error", [
     (lambda: certificates.BoundReport("G", 3, 2, (), ()), words.CertificateError),
-    (lambda: groupexpr.ChdResult(3, 2), groupexpr.ExprError),
+    (lambda: groupexpr.Evaluation(3, 2, *FIELDS[2:]), groupexpr.ExprError),
     (lambda: presentations.AbelianInvariants(0, (2, 3), ()), presentations.PresentationError),
     (lambda: presentations.AbelianInvariants(0, (1,), ()), presentations.PresentationError),
     # a FreeHom only stores: the split-extension verifier runs check_hom
     # a Factor only stores; the ball it is built into checks kind and rank
     (lambda: freeprod.TreeBall((freeprod.Factor("cyclic", 1),) * 2, 1, 1), freeprod.FreeProductError),
     (lambda: freeprod.TreeBall((freeprod.Factor("free", 0),) * 2, 1, 1), freeprod.FreeProductError),
-], ids=["BoundReport", "ChdResult", "AbelianInvariants-chain", "AbelianInvariants-small",
+], ids=["BoundReport", "Evaluation", "AbelianInvariants-chain", "AbelianInvariants-small",
         "Factor-kind", "Factor-rank"])
 def test_post_init_checks_still_raise(build, error):
     with pytest.raises(error):

@@ -264,8 +264,8 @@ def test_word_count_sanity():
 # 100,000 letters each; a loop that rescans what it has built takes minutes
 LONG_WORD_RUNS = {
     "parse": "w = parse_word('a b ' * 50_000, 'ab'); assert len(w) == 100_000",
-    "images": "r = reduce([(1, 1), (2, 1)] * 50_000, 2); "
-              "assert len(apply_images(r, 2, (generator(2, 2), generator(1, 2)))) == 100_000",
+    "images": "r = reduce([(1, 1), (2, 1)] * 50_000, 2); p = Presentation(('a', 'b'), ()); "
+              "assert len(FreeHom(p, 2, (generator(2, 2), generator(1, 2)))(r)) == 100_000",
     "conjugacy": "u = reduce([(1, 1)] * 99_999 + [(2, 1)], 2); v = reduce([(1, 1)] * 99_999 + [(2, -1)], 2); "
                  "assert not conjugate_in_free(u, v); assert conjugate_in_free(u, u ** 2 * u.inverse())",
 }
@@ -274,7 +274,7 @@ LONG_WORD_RUNS = {
 @pytest.mark.parametrize("name", LONG_WORD_RUNS)
 def test_long_words_take_linear_time(name):
     code = ("from tcbounds.words import conjugate_in_free, generator, parse_word, reduce; "
-            "from tcbounds.presentations import apply_images; " + LONG_WORD_RUNS[name])
+            "from tcbounds.presentations import FreeHom, Presentation; " + LONG_WORD_RUNS[name])
     env = dict(os.environ, PYTHONPATH=str(Path(tcbounds.__file__).parents[1]))
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=30)
 
