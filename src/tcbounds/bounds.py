@@ -28,7 +28,7 @@ from .certificates import (
     Provenance,
 )
 from .groupexpr import GroupExpr
-from .words import Word, conjugate_in_free, primitive_root
+from .words import Word, conjugate_in_free, format_word, primitive_root
 
 if TYPE_CHECKING:
     from . import presentations, raag
@@ -43,37 +43,35 @@ DIM_CITE = "TC <= 2 * dim of an aspherical complex"
 
 def verify_retraction_certificate(
     source: presentations.Presentation,
-    a_gens: Sequence[str],
-    b_gens: Sequence[str],
-    images: dict[str, tuple[int, ...]],
+    a: Sequence[int],
+    b: Sequence[int],
+    images: Sequence[tuple[int, ...]],
 ) -> DisjointnessCertificate:
     """Check a retraction of the presented group onto the free abelian
     subgroup spanned by the B generators.
 
-    The retraction is given by an integer vector per generator (its
-    image in Z^{|B|}).  Checks: every relator dies, the map is the
-    identity on B generators, and it kills every A generator.  Since a
+    A and B are lists of 1-based generator indices, and the retraction
+    is an integer vector per generator, in order (its image in Z^{|B|}).
+    Checks: every relator dies, the map is the identity on B
+    generators, and it kills every A generator.  Since a
     conjugate g a g^-1 then maps where a does, a nontrivial element of
     B in a conjugate of A would be its own nonzero image -- impossible.
     """
-    k = len(b_gens)
-    vectors = [images[name] for name in source.generators]
+    names = source.generators
     # relator r maps to the sum of its letters' signed images
     for r in source.relators:
-        total = [0] * k
+        total = [0] * len(b)
         for g, s in r.letters:
-            total = [t + s * x for t, x in zip(total, vectors[g - 1])]
+            total = [t + s * x for t, x in zip(total, images[g - 1])]
         if any(total):
-            raise CertificateError(
-                f"candidate retraction is not a homomorphism: relator '{r}' maps to {tuple(total)}"
-            )
-    for pos, name in enumerate(b_gens):
-        expected = tuple(1 if q == pos else 0 for q in range(k))
-        if tuple(images[name]) != expected:
-            raise CertificateError(f"retraction is not the identity on B generator {name!r}")
-    for name in a_gens:
-        if any(images[name]):
-            raise CertificateError(f"retraction does not kill A generator {name!r}")
+            raise CertificateError(f"candidate retraction is not a homomorphism: relator "
+                                   f"'{format_word(r, names)}' maps to {tuple(total)}")
+    for pos, g in enumerate(b):
+        if tuple(images[g - 1]) != tuple(int(q == pos) for q in range(len(b))):
+            raise CertificateError(f"retraction is not the identity on B generator {names[g - 1]!r}")
+    for g in a:
+        if any(images[g - 1]):
+            raise CertificateError(f"retraction does not kill A generator {names[g - 1]!r}")
     steps = (
         CertStep("candidate map kills every relator (exponent-sum check)", "machine-verified"),
         CertStep("map restricts to the identity on the B generators", "machine-verified"),
@@ -82,8 +80,8 @@ def verify_retraction_certificate(
     )
     return DisjointnessCertificate(
         variant="retraction",
-        a_label="<" + ", ".join(a_gens) + ">" if a_gens else "1",
-        b_label="<" + ", ".join(b_gens) + ">" if b_gens else "1",
+        a_label="<" + ", ".join(names[g - 1] for g in a) + ">" if a else "1",
+        b_label="<" + ", ".join(names[g - 1] for g in b) + ">" if b else "1",
         steps=steps,
     )
 
@@ -103,9 +101,8 @@ def clique_pair_bound(graph: raag.SimpleGraph, k1: Sequence[int], k2: Sequence[i
         raise raag.GraphError(f"K1 = {s1} is not a clique")
     if not graph.is_clique(s2):
         raise raag.GraphError(f"K2 = {s2} is not a clique")
-    images = {f"x{v}": tuple(int(v == u) for u in s2) for v in range(1, graph.n + 1)}
-    cert = verify_retraction_certificate(raag.raag_presentation(graph), [f"x{v}" for v in s1],
-                                         [f"x{v}" for v in s2], images)
+    images = [tuple(int(v == u) for u in s2) for v in range(1, graph.n + 1)]
+    cert = verify_retraction_certificate(raag.raag_presentation(graph), s1, s2, images)
     return len(s1) + len(s2), cert
 
 
@@ -125,8 +122,10 @@ def verify_split_extension_certificate(
     from . import presentations
     witness = presentations.check_hom(p)
     if witness is not None:
-        raise CertificateError(f"not a homomorphism: relator {witness} does not map to 1")
+        raise CertificateError(
+            f"not a homomorphism: relator {format_word(witness, p.source.generators)} does not map to 1")
     pa = p(words.generator(p.source.generator_index(a_gen), p.source.rank))
+    pa_text = format_word(pa, p.target)
     if pa.is_identity:
         raise CertificateError(f"p({a_gen}) is trivial; the cyclic subgroup <{a_gen}> dies")
     if beta.is_identity:
@@ -135,13 +134,13 @@ def verify_split_extension_certificate(
     root_b = primitive_root(beta)
     if conjugate_in_free(root_a, root_b) or conjugate_in_free(root_a, root_b.inverse()):
         raise CertificateError(
-            f"nonzero powers of p({a_gen}) = '{pa}' and beta = '{beta}' are conjugate "
-            "in the free target; the disjointness hypothesis fails"
+            f"nonzero powers of p({a_gen}) = '{pa_text}' and beta = '{format_word(beta, p.target)}' "
+            "are conjugate in the free target; the disjointness hypothesis fails"
         )
     steps = (
         CertStep("p kills every relator, so it is a well-defined homomorphism "
                  "onto the free target", "machine-verified"),
-        CertStep(f"p({a_gen}) = '{pa}' is a nontrivial reduced word, hence of infinite order",
+        CertStep(f"p({a_gen}) = '{pa_text}' is a nontrivial reduced word, hence of infinite order",
                  "machine-verified"),
         CertStep("no nonzero power of p(a) is conjugate to a power of beta in the free "
                  "target (primitive roots of the cyclic words are non-conjugate)",
@@ -347,7 +346,8 @@ def borromean_case_study() -> BoundReport:
     """
     from . import presentations
     beta = words.generator(2, 2)
-    p = presentations.FreeHom(borromean_presentation(), 2,
+    # the target generators alpha and beta print as a and b
+    p = presentations.FreeHom(borromean_presentation(), ("a", "b"),
                               (words.generator(1, 2), beta, words.identity(2)))
     # chd(B) = 2: b and [c^-1, a] lie in B and commute (second relator),
     # yet generate a non-cyclic subgroup since p(b^n) = beta^n differs

@@ -1,11 +1,11 @@
 """Command-line front end: a thin input boundary with one output path.
 
-Subcommands: raag z|bound, braid perm|lk|equal|tc-bound, pres
-abel|hom-check, chd, tree ball|verify-lemma, tc-report.  Each cmd_*
-handler reads and checks its input, dispatches (``bounds`` builds every
-report and its notes) and returns a document, or DOT text for ``tree
-ball --dot``.  A loader returns the one record the engine takes, such
-as ``load_hom``'s ``presentations.FreeHom``, which the verifier reads.
+Each subcommand is declared once, as a row of ``COMMANDS`` that
+``build_parser`` adds.  Its cmd_* handler reads and checks its input,
+dispatches (``bounds`` builds every report and its notes) and returns a
+document, or DOT text for ``tree ball --dot``.  A loader returns the one
+record the engine takes, such as ``load_hom``'s ``presentations.FreeHom``
+with its target names, which the verifier reads and prints words in.
 ``main`` stamps the schema on the document (``BoundReport.to_json``
 stamps the reports nested in ``raag z`` and ``braid tc-bound``), renders
 it as JSON (--json, byte-deterministic) or as text, and picks the exit code.
@@ -105,8 +105,12 @@ def _parsed(where: str, parse, *args):
 
 
 def load_graph(data, where: str) -> raag.SimpleGraph:
+    """A graph for the ``raag`` commands and scenarios, which need a vertex."""
     from . import raag
-    return _parsed(where, raag.SimpleGraph.from_json, data)
+    graph = _parsed(where, raag.SimpleGraph.from_json, data)
+    if graph.n < 1:
+        raise InputError(f"{where}: graph must have at least one vertex")
+    return graph
 
 
 def load_expr(data, where: str) -> groupexpr.GroupExpr:
@@ -121,11 +125,10 @@ def load_presentation(data, where: str) -> presentations.Presentation:
     return _parsed(where, presentations.Presentation.from_strings, gens, rels)
 
 
-def load_hom(data, source: presentations.Presentation,
-             where: str) -> tuple[list[str], presentations.FreeHom]:
-    """Target generator names and the map from {"target_generators": [names],
-    "images": {generator: word}}: the names follow the name rule, and each
-    source generator, and no other, has an image ("" is the identity)."""
+def load_hom(data, source: presentations.Presentation, where: str) -> presentations.FreeHom:
+    """The map from {"target_generators": [names], "images": {generator:
+    word}}: the names follow the name rule, and each source generator, and
+    no other, has an image ("" is the identity)."""
     from . import presentations, words
     target = _string_list(data, "target_generators", where)
     _parsed(f"{where}: target_generators", words.check_names, target)
@@ -139,7 +142,7 @@ def load_hom(data, source: presentations.Presentation,
         images.append(_parsed(f"{where}: images: {name}", words.parse_word, rest.pop(name), target))
     if rest:
         raise InputError(f"{where}: images: unknown generator {next(iter(rest))!r}")
-    return target, presentations.FreeHom(source, len(target), tuple(images))
+    return presentations.FreeHom(source, tuple(target), tuple(images))
 
 
 # ---------------------------------------------------------------------------
@@ -196,10 +199,10 @@ def _presentation_report(data, where: str) -> bounds.BoundReport:
         raise InputError(f'{where}: a_expr: expected {{"kind": "free_abelian", "rank": 1}}, '
                          f"the infinite cyclic <a> the certificate proves, got {a_expr.label()}")
     pres = load_presentation(data, where)
-    target, p = load_hom(_require(data, "hom", where), pres, f"{where}: hom")
+    p = load_hom(_require(data, "hom", where), pres, f"{where}: hom")
     a_gen = _require(data, "a_generator", where)
     _parsed(f"{where}: a_generator", pres.generator_index, a_gen)
-    beta = _parsed(f"{where}: beta", words.parse_word, _require(data, "beta", where), target)
+    beta = _parsed(f"{where}: beta", words.parse_word, _require(data, "beta", where), p.target)
     return bounds.presentation_scenario_report(p, a_gen, beta, b_expr, g_expr)
 
 
@@ -314,13 +317,13 @@ def cmd_pres_abel(args) -> dict:
 
 
 def cmd_pres_hom_check(args) -> dict:
-    from . import presentations
+    from . import presentations, words
     data = _load_json(args.file)
     pres = load_presentation(_require(data, "presentation", args.file), f"{args.file}: presentation")
-    _, p = load_hom(data, pres, args.file)
-    witness = presentations.check_hom(p)
-    return ({"well_defined": True} if witness is None
-            else {"well_defined": False, "failing_relator": str(witness)})
+    witness = presentations.check_hom(load_hom(data, pres, args.file))
+    if witness is None:
+        return {"well_defined": True}
+    return {"well_defined": False, "failing_relator": words.format_word(witness, pres.generators)}
 
 
 def cmd_chd(args) -> dict:
@@ -401,6 +404,37 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+_N = ("--n", dict(type=_int_arg, required=True))
+
+# One row per subcommand: its words, handler, help or None, and arguments as
+# (name, add_argument keywords); a group's help is GROUP_HELP's.  tc-report's
+# file | --case pair is one mutually exclusive group, added by build_parser.
+COMMANDS = [
+    ("raag z", cmd_raag_z, "two-clique number and TC report", [("file", dict(help="graph JSON file"))]),
+    ("raag bound", cmd_raag_bound, "certified bound from a disjoint clique pair",
+     [("file", {}), ("--k1", dict(required=True, help="comma-separated vertices")),
+      ("--k2", dict(required=True))]),
+    ("braid perm", cmd_braid_perm, None, [_N, ("word", dict(help='braid word like "s1 s2^-1"'))]),
+    ("braid lk", cmd_braid_lk, None, [_N, ("word", {})]),
+    ("braid equal", cmd_braid_equal, None, [_N, ("word", {}), ("other", {})]),
+    ("braid tc-bound", cmd_braid_tc_bound, None, [_N]),
+    ("pres abel", cmd_pres_abel, None, [("file", {})]),
+    ("pres hom-check", cmd_pres_hom_check, None, [("file", {})]),
+    ("chd", cmd_chd, "evaluate a group expression", [("file", dict(help="expression JSON file"))]),
+    ("tree ball", cmd_tree_ball, None, [
+        ("--radius", dict(type=_int_arg, default=4)), ("--cap", dict(type=_int_arg, default=2)),
+        ("--kind", dict(choices=["free", "free_abelian"], default="free")),
+        ("--rank", dict(type=_int_arg, default=1)),
+        ("--dot", dict(action="store_true", help="emit DOT graph"))]),
+    ("tree verify-lemma", cmd_tree_verify_lemma, None, [
+        ("--k", dict(type=_int_arg, default=3, help="max half-syllable count")),
+        ("--cap", dict(type=_int_arg, default=2)), ("--radius", dict(type=_int_arg, default=10))]),
+    ("tc-report", cmd_tc_report, "assemble a certified bound report", []),
+]
+GROUP_HELP = {"raag": "right-angled Artin group computations", "braid": "braid computations",
+              "pres": "presentation computations", "tree": "Bass-Serre tree balls"}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="tcbounds",
@@ -409,73 +443,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true", help="emit the JSON report")
     parser.add_argument("--max-word", type=_word_cap_arg, default=DEFAULT_WORD_CAP,
                         help="braid free-group image length cap")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_raag = sub.add_parser("raag", help="right-angled Artin group computations")
-    raag_sub = p_raag.add_subparsers(dest="subcommand", required=True)
-    p = raag_sub.add_parser("z", help="two-clique number and TC report")
-    p.add_argument("file", help="graph JSON file")
-    p.set_defaults(func=cmd_raag_z)
-    p = raag_sub.add_parser("bound", help="certified bound from a disjoint clique pair")
-    p.add_argument("file")
-    p.add_argument("--k1", required=True, help="comma-separated vertices")
-    p.add_argument("--k2", required=True)
-    p.set_defaults(func=cmd_raag_bound)
-
-    p_braid = sub.add_parser("braid", help="braid computations")
-    braid_sub = p_braid.add_subparsers(dest="subcommand", required=True)
-    p = braid_sub.add_parser("perm")
-    p.add_argument("--n", type=_int_arg, required=True)
-    p.add_argument("word", help='braid word like "s1 s2^-1"')
-    p.set_defaults(func=cmd_braid_perm)
-    p = braid_sub.add_parser("lk")
-    p.add_argument("--n", type=_int_arg, required=True)
-    p.add_argument("word")
-    p.set_defaults(func=cmd_braid_lk)
-    p = braid_sub.add_parser("equal")
-    p.add_argument("--n", type=_int_arg, required=True)
-    p.add_argument("word")
-    p.add_argument("other")
-    p.set_defaults(func=cmd_braid_equal)
-    p = braid_sub.add_parser("tc-bound")
-    p.add_argument("--n", type=_int_arg, required=True)
-    p.set_defaults(func=cmd_braid_tc_bound)
-
-    p_pres = sub.add_parser("pres", help="presentation computations")
-    pres_sub = p_pres.add_subparsers(dest="subcommand", required=True)
-    p = pres_sub.add_parser("abel")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_pres_abel)
-    p = pres_sub.add_parser("hom-check")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_pres_hom_check)
-
-    p = sub.add_parser("chd", help="evaluate a group expression")
-    p.add_argument("file", help="expression JSON file")
-    p.set_defaults(func=cmd_chd)
-
-    p_tree = sub.add_parser("tree", help="Bass-Serre tree balls")
-    tree_sub = p_tree.add_subparsers(dest="subcommand", required=True)
-    p = tree_sub.add_parser("ball")
-    p.add_argument("--radius", type=_int_arg, default=4)
-    p.add_argument("--cap", type=_int_arg, default=2)
-    p.add_argument("--kind", choices=["free", "free_abelian"], default="free")
-    p.add_argument("--rank", type=_int_arg, default=1)
-    p.add_argument("--dot", action="store_true", help="emit DOT graph")
-    p.set_defaults(func=cmd_tree_ball)
-    p = tree_sub.add_parser("verify-lemma")
-    p.add_argument("--k", type=_int_arg, default=3, help="max half-syllable count")
-    p.add_argument("--cap", type=_int_arg, default=2)
-    p.add_argument("--radius", type=_int_arg, default=10)
-    p.set_defaults(func=cmd_tree_verify_lemma)
-
-    p = sub.add_parser("tc-report", help="assemble a certified bound report")
-    source = p.add_mutually_exclusive_group(required=True)
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    for command, func, help_text, arguments in COMMANDS:
+        group, _, name = command.rpartition(" ")
+        if group not in groups:  # a group's parser comes before its first subcommand's
+            groups[group] = groups[""].add_parser(group, help=GROUP_HELP[group]).add_subparsers(
+                dest="subcommand", required=True)
+        # argparse lists a subcommand added with help=None, blank, so pass help only when given
+        p = groups[group].add_parser(name, **({"help": help_text} if help_text else {}))
+        for arg, kwargs in arguments:
+            p.add_argument(arg, **kwargs)
+        p.set_defaults(func=func)
+    source = groups[""].choices["tc-report"].add_mutually_exclusive_group(required=True)
     source.add_argument("file", nargs="?", help="scenario JSON file")
-    source.add_argument("--case", nargs="+", metavar="CASE",
-                        help=CASE_USAGE)
-    p.set_defaults(func=cmd_tc_report)
-
+    source.add_argument("--case", nargs="+", metavar="CASE", help=CASE_USAGE)
     return parser
 
 

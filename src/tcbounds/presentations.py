@@ -6,8 +6,9 @@ that repivots on the smallest remainder and keeps the divisibility
 chain as an invariant.  The result carries generator images in the
 abelianized group, so claims like "powers of x survive while powers of
 y are trivial" are directly checkable.  A map to a free group is one
-``FreeHom`` record from the loader to the verifier: calling it on a word
-substitutes the images letter by letter and reduces once, and
+``FreeHom`` record, with the names of its target's generators, from the
+loader to the verifier: calling it on a word substitutes the images
+letter by letter and reduces once, and
 ``check_hom`` is the one check that the map is well defined.
 """
 
@@ -190,12 +191,12 @@ def abelianization(p: Presentation) -> AbelianInvariants:
 # Homomorphisms into free groups
 
 class FreeHom(Record):
-    """A candidate homomorphism from a presented group into a free group:
-    one image of rank target_rank per source generator.  It only stores;
+    """A candidate homomorphism from a presented group into the free group
+    on the target names, one image per source generator.  It only stores;
     ``check_hom`` checks that every relator maps to the identity."""
 
     source: Presentation
-    target_rank: int
+    target: tuple[str, ...]
     images: tuple[Word, ...]
 
     def __call__(self, w: Word) -> Word:
@@ -206,7 +207,7 @@ class FreeHom(Record):
             img = self.images[g - 1].letters
             check_expanded_length(len(letters) + len(img), "image")
             letters += img if s == 1 else [(h, -t) for h, t in reversed(img)]
-        return Word(_free_reduce(letters), self.target_rank)
+        return Word(_free_reduce(letters), len(self.target))
 
 
 def check_hom(p: FreeHom) -> Word | None:

@@ -143,8 +143,9 @@ def maximal_cliques(graph: SimpleGraph) -> list[tuple[int, ...]]:
 
 
 def z_number(graph: SimpleGraph) -> tuple[int, CliquePair]:
-    """max |K1 union K2| over clique pairs, with a lexicographically
-    minimal witness among the maximizing pairs of maximal cliques.
+    """max |K1 union K2| over clique pairs of a graph with at least one
+    vertex, with a lexicographically minimal witness among the
+    maximizing pairs of maximal cliques.
 
     A branch-and-bound search finds the value.  With c the number of
     vertices common to all maximal cliques, |K_i u K_j| <= |K_i| + |K_j| - c:
@@ -154,8 +155,6 @@ def z_number(graph: SimpleGraph) -> tuple[int, CliquePair]:
     bound is below the value, and returns the first one that reaches it:
     the pair an all-pairs scan with a strict improvement rule keeps.
     """
-    if graph.n < 1:
-        raise GraphError("graph must have at least one vertex")
     cliques = graph.cliques
     masks = [sum(1 << (v - 1) for v in c) for c in cliques]
     sizes = [len(c) for c in cliques]

@@ -7,7 +7,9 @@ group) is allowed.  All values are immutable and all operations pure.
 enter (``generator``, ``reduce``, ``parse_word``), and words derived
 from checked words are built directly.  ``_join`` is the one product of
 reduced words, which cancels across the junction only; a word built
-from many pieces collects their letters and is reduced once.
+from many pieces collects their letters and is reduced once.  A word
+holds indices, not names: ``parse_word`` reads it and ``format_word``
+prints it over the names of the generators it is written in.
 """
 
 from __future__ import annotations
@@ -152,9 +154,6 @@ class Word(Record):
     @property
     def is_identity(self) -> bool:
         return not self.letters
-
-    def __str__(self) -> str:
-        return format_word(self)
 
 
 def identity(rank: int) -> Word:
@@ -320,11 +319,10 @@ def parse_word(text: str, alphabet: Sequence[str]) -> Word:
     return w
 
 
-_DEFAULT_ALPHABET = tuple("abcdefghijklmnopqrstuvwxyz")
-
-
-def format_word(w: Word) -> str:
-    """Render a word as "a b^-1 a^2", merging adjacent equal letters."""
+def format_word(w: Word, names: Sequence[str]) -> str:
+    """Render w as "a b^-1 a^2" over the names of the generators it is
+    written in (generator g is names[g - 1]), merging adjacent equal
+    letters; the identity is "1"."""
     if w.is_identity:
         return "1"
     runs: list[tuple[int, int]] = []
@@ -333,8 +331,4 @@ def format_word(w: Word) -> str:
             runs[-1] = (g, runs[-1][1] + s)
         else:
             runs.append((g, s))
-    parts = []
-    for g, e in runs:
-        name = _DEFAULT_ALPHABET[g - 1] if w.rank <= 26 else f"x{g}"
-        parts.append(name if e == 1 else f"{name}^{e}")
-    return " ".join(parts)
+    return " ".join(names[g - 1] if e == 1 else f"{names[g - 1]}^{e}" for g, e in runs)

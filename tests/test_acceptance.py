@@ -126,7 +126,7 @@ def test_criterion_6_borromean_pipeline():
     pres = Presentation.from_strings(["a", "b", "c"],
                                      ["[a,[b^-1,c]]", "[b,[c^-1,a]]"])
     images = (generator(1, 2), generator(2, 2), identity(2))
-    assert check_hom(FreeHom(pres, 2, images)) is None
+    assert check_hom(FreeHom(pres, ("u", "v"), images)) is None
     beta = generator(2, 2)
     for n in range(6):
         total = free_reduce(

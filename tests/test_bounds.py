@@ -107,28 +107,27 @@ class TestRetractionVerifier:
         assert status_counts(cert) == {"machine-verified": 3}
 
     def test_non_homomorphism_rejected(self):
-        # the map x -> 1, y -> e_1 does not kill the relator x y x^-1 y^-2
+        # the map x -> 1, y -> e_1 does not kill the relator x y x^-1 y^-2,
+        # which the message prints in the presentation's names
         pres = Presentation.from_strings(["x", "y"], ["x y x^-1 y^-2"])
-        with pytest.raises(CertificateError, match="not a homomorphism"):
-            verify_retraction_certificate(pres, ["x"], ["y"],
-                                          {"x": (0,), "y": (1,)})
+        with pytest.raises(CertificateError, match=r"not a homomorphism: relator "
+                           r"'x y x\^-1 y\^-2' maps to \(-1,\)$"):
+            verify_retraction_certificate(pres, [1], [2], [(0,), (1,)])
 
     def test_not_identity_on_b(self):
         pres = Presentation(("x", "y"), ())
-        with pytest.raises(CertificateError, match="identity on B"):
-            verify_retraction_certificate(pres, ["x"], ["y"],
-                                          {"x": (0,), "y": (2,)})
+        with pytest.raises(CertificateError, match="identity on B generator 'y'"):
+            verify_retraction_certificate(pres, [1], [2], [(0,), (2,)])
 
     def test_does_not_kill_a(self):
         pres = Presentation(("x", "y"), ())
-        with pytest.raises(CertificateError, match="kill A"):
-            verify_retraction_certificate(pres, ["x"], ["y"],
-                                          {"x": (1,), "y": (1,)})
+        with pytest.raises(CertificateError, match="kill A generator 'x'"):
+            verify_retraction_certificate(pres, [1], [2], [(1,), (1,)])
 
 
 def borromean_p(c_image=identity(2)):
     """The strand-forgetting map a -> u, b -> v and c -> 1 (or c_image)."""
-    return FreeHom(borromean_presentation(), 2, (generator(1, 2), generator(2, 2), c_image))
+    return FreeHom(borromean_presentation(), ("u", "v"), (generator(1, 2), generator(2, 2), c_image))
 
 
 class TestSplitExtensionVerifier:
@@ -337,9 +336,12 @@ class TestBorromeanCaseStudy:
         assert status_counts(cert) == {"machine-verified": 4}
 
     def test_presentation_scenario_shares_the_builder(self):
-        # a presentation scenario holding Borromean's data: same interval,
-        # same certificate; only the group's label and the notes differ
-        case, scenario = borromean_case_study(), scenario_report(PRESENTATION_SCENARIO, "scenario")
+        # a presentation scenario holding Borromean's data, target names
+        # included: same interval, same certificate; only the group's label
+        # and the notes differ
+        data = {**PRESENTATION_SCENARIO, "beta": "b",
+                "hom": {"target_generators": ["a", "b"], "images": {"a": "a", "b": "b", "c": ""}}}
+        case, scenario = borromean_case_study(), scenario_report(data, "scenario")
         assert (scenario.lower, scenario.upper) == (case.lower, case.upper) == (3, 4)
         assert scenario.certificates == case.certificates
 

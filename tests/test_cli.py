@@ -125,6 +125,20 @@ class TestRaag:
         err = run_bad_file(capsys, tmp_path, {"n": 3, "edges": [[1]]}, "raag", "z")
         assert "edges: edge 1 must be a pair of vertices" in err
 
+    @pytest.mark.parametrize("argv, kind", [
+        (["raag", "z"], {}), (["raag", "bound", "--k1", "1", "--k2", "2"], {}),
+        (["tc-report", "--case", "raag"], {}), (["tc-report"], {"kind": "raag"}),
+    ])
+    def test_graph_needs_a_vertex(self, capsys, tmp_path, argv, kind):
+        err = run_bad_file(capsys, tmp_path, {"n": 0, "edges": [], **kind}, *argv)
+        assert err.endswith(": graph must have at least one vertex\n")
+
+    def test_chd_of_a_graph_without_vertices(self, capsys, tmp_path):
+        f = tmp_path / "empty.json"
+        f.write_text(json.dumps({"kind": "raag", "n": 0, "edges": []}))
+        doc = run_json(capsys, "chd", str(f))
+        assert (doc["chd_lower"], doc["chd_upper"]) == (0, 0)
+
 
 class TestBraid:
     def test_perm(self, capsys):
@@ -256,8 +270,23 @@ class TestPres:
         # the relator the command prints is the one check_hom returns
         pres = presentations.Presentation.from_strings(["a", "b", "c"], ["[a,[b^-1,c]]", "[b,[c^-1,a]]"])
         u, v = words.generator(1, 2), words.generator(2, 2)
-        witness = presentations.check_hom(presentations.FreeHom(pres, 2, (u, v, u)))
-        assert doc["failing_relator"] == str(witness) == "a b^-1 c b c^-1 a^-1 c b^-1 c^-1 b"
+        witness = presentations.check_hom(presentations.FreeHom(pres, ("u", "v"), (u, v, u)))
+        assert doc["failing_relator"] == words.format_word(witness, pres.generators) == \
+            "a b^-1 c b c^-1 a^-1 c b^-1 c^-1 b"
+
+    @pytest.mark.parametrize("generators, relator", [
+        (["x", "y"], "x y x^-1 y^-1"),
+        ([f"g{i}" for i in range(1, 31)], "g1 g30^-1"),  # more names than a-z
+    ])
+    def test_failing_relator_in_the_presentation_names(self, capsys, tmp_path, generators, relator):
+        f = tmp_path / "hom.json"
+        f.write_text(json.dumps({
+            "presentation": {"generators": generators, "relators": [relator]},
+            "target_generators": ["u", "v"],
+            "images": {name: "u" if name in ("x", "g1") else "v" for name in generators},
+        }))
+        code, out, _ = run(capsys, "--json", "pres", "hom-check", str(f))
+        assert (code, json.loads(out)["failing_relator"]) == (EXIT_VERIFICATION, relator)
 
 
 class TestChd:
@@ -527,6 +556,20 @@ class TestTcReport:
                                  "images": images}))
         code, out, _ = run(capsys, "--json", "pres", "hom-check", str(f))
         assert (code, json.loads(out)["failing_relator"]) == (EXIT_VERIFICATION, relator)
+
+    def test_scenario_words_in_the_target_names(self, capsys, tmp_path):
+        # the README's Borromean scenario maps a to u
+        f = tmp_path / "scenario.json"
+        f.write_text(json.dumps(presentation_scenario(BORROMEAN_IMAGES)))
+        (cert,) = run_json(capsys, "tc-report", str(f))["certificates"]
+        assert cert["steps"][1]["description"] == \
+            "p(a) = 'u' is a nontrivial reduced word, hence of infinite order"
+        f.write_text(json.dumps({**presentation_scenario({"a": "u v", "b": "v", "c": ""}),
+                                 "beta": "v u"}))
+        assert run(capsys, "tc-report", str(f)) == (
+            EXIT_VERIFICATION, "",
+            "verification failure: nonzero powers of p(a) = 'u v' and beta = 'v u' are "
+            "conjugate in the free target; the disjointness hypothesis fails\n")
 
     def test_scenario_a_expr_must_be_z(self, capsys, tmp_path):
         # the certificate proves <a> infinite cyclic; Z^9 x Z^9 read from the
@@ -821,6 +864,28 @@ class TestUsageErrors:
             main(["braid", "perm", "--help"])
         assert exc.value.code == EXIT_OK
         assert capsys.readouterr().out.startswith("usage: tcbounds braid perm")
+
+    @pytest.mark.parametrize("usage", [
+        "raag z [-h] file",
+        "raag bound [-h] --k1 K1 --k2 K2 file",
+        "braid perm [-h] --n N word",
+        "braid lk [-h] --n N word",
+        "braid equal [-h] --n N word other",
+        "braid tc-bound [-h] --n N",
+        "pres abel [-h] file",
+        "pres hom-check [-h] file",
+        "chd [-h] file",
+        "tree ball [-h] [--radius RADIUS] [--cap CAP] [--kind {free,free_abelian}] [--rank RANK] [--dot]",
+        "tree verify-lemma [-h] [--k K] [--cap CAP] [--radius RADIUS]",
+        "tc-report [-h] [--case CASE [CASE ...]] [file]",
+    ])
+    def test_usage_line(self, capsys, monkeypatch, usage):
+        # wide enough that no usage line wraps
+        monkeypatch.setenv("COLUMNS", "200")
+        with pytest.raises(SystemExit) as exc:
+            main([*usage.split(" [-h]")[0].split(), "--help"])
+        assert exc.value.code == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[0] == f"usage: tcbounds {usage}"
 
 
 class TestOutputDiscipline:

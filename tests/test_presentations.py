@@ -245,7 +245,7 @@ class TestValidation:
 
 
 def borromean_p() -> FreeHom:
-    return FreeHom(BORROMEAN, 2, (generator(1, 2), generator(2, 2), identity(2)))
+    return FreeHom(BORROMEAN, ("u", "v"), (generator(1, 2), generator(2, 2), identity(2)))
 
 
 class TestHomomorphisms:
@@ -268,11 +268,11 @@ class TestHomomorphisms:
         # all three generators land in the cyclic subgroup <alpha>, so both
         # commutator relators reduce to the identity and the map is a hom
         alpha = generator(1, 2)
-        assert check_hom(FreeHom(BORROMEAN, 2, (alpha, alpha, alpha))) is None
+        assert check_hom(FreeHom(BORROMEAN, ("u", "v"), (alpha, alpha, alpha))) is None
 
     def test_bad_images_rejected(self):
         alpha, beta = generator(1, 2), generator(2, 2)
-        p = FreeHom(BORROMEAN, 2, (alpha, beta, alpha))
+        p = FreeHom(BORROMEAN, ("u", "v"), (alpha, beta, alpha))
         witness = check_hom(p)
         assert witness in BORROMEAN.relators
         # the witness relator's image genuinely fails to reduce to 1; FreeHom
@@ -281,7 +281,7 @@ class TestHomomorphisms:
 
     def test_no_relators_always_ok(self):
         p = Presentation(("x", "y"), ())
-        assert check_hom(FreeHom(p, 1, (generator(1, 1), generator(1, 1) ** 5))) is None
+        assert check_hom(FreeHom(p, ("u",), (generator(1, 1), generator(1, 1) ** 5))) is None
 
     def test_hom_applied_to_identity(self):
         p = borromean_p()
@@ -305,5 +305,5 @@ class TestApplyImages:
         for g, s in w.letters:
             img = images[g - 1] if s == 1 else images[g - 1].inverse()
             substituted += img.letters
-        p = FreeHom(Presentation(("a", "b", "c"), ()), 2, tuple(images))
+        p = FreeHom(Presentation(("a", "b", "c"), ()), ("u", "v"), tuple(images))
         assert p(w) == reduce(substituted, 2)

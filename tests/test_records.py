@@ -38,7 +38,7 @@ SAMPLES = {
     groupexpr.Evaluation: groupexpr.evaluate(groupexpr.Free(2)),
     presentations.Presentation: PRES,
     presentations.AbelianInvariants: presentations.abelianization(PRES),
-    presentations.FreeHom: presentations.FreeHom(PRES, 1, (U, words.identity(1))),
+    presentations.FreeHom: presentations.FreeHom(PRES, ("u",), (U, words.identity(1))),
     raag.SimpleGraph: PATH3,
     raag.CliquePair: raag.z_number(PATH3)[1],
 }
