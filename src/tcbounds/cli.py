@@ -1,11 +1,11 @@
 """Command-line front end: a thin input boundary with one output path.
 
 Each subcommand is declared once, as a row of ``COMMANDS`` that
-``build_parser`` adds.  Its cmd_* handler reads and checks its input,
-dispatches (``bounds`` builds every report and its notes) and returns a
-document, or DOT text for ``tree ball --dot``.  A loader returns the one
-record the engine takes, such as ``load_hom``'s ``presentations.FreeHom``
-with its target names, which the verifier reads and prints words in.
+``build_parser`` adds.  Its cmd_* handler reads its input, dispatches
+(``bounds`` builds every report and its notes) and returns a document,
+or DOT text for ``tree ball --dot``.  A loader reads JSON objects with
+``words.Fields`` and the key sets declared next to it, and returns the
+one record the engine takes, such as ``load_hom``'s ``FreeHom``.
 ``main`` stamps the schema on the document (``BoundReport.to_json``
 stamps the reports nested in ``raag z`` and ``braid tc-bound``), renders
 it as JSON (--json, byte-deterministic) or as text, and picks the exit code.
@@ -33,14 +33,7 @@ import os
 import sys
 from typing import TYPE_CHECKING
 
-from .words import (
-    DEFAULT_WORD_CAP,
-    SCHEMA,
-    CertificateError,
-    InputError,
-    ResourceCapError,
-    json_int,
-)
+from .words import DEFAULT_WORD_CAP, SCHEMA, CertificateError, Fields, InputError, ResourceCapError, json_int
 
 if TYPE_CHECKING:
     from . import bounds, groupexpr, presentations, raag, words
@@ -54,8 +47,7 @@ EXIT_RESOURCE = 3
 def _load_json(path: str):
     try:
         if path == "-":
-            text = sys.stdin.read()
-            return json.loads(text)
+            return json.loads(sys.stdin.read())
         with open(path) as fh:
             return json.load(fh)
     except OSError as exc:
@@ -68,32 +60,6 @@ def _load_json(path: str):
         raise InputError(f"{path}: input nested too deeply") from None
 
 
-def _require(data: dict, field: str, where: str):
-    if not isinstance(data, dict):
-        raise InputError(f"{where}: expected a JSON object")
-    if field not in data:
-        raise InputError(f"{where}: missing field {field!r}")
-    return data[field]
-
-
-def _int_field(data: dict, field: str, where: str) -> int:
-    value = _require(data, field, where)
-    try:
-        return json_int(value)
-    except ValueError as exc:
-        raise InputError(f"{where}: {field}: {exc}") from None
-
-
-def _string_list(data: dict, field: str, where: str) -> list[str]:
-    value = _require(data, field, where)
-    if not isinstance(value, list):
-        raise InputError(f"{where}: {field}: expected a list of strings")
-    for i, item in enumerate(value, start=1):
-        if not isinstance(item, str):
-            raise InputError(f"{where}: {field}: entry {i} must be a string, got {item!r}")
-    return value
-
-
 def _parsed(where: str, parse, *args):
     """parse(*args), with a malformed-input error reported at where."""
     try:
@@ -104,10 +70,10 @@ def _parsed(where: str, parse, *args):
         raise InputError(f"{where}: input nested too deeply") from None
 
 
-def load_graph(data, where: str) -> raag.SimpleGraph:
+def load_graph(data, where: str, *extra: str) -> raag.SimpleGraph:
     """A graph for the ``raag`` commands and scenarios, which need a vertex."""
     from . import raag
-    graph = _parsed(where, raag.SimpleGraph.from_json, data)
+    graph = _parsed(where, raag.SimpleGraph.from_json, data, *extra)
     if graph.n < 1:
         raise InputError(f"{where}: graph must have at least one vertex")
     return graph
@@ -118,58 +84,65 @@ def load_expr(data, where: str) -> groupexpr.GroupExpr:
     return _parsed(where, groupexpr.expr_from_json, data)
 
 
-def load_presentation(data, where: str) -> presentations.Presentation:
+PRESENTATION_KEYS = ("generators", "relators")
+HOM_KEYS = ("target_generators", "images")
+
+
+def load_presentation(fields: Fields) -> presentations.Presentation:
     from . import presentations
-    gens = _string_list(data, "generators", where)
-    rels = _string_list(data, "relators", where)
-    return _parsed(where, presentations.Presentation.from_strings, gens, rels)
+    return _parsed(fields.where, presentations.Presentation.from_strings,
+                   fields.strings("generators"), fields.strings("relators"))
 
 
-def load_hom(data, source: presentations.Presentation, where: str) -> presentations.FreeHom:
+def load_hom(fields: Fields, source: presentations.Presentation) -> presentations.FreeHom:
     """The map from {"target_generators": [names], "images": {generator:
     word}}: the names follow the name rule, and each source generator, and
     no other, has an image ("" is the identity)."""
     from . import presentations, words
-    target = _string_list(data, "target_generators", where)
-    _parsed(f"{where}: target_generators", words.check_names, target)
-    image_map = _require(data, "images", where)
+    target = fields.strings("target_generators")
+    _parsed(f"{fields.where}: target_generators", words.check_names, target)
+    image_map = fields.get("images")
     if not isinstance(image_map, dict):
-        raise InputError(f"{where}: images: expected an object mapping generators to words")
+        raise fields.problem("images", "expected an object mapping generators to words")
     images, rest = [], dict(image_map)
     for name in source.generators:
         if name not in rest:
-            raise InputError(f"{where}: images: no image for generator {name!r}")
-        images.append(_parsed(f"{where}: images: {name}", words.parse_word, rest.pop(name), target))
+            raise fields.problem("images", f"no image for generator {name!r}")
+        images.append(_parsed(f"{fields.where}: images: {name}", words.parse_word, rest.pop(name), target))
     if rest:
-        raise InputError(f"{where}: images: unknown generator {next(iter(rest))!r}")
+        raise fields.problem("images", f"unknown generator {next(iter(rest))!r}")
     return presentations.FreeHom(source, tuple(target), tuple(images))
 
 
 # ---------------------------------------------------------------------------
 # Reports
 
+# Each scenario kind's fields besides "kind"; a raag scenario is a graph.
+SCENARIO_KEYS = {"case-study": ("case",), "braid": ("n",), "expr": ("expr",),
+                 "presentation": (*PRESENTATION_KEYS, "hom", "a_generator", "beta",
+                                  "a_expr", "b_expr", "group_expr")}
+
+
 def scenario_report(data, where: str) -> bounds.BoundReport:
     """The report for one scenario object; --case arguments are mapped onto
     scenario objects by case_scenario and dispatched here too."""
     from . import bounds
-    kind = _require(data, "kind", where)
-    if kind == "case-study":
-        case = _require(data, "case", where)
-        if case == "borromean":
-            return bounds.borromean_case_study()
-        if case == "higman":
-            return bounds.higman_case_study()
-        raise InputError(f"{where}: unknown case study {case!r}")
-    if kind == "braid":
-        return bounds.pure_braid_report(_int_field(data, "n", where))
+    kind = Fields(data, where, None).str("kind")
     if kind == "raag":
-        _, report = bounds.raag_report(load_graph(data, where))
-        return report
+        return bounds.raag_report(load_graph(data, where, "kind"))[1]
+    if kind not in SCENARIO_KEYS:
+        raise InputError(f"{where}: unknown scenario kind {json.dumps(kind)}")
+    fields = Fields(data, where, ("kind", *SCENARIO_KEYS[kind]))
+    if kind == "case-study":
+        studies = {"borromean": bounds.borromean_case_study, "higman": bounds.higman_case_study}
+        if (case := fields.str("case")) not in studies:
+            raise InputError(f"{where}: unknown case study {json.dumps(case)}")
+        return studies[case]()
+    if kind == "braid":
+        return bounds.pure_braid_report(fields.int("n"))
     if kind == "expr":
-        return bounds.expr_report(load_expr(_require(data, "expr", where), where))
-    if kind == "presentation":
-        return _presentation_report(data, where)
-    raise InputError(f"{where}: unknown scenario kind {kind!r}")
+        return bounds.expr_report(load_expr(fields.get("expr"), where))
+    return _presentation_report(fields)
 
 
 CASE_USAGE = "borromean | higman | pbn N | raag FILE"
@@ -189,20 +162,21 @@ def case_scenario(case: list[str]) -> tuple[dict, str]:
     return ({**graph, "kind": "raag"} if isinstance(graph, dict) else graph), rest[0]
 
 
-def _presentation_report(data, where: str) -> bounds.BoundReport:
+def _presentation_report(fields: Fields) -> bounds.BoundReport:
     """Load a ``presentation`` scenario and hand it to bounds.  The
     certificate proves that <a> is infinite cyclic, so a_expr must be Z^1."""
     from . import bounds, groupexpr, words
-    a_expr, b_expr, g_expr = (load_expr(_require(data, field, where), f"{where}: {field}")
+    where = fields.where
+    a_expr, b_expr, g_expr = (load_expr(fields.get(field), f"{where}: {field}")
                               for field in ("a_expr", "b_expr", "group_expr"))
     if a_expr != groupexpr.FreeAbelian(1):
         raise InputError(f'{where}: a_expr: expected {{"kind": "free_abelian", "rank": 1}}, '
                          f"the infinite cyclic <a> the certificate proves, got {a_expr.label()}")
-    pres = load_presentation(data, where)
-    p = load_hom(_require(data, "hom", where), pres, f"{where}: hom")
-    a_gen = _require(data, "a_generator", where)
+    pres = load_presentation(fields)
+    p = load_hom(Fields(fields.get("hom"), f"{where}: hom", HOM_KEYS), pres)
+    a_gen = fields.str("a_generator")
     _parsed(f"{where}: a_generator", pres.generator_index, a_gen)
-    beta = _parsed(f"{where}: beta", words.parse_word, _require(data, "beta", where), p.target)
+    beta = _parsed(f"{where}: beta", words.parse_word, fields.get("beta"), p.target)
     return bounds.presentation_scenario_report(p, a_gen, beta, b_expr, g_expr)
 
 
@@ -303,7 +277,7 @@ def cmd_braid_tc_bound(args) -> dict:
 
 def cmd_pres_abel(args) -> dict:
     from . import presentations
-    pres = load_presentation(_load_json(args.file), args.file)
+    pres = load_presentation(Fields(_load_json(args.file), args.file, PRESENTATION_KEYS))
     inv = presentations.abelianization(pres)
     return {
         "free_rank": inv.free_rank,
@@ -318,9 +292,10 @@ def cmd_pres_abel(args) -> dict:
 
 def cmd_pres_hom_check(args) -> dict:
     from . import presentations, words
-    data = _load_json(args.file)
-    pres = load_presentation(_require(data, "presentation", args.file), f"{args.file}: presentation")
-    witness = presentations.check_hom(load_hom(data, pres, args.file))
+    fields = Fields(_load_json(args.file), args.file, ("presentation", *HOM_KEYS))
+    pres = load_presentation(Fields(fields.get("presentation"), f"{args.file}: presentation",
+                                    PRESENTATION_KEYS))
+    witness = presentations.check_hom(load_hom(fields, pres))
     if witness is None:
         return {"well_defined": True}
     return {"well_defined": False, "failing_relator": words.format_word(witness, pres.generators)}

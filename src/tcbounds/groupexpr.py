@@ -7,16 +7,17 @@ a silent guess, with its rule trace and dimension data.  Products only
 collapse to an exact sum when a duality rule forces it (one factor
 orientable PD, or both factors duality groups), since subadditivity
 chd(AxB) <= chd(A) + chd(B) can be strict in general.  Expression nodes
-only store their fields; expr_from_json checks the ones it reads (ranks,
-strand counts, genera, opaque data).  raag is imported only where
-expr_from_json reads a raag node.
+only store their fields; expr_from_json reads each with words.Fields
+against its kind's EXPR_KEYS and checks ranks, strand counts, genera and
+opaque data.  raag is imported only where it reads a raag node.
 """
 
 from __future__ import annotations
 
+import json
 from typing import TYPE_CHECKING, Iterator, Optional
 
-from .words import InputError, Record, json_int
+from .words import Fields, InputError, Record
 
 if TYPE_CHECKING:
     from .raag import SimpleGraph
@@ -252,66 +253,50 @@ def _combine(e: GroupExpr, left: tuple, right: tuple) -> tuple[str, tuple]:
 # ---------------------------------------------------------------------------
 # JSON trees
 
+# Each expression kind's fields besides "kind"; a raag node's are its graph's.
+EXPR_KEYS = {"trivial": (), "bs12": (), "free": ("rank",), "free_abelian": ("rank",), "pure_braid": ("n",),
+             "surface": ("genus",), "product": ("left", "right"), "free_product": ("left", "right"),
+             "opaque": ("name", "chd", "chd_lower", "chd_upper", "justification", "duality_dim",
+                        "orientable_pd_dim", "geom_dim")}
+# The kinds of one integer field: the node class, the field's least value and the error below it
+COUNTED = {"free": (Free, 0, "free rank must be >= 0"),
+           "free_abelian": (FreeAbelian, 0, "free abelian rank must be >= 0"),
+           "pure_braid": (PureBraid, 2, "pure braid group needs n >= 2 strands"),
+           "surface": (SurfaceGroup, 1, "surface genus must be >= 1")}
+
+
 def expr_from_json(data) -> GroupExpr:
     """Parse {"kind": ..., ...} trees into expressions."""
-    if not isinstance(data, dict) or "kind" not in data:
-        raise ExprError("expression node must be an object with a 'kind' field")
-    kind = data["kind"]
-
-    def num(name, default=None):
-        value = data[name] if default is None else data.get(name, default)
+    kind = Fields(data, "", None, ExprError).str("kind")
+    if kind == "raag":
+        from . import raag
         try:
-            return json_int(value)
-        except ValueError as exc:
-            raise ExprError(f"{kind}: {name}: {exc}") from None
-
-    def optional_num(name):
-        return num(name) if data.get(name) is not None else None
-
-    def at_least(name, low, message):
-        value = num(name)
-        if value < low:
+            return Raag(raag.SimpleGraph.from_json(data, "kind"))
+        except raag.GraphError as exc:
+            raise ExprError(f"raag: {exc}") from None
+    if kind not in EXPR_KEYS:
+        raise ExprError(f"unknown expression kind {json.dumps(kind)}")
+    node = Fields(data, kind, ("kind", *EXPR_KEYS[kind]), ExprError)
+    if kind in COUNTED:
+        node_class, low, message = COUNTED[kind]
+        if (value := node.int(EXPR_KEYS[kind][0])) < low:
             raise ExprError(message)
-        return value
-
-    try:
-        match kind:
-            case "trivial":
-                return Trivial()
-            case "free":
-                return Free(at_least("rank", 0, "free rank must be >= 0"))
-            case "free_abelian":
-                return FreeAbelian(at_least("rank", 0, "free abelian rank must be >= 0"))
-            case "pure_braid":
-                return PureBraid(at_least("n", 2, "pure braid group needs n >= 2 strands"))
-            case "bs12":
-                return BaumslagSolitar12()
-            case "surface":
-                return SurfaceGroup(at_least("genus", 1, "surface genus must be >= 1"))
-            case "raag":
-                from . import raag
-                try:
-                    return Raag(raag.SimpleGraph.from_json(data))
-                except raag.GraphError as exc:
-                    raise ExprError(f"raag: {exc}") from None
-            case "opaque":
-                lo = num("chd_lower", num("chd", 0))
-                return _check_opaque(Opaque(
-                    name=str(data.get("name", "opaque")),
-                    chd_lower=lo,
-                    chd_upper=num("chd_upper", num("chd", lo)),
-                    justification=str(data.get("justification", "externally supplied")),
-                    duality_dim=optional_num("duality_dim"),
-                    orientable_pd_dim=optional_num("orientable_pd_dim"),
-                    geom_dim=optional_num("geom_dim"),
-                ))
-            case "product":
-                return Product(expr_from_json(data["left"]), expr_from_json(data["right"]))
-            case "free_product":
-                return FreeProduct(expr_from_json(data["left"]), expr_from_json(data["right"]))
-    except KeyError as exc:
-        raise ExprError(f"expression node {kind!r} missing field {exc}") from None
-    raise ExprError(f"unknown expression kind {kind!r}")
+        return node_class(value)
+    if kind == "opaque":
+        lo = node.int("chd_lower", node.int("chd", 0))
+        return _check_opaque(Opaque(
+            name=node.str("name", "opaque"),
+            chd_lower=lo,
+            chd_upper=node.int("chd_upper", node.int("chd", lo)),
+            justification=node.str("justification", "externally supplied"),
+            duality_dim=node.int("duality_dim", None),
+            orientable_pd_dim=node.int("orientable_pd_dim", None),
+            geom_dim=node.int("geom_dim", None),
+        ))
+    if kind in ("product", "free_product"):
+        pair = Product if kind == "product" else FreeProduct
+        return pair(expr_from_json(node.get("left")), expr_from_json(node.get("right")))
+    return Trivial() if kind == "trivial" else BaumslagSolitar12()
 
 
 def _check_opaque(leaf: Opaque) -> Opaque:

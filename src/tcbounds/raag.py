@@ -6,8 +6,8 @@ and a commuting relation per edge.  The quantity z(G) -- the maximum
 number of vertices covered by two cliques -- equals the topological
 complexity of the group (Cohen-Pruidze).  This module holds only that
 combinatorics; the clique-pair certificate is built in tcbounds.bounds.
-``z_number`` is a branch-and-bound search over the clique pairs, and
-``maximal_cliques`` refuses a graph with more than MAX_CLIQUES of them.
+``SimpleGraph.from_json`` refuses more than VERTEX_LIMIT vertices, and
+``maximal_cliques`` more than MAX_CLIQUES cliques.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from functools import cached_property, reduce
 from itertools import combinations
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .words import InputError, Record, ResourceCapError, Word, json_int
+from .words import Fields, InputError, Record, ResourceCapError, Word, json_int
 
 if TYPE_CHECKING:
     from . import presentations
@@ -55,27 +55,23 @@ class SimpleGraph(Record):
         return SimpleGraph(n, normalized)
 
     @staticmethod
-    def from_json(data) -> "SimpleGraph":
-        """Validate and build a graph from {"n": int, "edges": [[u, v], ...]}."""
-        if not isinstance(data, dict):
-            raise GraphError("expected a JSON object")
-        if "n" not in data:
-            raise GraphError("missing field 'n'")
-        try:
-            n = json_int(data["n"])
-        except ValueError as exc:
-            raise GraphError(f"n: {exc}") from None
-        edges = data.get("edges", [])
+    def from_json(data, *extra: str) -> "SimpleGraph":
+        """A graph from {"n": int, "edges": [[u, v], ...]}, plus the keys in extra."""
+        fields = Fields(data, "", ("n", "edges", *extra), GraphError)
+        n = fields.int("n")
+        if n > VERTEX_LIMIT:
+            raise ResourceCapError(f"graph has {n} vertices, limit is {VERTEX_LIMIT}")
+        edges = fields.get("edges", [])
         if not isinstance(edges, list):
-            raise GraphError("edges: expected a list of vertex pairs")
+            raise fields.problem("edges", "expected a list of vertex pairs")
         pairs = []
         for i, edge in enumerate(edges, start=1):
             if not isinstance(edge, list) or len(edge) != 2:
-                raise GraphError(f"edges: edge {i} must be a pair of vertices, got {json.dumps(edge)}")
+                raise fields.problem("edges", f"edge {i} must be a pair of vertices, got {json.dumps(edge)}")
             try:
                 pairs.append((json_int(edge[0]), json_int(edge[1])))
             except ValueError:
-                raise GraphError(f"edges: edge {i} has a non-integer vertex: {json.dumps(edge)}") from None
+                raise fields.problem("edges", f"edge {i} has a non-integer vertex: {json.dumps(edge)}") from None
         return SimpleGraph.from_edges(n, pairs)
 
     def adjacency_masks(self) -> list[int]:

@@ -10,13 +10,14 @@ reduced words, which cancels across the junction only; a word built
 from many pieces collects their letters and is reduced once.  A word
 holds indices, not names: ``parse_word`` reads it and ``format_word``
 prints it over the names of the generators it is written in.
+``Fields`` reads every JSON object of outside input against its key set.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 Letter = tuple[int, int]  # (generator index >= 1, sign in {+1, -1})
 
@@ -109,6 +110,54 @@ def json_int(value) -> int:
     if isinstance(value, str) and re.fullmatch("-?[0-9]+", value):
         return int(value)
     raise ValueError("expected an integer, got " + json.dumps(value))
+
+
+class Fields:
+    """One JSON object of outside input.  Its keys must be in keys (None
+    admits any, to read first the field a loader dispatches on), and a field
+    whose default is ... must be present.  Each error is one error line,
+    "where: field: problem", the value as JSON; an empty where is the caller's."""
+
+    def __init__(self, data, where: str, keys: Collection[str] | None, error: type = InputError):
+        self.data, self.where, self.error = data, where, error
+        if not isinstance(data, dict):
+            raise self.problem("expected a JSON object")
+        for key in data if keys is not None else ():
+            if key not in keys:
+                raise self.problem(f"unknown field {json.dumps(key)}")
+
+    def problem(self, *parts: str) -> InputError:
+        return self.error(": ".join(filter(None, (self.where, *parts))))
+
+    def get(self, name: str, default=...):
+        if default is ... and name not in self.data:
+            raise self.problem(f"missing field {json.dumps(name)}")
+        return self.data.get(name, default)
+
+    def int(self, name: str, default=...):
+        """By the json_int rule; if the default is None, so is a null value."""
+        value = self.get(name, default)
+        if value is None and default is None:
+            return None
+        try:
+            return json_int(value)
+        except ValueError as exc:
+            raise self.problem(name, str(exc)) from None
+
+    def str(self, name: str, default=...) -> str:
+        value = self.get(name, default)
+        if not isinstance(value, str):
+            raise self.problem(name, "expected a string, got " + json.dumps(value))
+        return value
+
+    def strings(self, name: str) -> list[str]:
+        value = self.get(name)
+        if not isinstance(value, list):
+            raise self.problem(name, "expected a list of strings")
+        for i, item in enumerate(value, start=1):
+            if not isinstance(item, str):
+                raise self.problem(name, f"entry {i} must be a string, got {json.dumps(item)}")
+        return value
 
 
 def _free_reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
@@ -311,7 +360,7 @@ class _Parser:
 def parse_word(text: str, alphabet: Sequence[str]) -> Word:
     """Parse a word like "x y x^-1 y^-2" or "[a,[b^-1,c]]" over named generators."""
     if not isinstance(text, str):
-        raise WordError(f"expected a word, got {text!r}")
+        raise WordError(f"expected a word, got {json.dumps(text)}")
     parser = _Parser(_tokenize(text), alphabet)
     w = parser.parse_word()
     if parser.peek() is not None:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from tcbounds import braids, groupexpr
+from tcbounds import braids, freeprod, groupexpr, presentations
 from tcbounds.bounds import (
     borromean_case_study,
     borromean_presentation,
@@ -26,7 +26,7 @@ from tcbounds.certificates import (
 )
 from tcbounds.braids import BraidError
 from tcbounds.cli import scenario_report
-from tcbounds.presentations import FreeHom, Presentation
+from tcbounds.presentations import AbelianInvariants, FreeHom, Presentation
 from tcbounds.raag import GraphError, SimpleGraph, z_number
 from tcbounds.words import ResourceCapError, generator, identity, parse_word
 
@@ -392,3 +392,51 @@ class TestHigmanCaseStudy:
         pres = higman_presentation()
         assert pres.generators == ("x", "y", "z", "w")
         assert len(pres.relators) == 4
+
+
+class TestChecksThatOnlySeeEngineData:
+    """Each check below only ever sees correct engine data, so each test
+    feeds it a wrong value through the module attribute it reads and
+    expects the check to refuse it."""
+
+    def test_pure_braid_linking_row(self, monkeypatch):
+        def linking_matrix(b):
+            return braids.LinkingMatrix(b.n, tuple((0,) * b.n for _ in range(b.n)))
+
+        monkeypatch.setattr(braids, "linking_matrix", linking_matrix)
+        with pytest.raises(CertificateError, match=r"^alpha_1 has unexpected linking row \(0, 0, 0\)$"):
+            pure_braid_report(4)
+
+    @staticmethod
+    def higman_abelianization(monkeypatch, full=None, vertex_group=None):
+        """Replace the abelianization of the four-generator presentation by
+        full, and of each three-generator vertex group by vertex_group."""
+        abelianization = presentations.abelianization
+
+        def mutant(p):
+            wrong = full if len(p.generators) == 4 else vertex_group
+            return wrong or abelianization(p)
+
+        monkeypatch.setattr(presentations, "abelianization", mutant)
+
+    def test_higman_full_group_nontrivial(self, monkeypatch):
+        self.higman_abelianization(monkeypatch, full=AbelianInvariants(1, (), ((1,), (0,), (0,), (0,))))
+        with pytest.raises(CertificateError, match="^full presentation abelianization is not trivial"):
+            higman_case_study()
+
+    def test_higman_second_generator_survives(self, monkeypatch):
+        self.higman_abelianization(monkeypatch, vertex_group=AbelianInvariants(1, (), ((1,), (1,), (0,))))
+        with pytest.raises(CertificateError,
+                           match="^abelianization of H_xyz: generator y survives unexpectedly$"):
+            higman_case_study()
+
+    def test_higman_vertex_group_not_z(self, monkeypatch):
+        self.higman_abelianization(monkeypatch,
+                                   vertex_group=AbelianInvariants(1, (2,), ((0, 1), (0, 0), (0, 0))))
+        with pytest.raises(CertificateError, match="^abelianization of H_xyz is not Z"):
+            higman_case_study()
+
+    def test_higman_bfs_failure(self, monkeypatch):
+        monkeypatch.setattr(freeprod, "verify_tree_lemma", lambda k, cap, radius: (4368, [[1, -2]]))
+        with pytest.raises(CertificateError, match=r"^BFS distances wrong for \(1, -2\)$"):
+            higman_case_study()

@@ -818,7 +818,47 @@ class TestInputChecks:
                   "error: {f}: a_generator: unknown generator 'q'"),
         bad_input("a-generator-list", ["tc-report"],
                   {**presentation_scenario(BORROMEAN_IMAGES), "a_generator": ["a"]}, EXIT_USAGE,
-                  "error: {f}: a_generator: unknown generator ['a']"),
+                  'error: {f}: a_generator: expected a string, got ["a"]'),
+        # a misspelt key used to change the data: [2, 3] read as [2, 2], and a graph with no edges
+        bad_input("opaque-misspelt-upper", ["chd"],
+                  {"kind": "opaque", "name": "G", "chd_lower": 2, "chd_uper": 3, "justification": "j"},
+                  EXIT_USAGE, 'error: {f}: opaque: unknown field "chd_uper"'),
+        bad_input("graph-misspelt-edges", ["raag", "z"], {"n": 3, "egdes": [[1, 2]]}, EXIT_USAGE,
+                  'error: {f}: unknown field "egdes"'),
+        # string fields used to print Python spellings of other values
+        bad_input("opaque-name-list", ["chd"], {"kind": "opaque", "chd": 1, "name": ["x"]}, EXIT_USAGE,
+                  'error: {f}: opaque: name: expected a string, got ["x"]'),
+        bad_input("opaque-justification-object", ["chd"],
+                  {"kind": "opaque", "chd": 1, "justification": {"a": 1}}, EXIT_USAGE,
+                  'error: {f}: opaque: justification: expected a string, got {{"a": 1}}'),
+        bad_input("expr-kind-list", ["chd"], {"kind": ["free"], "rank": 2}, EXIT_USAGE,
+                  'error: {f}: kind: expected a string, got ["free"]'),
+        bad_input("expr-kind-missing", ["chd"], {"rank": 2}, EXIT_USAGE,
+                  'error: {f}: missing field "kind"'),
+        bad_input("expr-kind-unknown", ["chd"], {"kind": "quaternion"}, EXIT_USAGE,
+                  'error: {f}: unknown expression kind "quaternion"'),
+        bad_input("scenario-kind-number", ["tc-report"], {"kind": 5}, EXIT_USAGE,
+                  "error: {f}: kind: expected a string, got 5"),
+        bad_input("scenario-case-bool", ["tc-report"], {"kind": "case-study", "case": True}, EXIT_USAGE,
+                  "error: {f}: case: expected a string, got true"),
+        bad_input("scenario-case-unknown", ["tc-report"], {"kind": "case-study", "case": "klein"},
+                  EXIT_USAGE, 'error: {f}: unknown case study "klein"'),
+        bad_input("scenario-not-an-object", ["tc-report"], ["raag"], EXIT_USAGE,
+                  "error: {f}: expected a JSON object"),
+        # JSON values in messages are JSON: true, not True
+        bad_input("relator-bool", ["pres", "hom-check"],
+                  {**hom_check_doc("x", ""), "presentation": {"generators": ["a", "b"], "relators": [True]}},
+                  EXIT_USAGE, "error: {f}: presentation: relators: entry 1 must be a string, got true"),
+        bad_input("image-bool", ["pres", "hom-check"], hom_check_doc(True, ""), EXIT_USAGE,
+                  "error: {f}: images: a: expected a word, got true"),
+        bad_input("beta-bool", ["tc-report"], {**presentation_scenario(BORROMEAN_IMAGES), "beta": True},
+                  EXIT_USAGE, "error: {f}: beta: expected a word, got true"),
+        # the vertex cap is checked where a graph is read, so it covers raag bound too
+        bad_input("raag-bound-vertex-limit", ["raag", "bound", "--k1", "1", "--k2", "2"],
+                  {"n": 65, "edges": [[1, 2]]}, EXIT_RESOURCE,
+                  "resource cap exceeded: graph has 65 vertices, limit is 64"),
+        bad_input("raag-scenario-vertex-limit", ["tc-report"], {"kind": "raag", "n": 65}, EXIT_RESOURCE,
+                  "resource cap exceeded: graph has 65 vertices, limit is 64"),
     ])
     def test_one_line(self, capsys, tmp_path, argv, doc, code, line):
         f = tmp_path / "input.json"
@@ -826,6 +866,73 @@ class TestInputChecks:
             f.write_text(json.dumps(doc))
             argv = [*argv, str(f)]
         assert run(capsys, *argv) == (code, "", line.format(f=f) + "\n")
+
+
+EXPR_NODES = {
+    "trivial": {"kind": "trivial"}, "free": {"kind": "free", "rank": 2},
+    "free_abelian": {"kind": "free_abelian", "rank": 1}, "pure_braid": {"kind": "pure_braid", "n": 3},
+    "bs12": {"kind": "bs12"}, "surface": {"kind": "surface", "genus": 2},
+    "raag": {"kind": "raag", "n": 2, "edges": [[1, 2]]}, "opaque": {"kind": "opaque", "chd": 1},
+    "product": {"kind": "product", "left": {"kind": "bs12"}, "right": {"kind": "trivial"}},
+    "free_product": {"kind": "free_product", "left": {"kind": "bs12"}, "right": {"kind": "trivial"}},
+}
+ZZ = {"zz": 1}
+
+
+def unknown_key(name, argv, doc):
+    return pytest.param(argv, doc, id=name)
+
+
+class TestFieldReader:
+    """Every JSON object of outside input is read by words.Fields: a key
+    outside its loader's key set is refused with one line."""
+
+    @pytest.mark.parametrize("argv, doc", [
+        unknown_key("raag-z", ["raag", "z"], {"n": 2, "edges": [], **ZZ}),
+        unknown_key("raag-bound", ["raag", "bound", "--k1", "1", "--k2", "2"], {"n": 2, **ZZ}),
+        *(unknown_key(f"expr-{kind}", ["chd"], {**node, **ZZ}) for kind, node in EXPR_NODES.items()),
+        *(unknown_key(f"expr-{kind}-in-product", ["chd"],
+                      {"kind": "product", "left": {"kind": "bs12"}, "right": {**node, **ZZ}})
+          for kind, node in EXPR_NODES.items()),
+        unknown_key("scenario-case-study", ["tc-report"], {"kind": "case-study", "case": "higman", **ZZ}),
+        unknown_key("scenario-braid", ["tc-report"], {"kind": "braid", "n": 3, **ZZ}),
+        unknown_key("scenario-raag", ["tc-report"], {"kind": "raag", "n": 2, "edges": [], **ZZ}),
+        unknown_key("scenario-expr", ["tc-report"], {"kind": "expr", "expr": {"kind": "bs12"}, **ZZ}),
+        unknown_key("scenario-presentation", ["tc-report"], {**presentation_scenario(BORROMEAN_IMAGES), **ZZ}),
+        unknown_key("case-raag", ["tc-report", "--case", "raag"], {"n": 2, "edges": [], **ZZ}),
+        unknown_key("pres-abel", ["pres", "abel"], {**BORROMEAN, **ZZ}),
+        unknown_key("hom-check", ["pres", "hom-check"], {**hom_check_doc("x", "x^-1"), **ZZ}),
+        unknown_key("hom-check-presentation", ["pres", "hom-check"],
+                    {**hom_check_doc("x", "x^-1"), "presentation": {"generators": ["a", "b"],
+                                                                     "relators": ["a b"], **ZZ}}),
+        unknown_key("scenario-hom", ["tc-report"],
+                    {**presentation_scenario(BORROMEAN_IMAGES),
+                     "hom": {"target_generators": ["u", "v"], "images": BORROMEAN_IMAGES, **ZZ}}),
+    ])
+    def test_unknown_key(self, capsys, tmp_path, argv, doc):
+        err = run_bad_file(capsys, tmp_path, doc, *argv)
+        assert err.endswith(': unknown field "zz"\n')
+
+    @pytest.mark.parametrize("argv", [
+        ["raag", "z"], ["raag", "bound", "--k1", "1", "--k2", "2"], ["tc-report", "--case", "raag"],
+    ])
+    def test_huge_vertex_count_refused_at_once(self, tmp_path, argv):
+        # raag bound used to build one image per vertex, and never finished
+        f = tmp_path / "huge.json"
+        f.write_text(json.dumps({"n": 10**20, "edges": [[1, 2]]}))
+        start = time.perf_counter()
+        proc = subprocess.run([*CLI, *argv, str(f)], env=CLI_ENV, capture_output=True, text=True,
+                              timeout=60)
+        assert time.perf_counter() - start < 1.0
+        assert (proc.returncode, proc.stdout) == (EXIT_RESOURCE, "")
+        assert proc.stderr == f"resource cap exceeded: graph has {10**20} vertices, limit is 64\n"
+
+    def test_null_optional_dimension_reads_as_absent(self, capsys, tmp_path):
+        f = tmp_path / "expr.json"
+        f.write_text(json.dumps({"kind": "opaque", "chd": 2, "geom_dim": None, "duality_dim": None}))
+        with_null = run_json(capsys, "chd", str(f))
+        f.write_text(json.dumps({"kind": "opaque", "chd": 2}))
+        assert with_null == run_json(capsys, "chd", str(f))
 
 
 class TestUsageErrors:

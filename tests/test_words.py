@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 import tcbounds
 from tcbounds.words import (
     MAX_EXPANDED_LENGTH,
+    Fields,
+    InputError,
     ResourceCapError,
     Word,
     WordError,
@@ -278,3 +280,32 @@ def test_long_words_take_linear_time(name):
     env = dict(os.environ, PYTHONPATH=str(Path(tcbounds.__file__).parents[1]))
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=30)
 
+
+
+class TestFields:
+    def test_reads_each_field_kind(self):
+        fields = Fields({"n": "7", "s": "x", "names": ["a", "b"], "dim": None}, "file", ("n", "s", "names", "dim"))
+        assert (fields.int("n"), fields.str("s"), fields.strings("names")) == (7, "x", ["a", "b"])
+        assert (fields.int("dim", None), fields.int("absent", 3), fields.str("absent", "d")) == (None, 3, "d")
+        assert fields.get("absent", []) == []
+
+    @pytest.mark.parametrize("data, keys, read, message", [
+        ([1], (), None, "expected a JSON object"),
+        ({"a": 1, "b": 2}, ("a",), None, 'unknown field "b"'),
+        ({}, (), lambda f: f.get("a"), 'missing field "a"'),
+        ({"a": None}, ("a",), lambda f: f.int("a", 0), "a: expected an integer, got null"),
+        ({"a": 1.0}, ("a",), lambda f: f.str("a"), "a: expected a string, got 1.0"),
+        ({"a": "x"}, ("a",), lambda f: f.strings("a"), "a: expected a list of strings"),
+        ({"a": ["x", False]}, ("a",), lambda f: f.strings("a"), "a: entry 2 must be a string, got false"),
+    ])
+    @pytest.mark.parametrize("where", ["", "file: node"])
+    def test_one_line_errors(self, data, keys, read, message, where):
+        with pytest.raises(WordError) as exc:
+            read(Fields(data, where, keys, WordError)) if read else Fields(data, where, keys, WordError)
+        assert str(exc.value) == (f"{where}: {message}" if where else message)
+
+    def test_any_keys_and_the_default_error(self):
+        assert Fields({"kind": "k", "other": 1}, "", None).str("kind") == "k"
+        with pytest.raises(InputError) as exc:
+            Fields({"kind": 1}, "f", None).str("kind")
+        assert type(exc.value) is InputError and str(exc.value) == "f: kind: expected a string, got 1"
