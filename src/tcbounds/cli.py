@@ -107,10 +107,10 @@ def load_hom(fields: Fields, source: presentations.Presentation) -> presentation
     images, rest = [], dict(image_map)
     for name in source.generators:
         if name not in rest:
-            raise fields.problem("images", f"no image for generator {name!r}")
+            raise fields.problem("images", f"no image for generator {json.dumps(name)}")
         images.append(_parsed(f"{fields.where}: images: {name}", words.parse_word, rest.pop(name), target))
     if rest:
-        raise fields.problem("images", f"unknown generator {next(iter(rest))!r}")
+        raise fields.problem("images", f"unknown generator {json.dumps(next(iter(rest)))}")
     return presentations.FreeHom(source, tuple(target), tuple(images))
 
 
@@ -124,8 +124,8 @@ SCENARIO_KEYS = {"case-study": ("case",), "braid": ("n",), "expr": ("expr",),
 
 
 def scenario_report(data, where: str) -> bounds.BoundReport:
-    """The report for one scenario object; --case arguments are mapped onto
-    scenario objects by case_scenario and dispatched here too."""
+    """The report for one scenario object; case_report maps the --case
+    case studies and pbn N onto scenario objects and dispatches them here."""
     from . import bounds
     kind = Fields(data, where, None).str("kind")
     if kind == "raag":
@@ -148,18 +148,19 @@ def scenario_report(data, where: str) -> bounds.BoundReport:
 CASE_USAGE = "borromean | higman | pbn N | raag FILE"
 
 
-def case_scenario(case: list[str]) -> tuple[dict, str]:
-    """(scenario object, error location) for the arguments of --case."""
+def case_report(case: list[str]) -> bounds.BoundReport:
+    """The report for the arguments of --case: a scenario object, or for
+    raag FILE the graph file, read as ``raag z`` reads it."""
+    from . import bounds
     name, rest = case[0], case[1:]
     arity = {"borromean": 0, "higman": 0, "pbn": 1, "raag": 1}.get(name)
     if arity is None or len(rest) != arity:
         raise InputError(f"--case {' '.join(case)}: expected --case {CASE_USAGE}")
     if arity == 0:
-        return {"kind": "case-study", "case": name}, "--case"
+        return scenario_report({"kind": "case-study", "case": name}, "--case")
     if name == "pbn":
-        return {"kind": "braid", "n": rest[0]}, "--case pbn"
-    graph = _load_json(rest[0])
-    return ({**graph, "kind": "raag"} if isinstance(graph, dict) else graph), rest[0]
+        return scenario_report({"kind": "braid", "n": rest[0]}, "--case pbn")
+    return bounds.raag_report(load_graph(_load_json(rest[0]), rest[0]))[1]
 
 
 def _presentation_report(fields: Fields) -> bounds.BoundReport:
@@ -233,7 +234,7 @@ def _vertex_list(text: str, flag: str) -> list[int]:
     try:
         return [json_int(x.strip()) for x in text.split(",") if x]
     except ValueError:
-        raise InputError(f"{flag}: expected comma-separated vertices, got {text!r}") from None
+        raise InputError(f"{flag}: expected comma-separated vertices, got {json.dumps(text)}") from None
 
 
 def cmd_raag_bound(args) -> dict:
@@ -346,10 +347,8 @@ def cmd_tree_verify_lemma(args) -> dict:
 
 def cmd_tc_report(args) -> dict:
     if args.case:
-        data, where = case_scenario(args.case)
-    else:
-        data, where = _load_json(args.file), args.file
-    return scenario_report(data, where).to_json()
+        return case_report(args.case).to_json()
+    return scenario_report(_load_json(args.file), args.file).to_json()
 
 
 # ---------------------------------------------------------------------------

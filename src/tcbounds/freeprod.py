@@ -13,8 +13,11 @@ numbered in BFS order and stored as a table of per-depth blocks of
 consecutive ids, O(radius) ints: parents, child ranges and coset
 vertices are arithmetic on it, so no per-vertex array is built.
 Distances inside the ball are edge counts of the tree (a BFS in
-``distance_map``), never the syllable formula, so the tree lemma that
-``verify_tree_lemma`` checks on the ball can fail on its own.
+``distance_map``, which visits each depth as runs of consecutive ids),
+never the syllable formula, so the tree lemma that ``verify_tree_lemma``
+checks on the ball can fail on its own.  The lemma builds no words: an
+alternating word of F(x) * F(y) is its exponents, and the vertex gw is
+the end of their element index path (``path_vertex``).
 """
 
 from __future__ import annotations
@@ -275,6 +278,12 @@ class TreeBall:
                     f"syllable {elem!r} exceeds the exponent cap {self.cap} of this ball"
                 )
             path.append(i)
+        return self.path_vertex(path, side)
+
+    def path_vertex(self, path: Sequence[int], side: int) -> int:
+        """The vertex of side 0 (A) or 1 (B) reached from the base edge by
+        the element indices path, one per syllable of a coset
+        representative that ends in the factor opposite to side."""
         if len(path) > self.radius:
             raise FreeProductError("coset vertex lies outside this ball")
         # the syllables alternate and end in the factor opposite to side,
@@ -295,22 +304,38 @@ class TreeBall:
 
         The search runs depth by depth over the tree's edges: the parent
         link, the child range and the base edge, and stops after depth
-        max_depth.  A ball of a tree is convex, so every distance it
-        reports is the distance in the whole tree.
+        max_depth.  Each depth is a few runs of consecutive ids in one
+        block.  The children of a run in block b are one run in block
+        b + 2; a run reached from its parents has only new children, and
+        the source's ancestors, reached from below, add their parent (or,
+        at v or w, the other end of the base edge) and every child but the
+        one they were reached from.  A ball of a tree is convex, so every
+        distance it reports is the distance in the whole tree.
         """
+        starts, sides, counts = self._starts, self._sides, self._counts
+        leaves = len(sides) - 2  # blocks from here on have no children
+
+        def child_run(b: int, first: int, end: int) -> tuple[int, int, int]:
+            c = counts[sides[b]]
+            return b + 2, starts[b + 2] + (first - starts[b]) * c, starts[b + 2] + (end - starts[b]) * c
+
         dist = {source: 0}
-        frontier = [source]
+        runs: list[tuple[int, int, int]] = []  # (block, first id, end id), reached from their parents
+        up, b, below = source, self._block(source), -1  # an ancestor of the source, its block and child
         for d in range(1, max_depth + 1):
-            reached: list[int] = []
-            for vid in frontier:
-                up = self.parent(vid)
-                if up < 0:
-                    up = self.w if vid == self.v else self.v
-                for nb in (up, *self.children(vid)):
-                    if nb not in dist:
-                        dist[nb] = d
-                        reached.append(nb)
-            frontier = reached
+            runs = [child_run(*run) for run in runs if run[0] < leaves]
+            if up >= 0:
+                if b < leaves:
+                    cb, first, end = child_run(b, up, up + 1)
+                    runs += [(cb, first, below), (cb, below + 1, end)] if below >= 0 else [(cb, first, end)]
+                if b >= 2:
+                    up, b, below = self.parent(up), b - 2, up
+                    dist[up] = d
+                else:
+                    runs.append((1 - b, 1 - b, 2 - b))  # the other root, across the base edge
+                    up = -1
+            for _, first, end in runs:
+                dist.update(dict.fromkeys(range(first, end), d))
         return dist
 
     def to_dot(self) -> str:
@@ -340,26 +365,21 @@ def build_tree_ball(factors: tuple[Factor, Factor], radius: int, cap: int) -> Tr
 RANK1_FREE = (Factor("free", 1), Factor("free", 1))
 
 
-def alternating_words(k: int, cap: int) -> Iterator[tuple[tuple[int, ...], FPWord]]:
-    """All (exponents, x^e1 y^e2 ... y^e2k) in F(x) * F(y) with 0 < |ei| <= cap."""
-    exps = [e for e in range(-cap, cap + 1) if e]
-    for combo in product(exps, repeat=2 * k):
-        syls = tuple(
-            (pos % 2, ((1, 1),) * e if e > 0 else ((1, -1),) * (-e))
-            for pos, e in enumerate(combo)
-        )
-        yield combo, FPWord(RANK1_FREE, syls)
-
-
 def verify_tree_lemma(k_max: int, cap: int, radius: int) -> tuple[int, list[list[int]]]:
-    """Check d(gw, v) = 2k-1 and d(gw, w) = 2k for every alternating word g
-    with 2k <= 2 k_max syllables, by BFS on the F(x) * F(y) tree ball.
+    """Check d(gw, v) = 2k-1 and d(gw, w) = 2k for every alternating word
+    g = x^e1 y^e2 ... y^e2k in F(x) * F(y), 0 < |ei| <= cap, with
+    2k <= 2 k_max syllables, by BFS on the F(x) * F(y) tree ball.
 
+    A word is its exponents: each exponent's element index is read once
+    from the ball, and the coset gB absorbs y^e2k, so the index path of
+    the first 2k - 1 exponents gives the vertex gw of every e2k.  Each
+    word is then counted and its gw looked up in both distance maps.
     The BFS stops at depth 2 k_max, the largest distance the check reads;
     a vertex it does not reach fails the check.  A radius below 2 k_max - 1,
     the depth of the deepest gw, is refused, and more than
     MAX_BALL_VERTICES words raise ResourceCapError before the BFS runs.
-    Returns (words checked, exponent lists of the failing words).
+    Returns (words checked, exponent lists of the failing words in
+    ``itertools.product`` order).
     """
     if radius < 2 * k_max - 1:
         raise FreeProductError(
@@ -375,14 +395,19 @@ def verify_tree_lemma(k_max: int, cap: int, radius: int) -> tuple[int, list[list
         if to_check > MAX_BALL_VERTICES:
             raise ResourceCapError(f"the tree lemma for k {k_max} and exponent cap {cap} checks "
                                    f"more than {MAX_BALL_VERTICES} words; lower k or the exponent cap")
-    dist_v = ball.distance_map(ball.v, 2 * k_max)
-    dist_w = ball.distance_map(ball.w, 2 * k_max)
+    dist_v = ball.distance_map(ball.v, 2 * k_max).get
+    dist_w = ball.distance_map(ball.w, 2 * k_max).get
+    exps = [e for e in range(-cap, cap + 1) if e]
+    # x^e and y^e have the same index, as the two factors are equal
+    indices = [ball.element_index[0][((1, 1),) * e if e > 0 else ((1, -1),) * -e] for e in exps]
     failures = []
     total = 0
     for k in range(1, k_max + 1):
-        for combo, g in alternating_words(k, cap):
-            gw = ball.coset_vertex(g, B_SIDE)
-            total += 1
-            if dist_v.get(gw, -1) != 2 * k - 1 or dist_w.get(gw, -1) != 2 * k:
-                failures.append(list(combo))
+        to_v, to_w = 2 * k - 1, 2 * k
+        for prefix, path in zip(product(exps, repeat=2 * k - 1), product(indices, repeat=2 * k - 1)):
+            gw = ball.path_vertex(path, B_SIDE)
+            for last in exps:
+                total += 1
+                if dist_v(gw, -1) != to_v or dist_w(gw, -1) != to_w:
+                    failures.append([*prefix, last])
     return total, failures

@@ -14,6 +14,7 @@ letter by letter and reduces once, and
 
 from __future__ import annotations
 
+import json
 from typing import Sequence
 
 from .words import (MAX_EXPANDED_LENGTH, InputError, Letter, Record, ResourceCapError, Word,
@@ -41,7 +42,7 @@ class Presentation(Record):
         try:
             return self.generators.index(name) + 1
         except ValueError:
-            raise PresentationError(f"unknown generator {name!r}") from None
+            raise PresentationError(f"unknown generator {json.dumps(name)}") from None
 
     def exponent_matrix(self) -> list[list[int]]:
         """Rows indexed by relators, columns by generators."""

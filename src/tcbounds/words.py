@@ -291,7 +291,7 @@ def check_names(names: Sequence[str]) -> None:
     """The generator name rule: each name is one name token, and no two are equal."""
     for name in names:
         if not re.fullmatch(_NAME, name):
-            raise WordError(f"invalid generator name {name!r}")
+            raise WordError(f"invalid generator name {json.dumps(name)}")
     if len(set(names)) != len(names):
         raise WordError("duplicate generator names")
 

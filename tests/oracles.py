@@ -5,7 +5,8 @@ reducer below works by blind elementary operations with no pivot
 strategy, conjugacy is decided by exhaustive conjugator search, the
 two-clique number is maximized over all subset pairs (and, with its
 witness, over all maximal-clique pairs), tree balls are
-grown by BFS over explicit coset keys, braid images are measured all
+grown by BFS over explicit coset keys, the tree lemma is checked on
+whole words and their coset vertices, braid images are measured all
 at once after every letter, commuting alphas are checked pair by pair
 from the identity, and the chd calculus is evaluated by four
 mutually recursive dispatches on the node kind.  Free-product and braid
@@ -20,11 +21,13 @@ from collections import Counter, deque
 from functools import cache
 from itertools import combinations, product
 from math import gcd
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from tcbounds import braids
 from tcbounds.braids import BraidWord
-from tcbounds.freeprod import Factor, FPWord, FreeProductError, cyclic_normal_form, normal_form
+from tcbounds.freeprod import (
+    B_SIDE, RANK1_FREE, Factor, FPWord, FreeProductError, build_tree_ball, cyclic_normal_form, normal_form,
+)
 from tcbounds.groupexpr import (
     BaumslagSolitar12, ExprError, Free, FreeAbelian, FreeProduct, GroupExpr,
     Opaque, Product, PureBraid, Raag, SurfaceGroup, Trivial,
@@ -437,6 +440,34 @@ def hyperbolic_length_bfs(ball, g) -> int:
     if best is None:
         raise FreeProductError("ball too small to evaluate the length")
     return best
+
+
+def alternating_words(k: int, cap: int) -> Iterator[tuple[tuple[int, ...], FPWord]]:
+    """All (exponents, x^e1 y^e2 ... y^e2k) in F(x) * F(y) with 0 < |ei| <= cap."""
+    exps = [e for e in range(-cap, cap + 1) if e]
+    for combo in product(exps, repeat=2 * k):
+        syls = tuple(
+            (pos % 2, ((1, 1),) * e if e > 0 else ((1, -1),) * (-e))
+            for pos, e in enumerate(combo)
+        )
+        yield combo, FPWord(RANK1_FREE, syls)
+
+
+def reference_tree_lemma(k_max: int, cap: int, radius: int) -> tuple[int, list[list[int]]]:
+    """verify_tree_lemma's (words checked, failing exponent lists), word by
+    word: each alternating word is built whole and its vertex gw found by
+    coset_vertex; distances come from the ball's own distance_map."""
+    ball = build_tree_ball(RANK1_FREE, radius, cap)
+    dist_v = ball.distance_map(ball.v, 2 * k_max)
+    dist_w = ball.distance_map(ball.w, 2 * k_max)
+    total, failures = 0, []
+    for k in range(1, k_max + 1):
+        for combo, g in alternating_words(k, cap):
+            gw = ball.coset_vertex(g, B_SIDE)
+            total += 1
+            if dist_v.get(gw, -1) != 2 * k - 1 or dist_w.get(gw, -1) != 2 * k:
+                failures.append(list(combo))
+    return total, failures
 
 
 # ---------------------------------------------------------------------------

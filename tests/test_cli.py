@@ -91,11 +91,11 @@ class TestRaag:
         assert "clique" in err
 
     @pytest.mark.parametrize("k1, k2, message", [
-        ("a", "2", "--k1: expected comma-separated vertices, got 'a'"),
-        ("1", "2,a", "--k2: expected comma-separated vertices, got '2,a'"),
+        ("a", "2", '--k1: expected comma-separated vertices, got "a"'),
+        ("1", "2,a", '--k2: expected comma-separated vertices, got "2,a"'),
         # entries follow the JSON integer rule of words.json_int
-        ("1_0", "2", "--k1: expected comma-separated vertices, got '1_0'"),
-        ("1", "\u0663", "--k2: expected comma-separated vertices, got '\u0663'"),
+        ("1_0", "2", '--k1: expected comma-separated vertices, got "1_0"'),
+        ("1", "\u0663", '--k2: expected comma-separated vertices, got "\\u0663"'),
     ])
     def test_bound_vertex_list_not_integers(self, capsys, path3_file, k1, k2, message):
         code, out, err = run(capsys, "raag", "bound", path3_file, "--k1", k1, "--k2", k2)
@@ -620,7 +620,7 @@ class TestTcReport:
         else:
             doc = {"presentation": BORROMEAN, "target_generators": ["u", "v"], "images": images}
             err = run_bad_file(capsys, tmp_path, doc, "pres", "hom-check")
-        assert "images: no image for generator 'c'" in err
+        assert 'images: no image for generator "c"' in err
 
     def test_scenario_braid_float_strands(self, capsys, tmp_path):
         err = run_bad_file(capsys, tmp_path, {"kind": "braid", "n": 4.9}, "tc-report")
@@ -756,17 +756,17 @@ class TestInputChecks:
                   EXIT_USAGE, "error: {f}: empty relator not allowed"),
         # a generator name is one name token of the word syntax, and names are distinct
         bad_input("generator-name-power", ["pres", "abel"], {"generators": ["x^2"], "relators": []},
-                  EXIT_USAGE, "error: {f}: invalid generator name 'x^2'"),
+                  EXIT_USAGE, 'error: {f}: invalid generator name "x^2"'),
         bad_input("generator-name-empty", ["pres", "abel"], {"generators": ["a", ""], "relators": []},
-                  EXIT_USAGE, "error: {f}: invalid generator name ''"),
+                  EXIT_USAGE, 'error: {f}: invalid generator name ""'),
         bad_input("generator-name-bracket", ["pres", "abel"], {"generators": ["["], "relators": []},
-                  EXIT_USAGE, "error: {f}: invalid generator name '['"),
+                  EXIT_USAGE, 'error: {f}: invalid generator name "["'),
         bad_input("target-generators-duplicate", ["pres", "hom-check"],
                   {**hom_check_doc("u", "u^-1"), "target_generators": ["u", "u"]}, EXIT_USAGE,
                   "error: {f}: target_generators: duplicate generator names"),
         bad_input("image-unknown-generator", ["pres", "hom-check"],
                   {**hom_check_doc("x", "x^-1"), "images": {"a": "", "b": "", "zz": "x"}}, EXIT_USAGE,
-                  "error: {f}: images: unknown generator 'zz'"),
+                  'error: {f}: images: unknown generator "zz"'),
         bad_input("graph-loop", ["raag", "z"], {"n": 3, "edges": [[2, 2]]}, EXIT_USAGE,
                   "error: {f}: loop at vertex 2"),
         bad_input("graph-edge-range", ["raag", "z"], {"n": 3, "edges": [[1, 4]]}, EXIT_USAGE,
@@ -815,7 +815,7 @@ class TestInputChecks:
         # a_generator is checked where the scenario is read, not in the verifier
         bad_input("a-generator-unknown", ["tc-report"],
                   {**presentation_scenario(BORROMEAN_IMAGES), "a_generator": "q"}, EXIT_USAGE,
-                  "error: {f}: a_generator: unknown generator 'q'"),
+                  'error: {f}: a_generator: unknown generator "q"'),
         bad_input("a-generator-list", ["tc-report"],
                   {**presentation_scenario(BORROMEAN_IMAGES), "a_generator": ["a"]}, EXIT_USAGE,
                   'error: {f}: a_generator: expected a string, got ["a"]'),
@@ -859,6 +859,11 @@ class TestInputChecks:
                   "resource cap exceeded: graph has 65 vertices, limit is 64"),
         bad_input("raag-scenario-vertex-limit", ["tc-report"], {"kind": "raag", "n": 65}, EXIT_RESOURCE,
                   "resource cap exceeded: graph has 65 vertices, limit is 64"),
+        # --case raag FILE reads the graph file as raag z does, so the file's own kind is refused
+        bad_input("case-raag-file-kind", ["tc-report", "--case", "raag"],
+                  {"n": 2, "edges": [], "kind": "free"}, EXIT_USAGE, 'error: {f}: unknown field "kind"'),
+        bad_input("raag-z-file-kind", ["raag", "z"],
+                  {"n": 2, "edges": [], "kind": "free"}, EXIT_USAGE, 'error: {f}: unknown field "kind"'),
     ])
     def test_one_line(self, capsys, tmp_path, argv, doc, code, line):
         f = tmp_path / "input.json"

@@ -1,20 +1,28 @@
+import os
+import subprocess
+import sys
+import time
 import tracemalloc
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from oracles import (
     DictTreeBall,
+    alternating_words,
     factor_inverse,
     fp_inverse,
     fp_multiply,
     hyperbolic_length,
     hyperbolic_length_bfs,
     is_elliptic,
+    reference_tree_lemma,
     tree_depth,
     tree_distance,
 )
+import tcbounds
 from tcbounds import freeprod
 from tcbounds.words import MAX_EXPANDED_LENGTH
 from tcbounds.freeprod import (
@@ -25,7 +33,6 @@ from tcbounds.freeprod import (
     FreeProductError,
     ResourceCapError,
     TreeBall,
-    alternating_words,
     build_tree_ball,
     cyclic_normal_form,
     normal_form,
@@ -392,3 +399,74 @@ def test_lemma_fails_when_the_search_stops_short(monkeypatch):
     total, failures = verify_tree_lemma(2, 1, 3)
     assert total == 2 ** 2 + 2 ** 4  # exponents +-1, k = 1 and k = 2
     assert sorted(map(tuple, failures)) == sorted(product((-1, 1), repeat=4))
+
+
+def drop_every(n, sources):
+    """A distance_map that, from the given sources, loses every n-th vertex
+    it finds, in id order, from the (n // 2)-th on."""
+    bounded = TreeBall.distance_map
+
+    def dropping(ball, source, max_depth):
+        found = bounded(ball, source, max_depth)
+        if source not in sources:
+            return found
+        return {vid: d for i, (vid, d) in enumerate(sorted(found.items())) if i % n != n // 2}
+    return dropping
+
+
+LEMMA_INPUTS = [(1, 1, 1), (1, 3, 2), (2, 1, 3), (2, 3, 4), (3, 2, 5), (3, 1, 10)]
+
+
+class TestLemmaAgainstReference:
+    """verify_tree_lemma walks exponent index paths; the reference builds
+    every word and finds its vertex with coset_vertex."""
+
+    @pytest.mark.parametrize("k_max, cap, radius", LEMMA_INPUTS)
+    def test_same_count_and_failures(self, k_max, cap, radius):
+        assert verify_tree_lemma(k_max, cap, radius) == reference_tree_lemma(k_max, cap, radius) \
+            == (sum((2 * cap) ** (2 * k) for k in range(1, k_max + 1)), [])
+
+    @pytest.mark.parametrize("n, sources", [(2, (0, 1)), (7, (0, 1)), (7, (0,)), (7, (1,))],
+                             ids=["half", "7th", "7th-from-v", "7th-from-w"])
+    @pytest.mark.parametrize("k_max, cap, radius", LEMMA_INPUTS)
+    def test_same_failures_on_a_broken_search(self, monkeypatch, k_max, cap, radius, n, sources):
+        # sources (0,) and (1,) break the search from v or from w alone
+        monkeypatch.setattr(TreeBall, "distance_map", drop_every(n, sources))
+        total, failures = verify_tree_lemma(k_max, cap, radius)
+        assert failures  # every ball here has a dropped vertex that some gw lands on
+        assert (total, failures) == reference_tree_lemma(k_max, cap, radius)
+
+    @pytest.mark.parametrize("cap", [1, 2, 5])
+    def test_exponent_index_is_the_position_of_the_element(self, monkeypatch, cap):
+        # at k = 1 each path is the one index of x^e1, for e1 in increasing order
+        paths = []
+        path_vertex = TreeBall.path_vertex
+
+        def recording(ball, path, side):
+            paths.append(list(path))
+            return path_vertex(ball, path, side)
+        monkeypatch.setattr(TreeBall, "path_vertex", recording)
+        verify_tree_lemma(1, cap, 1)
+        elements = Factor("free", 1).elements(cap)
+        exps = [e for e in range(-cap, cap + 1) if e]
+        assert paths == [[elements.index(((1, 1 if e > 0 else -1),) * abs(e))] for e in exps]
+
+    def test_path_past_the_radius_is_refused(self):
+        ball = build_tree_ball(ZZ, radius=4, cap=2)
+        with pytest.raises(FreeProductError, match="coset vertex lies outside this ball"):
+            ball.path_vertex([0] * 5, B_SIDE)
+
+
+@pytest.mark.parametrize("argv", [
+    # the largest cap (MAX_EXPANDED_LENGTH letters), and the most words
+    # under MAX_BALL_VERTICES at k = 2 and 3; each radius is the only one
+    # both the radius rule and the ball's vertex cap admit
+    "--k 1 --radius 1 --cap 999", "--k 2 --cap 23 --radius 3", "--k 3 --cap 6 --radius 5",
+])
+def test_worst_admitted_lemma_finishes_in_time(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(tcbounds.__file__).parents[1]))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "tcbounds.cli", "--json", "tree", "verify-lemma",
+                           *argv.split()], env=env, capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - start < 5.0
+    assert proc.returncode == 0, proc.stderr

@@ -25,10 +25,13 @@ def traced(tmp_path, *argv):
     return json.loads(proc.stdout), json.loads(spans.read_text())
 
 
-def test_tree_lemma_counts_every_fpword(tmp_path):
+def test_tree_lemma_walks_exponents(tmp_path):
     report, doc = traced(tmp_path, "tree", "verify-lemma", "--k", "1", "--cap", "1",
                          "--radius", "2")
-    assert doc["summary"]["freeprod.fpword"]["count"] == 4 == report["words_checked"]
+    # the lemma walks exponent index paths: no FPWord, one BFS from each end of the base edge
+    assert "freeprod.fpword" not in doc["summary"]
+    assert doc["summary"]["freeprod.distance_map"]["count"] == 2
+    assert report["words_checked"] == 4
 
 
 def test_raag_z_counts_derived_words(tmp_path):
