@@ -28,7 +28,7 @@ from .certificates import (
     Provenance,
 )
 from .groupexpr import GroupExpr
-from .words import Word, conjugate_in_free, format_word, primitive_root
+from .words import InputError, Word, conjugate_in_free, format_word, primitive_root
 
 if TYPE_CHECKING:
     from . import presentations, raag
@@ -96,11 +96,11 @@ def clique_pair_bound(graph: raag.SimpleGraph, k1: Sequence[int], k2: Sequence[i
     from . import raag
     s1, s2 = sorted(set(k1)), sorted(set(k2))
     if set(s1) & set(s2):
-        raise raag.GraphError("cliques must be disjoint")
+        raise InputError("cliques must be disjoint")
     if not graph.is_clique(s1):
-        raise raag.GraphError(f"K1 = {s1} is not a clique")
+        raise InputError(f"K1 = {s1} is not a clique")
     if not graph.is_clique(s2):
-        raise raag.GraphError(f"K2 = {s2} is not a clique")
+        raise InputError(f"K2 = {s2} is not a clique")
     images = [tuple(int(v == u) for u in s2) for v in range(1, graph.n + 1)]
     cert = verify_retraction_certificate(raag.raag_presentation(graph), s1, s2, images)
     return len(s1) + len(s2), cert
@@ -300,7 +300,7 @@ def pure_braid_report(n: int) -> BoundReport:
         if braids.act(state(i), alpha(j).letters, cap) != braids.act(state(j), alpha(i).letters, cap):
             raise CertificateError(f"alpha_{i}, alpha_{j} do not commute")
     for j in range(1, n):
-        lk = braids.linking_matrix(alpha(j))  # raises BraidError unless alpha_j is pure
+        lk = braids.linking_matrix(alpha(j))  # raises InputError unless alpha_j is pure
         expected = tuple(1 if i > j else 0 for i in range(1, n + 1) if i != j)
         row = tuple(lk.lk(j, i) for i in range(1, n + 1) if i != j)
         if row != expected:

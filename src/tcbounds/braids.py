@@ -15,16 +15,13 @@ continue from its state, as the pure-braid commuting check does.
 
 from __future__ import annotations
 
+import json
 import re
 
 from .words import InputError, Record, ResourceCapError, Word, _join, check_expanded_length
 
 # Most strands of a parsed braid; its linking matrix has an entry per pair.
 MAX_BRAID_STRANDS = 1000
-
-
-class BraidError(InputError):
-    """Invalid braid data."""
 
 
 class BraidWord(Record):
@@ -41,7 +38,7 @@ _BRAID_TOKEN = re.compile(r"s(\d+)(?:\^(-?\d+))?$")
 def check_strands(n: int) -> None:
     """The strand rule of parse_braid and bounds.pure_braid_report."""
     if n < 2:
-        raise BraidError("need at least 2 strands")
+        raise InputError("need at least 2 strands")
     if n > MAX_BRAID_STRANDS:
         raise ResourceCapError(f"braid on {n} strands exceeds the cap of {MAX_BRAID_STRANDS} strands")
 
@@ -52,7 +49,7 @@ def parse_braid(text: str, n: int) -> BraidWord:
     for token in text.split():
         m = _BRAID_TOKEN.match(token)
         if m is None:
-            raise BraidError(f"bad braid token {token!r}; expected like s2 or s2^-1")
+            raise InputError(f"bad braid token {json.dumps(token)}; expected like s2 or s2^-1")
         i = int(m.group(1))
         e = int(m.group(2)) if m.group(2) else 1
         check_expanded_length(len(letters) + abs(e), "braid word")
@@ -60,7 +57,7 @@ def parse_braid(text: str, n: int) -> BraidWord:
     check_strands(n)
     for i, _ in letters:
         if not 1 <= i <= n - 1:
-            raise BraidError(f"generator index {i} out of range for B_{n}")
+            raise InputError(f"generator index {i} out of range for B_{n}")
     return BraidWord(n, tuple(letters))
 
 
@@ -180,10 +177,10 @@ def linking_matrix(b: BraidWord) -> LinkingMatrix:
         counts[pair] = counts.get(pair, 0) + s
         pos[i - 1], pos[i] = pos[i], pos[i - 1]
     if pos != list(range(1, b.n + 1)):
-        raise BraidError("linking numbers of the closure need a pure braid")
+        raise InputError("linking numbers of the closure need a pure braid")
     entries = [[0] * b.n for _ in range(b.n)]
     for (a, c), total in counts.items():
         if total % 2:
-            raise BraidError("internal error: odd crossing count for a pure braid")
+            raise InputError("internal error: odd crossing count for a pure braid")
         entries[a - 1][c - 1] = entries[c - 1][a - 1] = total // 2
     return LinkingMatrix(b.n, tuple(tuple(row) for row in entries))

@@ -18,7 +18,7 @@ and attribute access, so a wrapper installed on a module attribute (as
 the benchmark's traced runner does) sees every call.  ``bounds`` and
 ``groupexpr`` import the algebra modules below them the same way.
 
-Exit codes: 0 success; 1 malformed input (any ``words.InputError``),
+Exit codes: 0 success; 1 malformed input (a ``words.InputError``),
 a command-line usage error, or stdout closed before the report was
 written; 2 a failed check: a ``CertificateError``, or a document whose
 ``well_defined`` or ``verified`` is false; 3 a resource cap exceeded

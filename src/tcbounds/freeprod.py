@@ -36,10 +36,6 @@ MAX_BALL_VERTICES = 5_000_000
 MAX_DOT_VERTICES = 100_000
 
 
-class FreeProductError(InputError):
-    """Invalid factor, ball, lemma or syllable data."""
-
-
 class Factor(Record):
     """A free or free-abelian factor of finite rank; the constructor does
     not check (``TreeBall`` checks the factors it is given)."""
@@ -187,13 +183,13 @@ class TreeBall:
     def __init__(self, factors: tuple[Factor, Factor], radius: int, cap: int):
         for f in factors:
             if f.kind not in ("free", "free_abelian"):
-                raise FreeProductError(f"unknown factor kind {f.kind!r}")
+                raise InputError(f"unknown factor kind {f.kind!r}")
             if f.rank < 1:
-                raise FreeProductError("factor rank must be >= 1")
+                raise InputError("factor rank must be >= 1")
         if radius < 1:
-            raise FreeProductError("radius must be >= 1")
+            raise InputError("radius must be >= 1")
         if cap < 1:
-            raise FreeProductError("exponent cap must be >= 1")
+            raise InputError("exponent cap must be >= 1")
         self.factors = factors
         self.radius = radius
         self.cap = cap
@@ -266,7 +262,7 @@ class TreeBall:
     def coset_vertex(self, g: FPWord, side: int) -> int:
         """The vertex g*A (side 0) or g*B (side 1)."""
         if g.factors != self.factors:
-            raise FreeProductError("element belongs to a different free product")
+            raise InputError("element belongs to a different free product")
         syls = g.syllables
         if syls and syls[-1][0] == side:
             syls = syls[:-1]  # trailing syllable is absorbed by the coset
@@ -274,7 +270,7 @@ class TreeBall:
         for tag, elem in syls:
             i = self.element_index[tag].get(elem)
             if i is None:
-                raise FreeProductError(
+                raise InputError(
                     f"syllable {elem!r} exceeds the exponent cap {self.cap} of this ball"
                 )
             path.append(i)
@@ -285,7 +281,7 @@ class TreeBall:
         the element indices path, one per syllable of a coset
         representative that ends in the factor opposite to side."""
         if len(path) > self.radius:
-            raise FreeProductError("coset vertex lies outside this ball")
+            raise InputError("coset vertex lies outside this ball")
         # the syllables alternate and end in the factor opposite to side,
         # so the path starts at v exactly when its length has side's parity;
         # each syllable goes one depth down, from block b to block b + 2
@@ -382,12 +378,12 @@ def verify_tree_lemma(k_max: int, cap: int, radius: int) -> tuple[int, list[list
     ``itertools.product`` order).
     """
     if radius < 2 * k_max - 1:
-        raise FreeProductError(
+        raise InputError(
             f"--radius {radius} is too small for --k {k_max}: the deepest checked "
             f"vertex gw lies at depth {2 * k_max - 1}"
         )
     if k_max < 1:
-        raise FreeProductError(f"the tree lemma needs k_max >= 1, got {k_max}")
+        raise InputError(f"the tree lemma needs k_max >= 1, got {k_max}")
     ball = build_tree_ball(RANK1_FREE, radius, cap)
     to_check = 0
     for k in range(1, k_max + 1):

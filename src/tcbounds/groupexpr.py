@@ -23,10 +23,6 @@ if TYPE_CHECKING:
     from .raag import SimpleGraph
 
 
-class ExprError(InputError):
-    """Invalid expression or missing dimension data."""
-
-
 class GroupExpr(Record):
     """Base class for group expressions."""
 
@@ -134,7 +130,7 @@ class Evaluation(Record):
 
     def __post_init__(self) -> None:
         if self.lower > self.upper:
-            raise ExprError("invalid interval")
+            raise InputError("invalid interval")
 
     @property
     def exact(self) -> bool:
@@ -214,7 +210,7 @@ def _base(e: GroupExpr) -> tuple[str, tuple]:
             line = f"{name}: chd in [{lo}, {hi}] ({e.justification})"
             geom = (e.geom_dim, False) if e.geom_dim is not None else (hi, hi == 2)
         case _:
-            raise ExprError(f"cannot evaluate chd of {e!r}")
+            raise InputError(f"cannot evaluate chd of {e!r}")
     # the other base kinds carry explicit aspherical complexes (graph, torus,
     # configuration space, surface, Salvetti, one-relator presentation
     # complex), so chd is realized geometrically
@@ -267,20 +263,20 @@ COUNTED = {"free": (Free, 0, "free rank must be >= 0"),
 
 def expr_from_json(data) -> GroupExpr:
     """Parse {"kind": ..., ...} trees into expressions."""
-    kind = Fields(data, "", None, ExprError).str("kind")
+    kind = Fields(data, "", None).str("kind")
     if kind == "raag":
         from . import raag
         try:
             return Raag(raag.SimpleGraph.from_json(data, "kind"))
-        except raag.GraphError as exc:
-            raise ExprError(f"raag: {exc}") from None
+        except InputError as exc:
+            raise InputError(f"raag: {exc}") from None
     if kind not in EXPR_KEYS:
-        raise ExprError(f"unknown expression kind {json.dumps(kind)}")
-    node = Fields(data, kind, ("kind", *EXPR_KEYS[kind]), ExprError)
+        raise InputError(f"unknown expression kind {json.dumps(kind)}")
+    node = Fields(data, kind, ("kind", *EXPR_KEYS[kind]))
     if kind in COUNTED:
         node_class, low, message = COUNTED[kind]
         if (value := node.int(EXPR_KEYS[kind][0])) < low:
-            raise ExprError(message)
+            raise InputError(message)
         return node_class(value)
     if kind == "opaque":
         lo = node.int("chd_lower", node.int("chd", 0))
@@ -300,14 +296,14 @@ def expr_from_json(data) -> GroupExpr:
 
 
 def _check_opaque(leaf: Opaque) -> Opaque:
-    """leaf, if its dimension data is possible; an ExprError if not."""
+    """leaf, if its dimension data is possible; an InputError if not."""
     if leaf.chd_lower < 0:
-        raise ExprError("chd lower bound must be >= 0")
+        raise InputError("chd lower bound must be >= 0")
     if leaf.chd_lower > leaf.chd_upper:
-        raise ExprError("chd lower bound exceeds upper bound")
+        raise InputError("chd lower bound exceeds upper bound")
     if leaf.geom_dim is not None and leaf.geom_dim < leaf.chd_lower:
-        raise ExprError("geometric dimension is below the chd lower bound")
+        raise InputError("geometric dimension is below the chd lower bound")
     for dim in (leaf.duality_dim, leaf.orientable_pd_dim):
         if dim is not None and (dim != leaf.chd_lower or dim != leaf.chd_upper):
-            raise ExprError("a duality flag forces chd to equal the flagged dimension")
+            raise InputError("a duality flag forces chd to equal the flagged dimension")
     return leaf

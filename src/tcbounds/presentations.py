@@ -21,10 +21,6 @@ from .words import (MAX_EXPANDED_LENGTH, InputError, Letter, Record, ResourceCap
                     _free_reduce, check_expanded_length, check_names, exponent_sum, parse_word)
 
 
-class PresentationError(InputError):
-    """Invalid presentation or homomorphism data."""
-
-
 class Presentation(Record):
     """A finite presentation: distinct named generators plus nonempty relator
     words of their rank; the constructor does not check (``from_strings``
@@ -42,7 +38,7 @@ class Presentation(Record):
         try:
             return self.generators.index(name) + 1
         except ValueError:
-            raise PresentationError(f"unknown generator {json.dumps(name)}") from None
+            raise InputError(f"unknown generator {json.dumps(name)}") from None
 
     def exponent_matrix(self) -> list[list[int]]:
         """Rows indexed by relators, columns by generators."""
@@ -54,7 +50,7 @@ class Presentation(Record):
         rels = tuple(parse_word(r, gens) for r in relators)
         check_names(gens)
         if any(r.is_identity for r in rels):
-            raise PresentationError("empty relator not allowed")
+            raise InputError("empty relator not allowed")
         return Presentation(gens, rels)
 
 
@@ -148,9 +144,9 @@ class AbelianInvariants(Record):
     def __post_init__(self) -> None:
         for d, e in zip(self.torsion, self.torsion[1:]):
             if e % d:
-                raise PresentationError("torsion coefficients must form a divisibility chain")
+                raise InputError("torsion coefficients must form a divisibility chain")
         if any(d < 2 for d in self.torsion):
-            raise PresentationError("torsion coefficients must be >= 2")
+            raise InputError("torsion coefficients must be >= 2")
 
     @property
     def is_trivial(self) -> bool:

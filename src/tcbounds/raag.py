@@ -24,10 +24,6 @@ if TYPE_CHECKING:
     from . import presentations
 
 
-class GraphError(InputError):
-    """Invalid graph data."""
-
-
 VERTEX_LIMIT = 64
 # Bron-Kerbosch refuses a graph with more maximal cliques than this before
 # its list grows past it; a complete multipartite graph with 11 parts of
@@ -46,18 +42,18 @@ class SimpleGraph(Record):
     def from_edges(n: int, edges: Iterable[Sequence[int]]) -> "SimpleGraph":
         normalized = frozenset((min(u, v), max(u, v)) for u, v in edges)
         if n < 0:
-            raise GraphError("vertex count must be non-negative")
+            raise InputError("vertex count must be non-negative")
         for u, v in normalized:
             if u == v:
-                raise GraphError(f"loop at vertex {u}")
+                raise InputError(f"loop at vertex {u}")
             if not (1 <= u < v <= n):
-                raise GraphError(f"edge ({u},{v}) not of the form 1 <= u < v <= n")
+                raise InputError(f"edge ({u},{v}) not of the form 1 <= u < v <= n")
         return SimpleGraph(n, normalized)
 
     @staticmethod
     def from_json(data, *extra: str) -> "SimpleGraph":
         """A graph from {"n": int, "edges": [[u, v], ...]}, plus the keys in extra."""
-        fields = Fields(data, "", ("n", "edges", *extra), GraphError)
+        fields = Fields(data, "", ("n", "edges", *extra))
         n = fields.int("n")
         if n > VERTEX_LIMIT:
             raise ResourceCapError(f"graph has {n} vertices, limit is {VERTEX_LIMIT}")
@@ -86,7 +82,7 @@ class SimpleGraph(Record):
         vs = sorted(set(vertices))
         for v in vs:
             if not 1 <= v <= self.n:
-                raise GraphError(f"vertex {v} out of range")
+                raise InputError(f"vertex {v} out of range")
         return all((u, v) in self.edges for u, v in combinations(vs, 2))
 
     @cached_property

@@ -67,11 +67,7 @@ class Record:
 
 
 class InputError(ValueError):
-    """Malformed input; every module's input error subclasses it."""
-
-
-class WordError(InputError):
-    """Raised for malformed letters or parse errors."""
+    """Malformed input, from any module: the one class the CLI reports with exit 1."""
 
 
 class ResourceCapError(ValueError):
@@ -104,12 +100,14 @@ def check_expanded_length(length: int, what: str) -> None:
 
 def json_int(value) -> int:
     """An integer field of JSON input: an int that is not a bool, or a string
-    matching -?[0-9]+.  Anything else raises ValueError naming it as JSON."""
+    matching -?[0-9]+.  Anything else raises InputError naming it as JSON; a
+    string past Python's digit limit raises int()'s ValueError, so callers
+    catch ValueError."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, str) and re.fullmatch("-?[0-9]+", value):
         return int(value)
-    raise ValueError("expected an integer, got " + json.dumps(value))
+    raise InputError("expected an integer, got " + json.dumps(value))
 
 
 class Fields:
@@ -118,8 +116,8 @@ class Fields:
     whose default is ... must be present.  Each error is one error line,
     "where: field: problem", the value as JSON; an empty where is the caller's."""
 
-    def __init__(self, data, where: str, keys: Collection[str] | None, error: type = InputError):
-        self.data, self.where, self.error = data, where, error
+    def __init__(self, data, where: str, keys: Collection[str] | None):
+        self.data, self.where = data, where
         if not isinstance(data, dict):
             raise self.problem("expected a JSON object")
         for key in data if keys is not None else ():
@@ -127,7 +125,7 @@ class Fields:
                 raise self.problem(f"unknown field {json.dumps(key)}")
 
     def problem(self, *parts: str) -> InputError:
-        return self.error(": ".join(filter(None, (self.where, *parts))))
+        return InputError(": ".join(filter(None, (self.where, *parts))))
 
     def get(self, name: str, default=...):
         if default is ... and name not in self.data:
@@ -217,9 +215,9 @@ def reduce(raw: Sequence[Letter], rank: int) -> Word:
     """Freely reduce an arbitrary letter sequence.  Idempotent."""
     for gen, sign in raw:
         if not 1 <= gen <= rank:
-            raise WordError(f"generator index {gen} out of range for rank {rank}")
+            raise InputError(f"generator index {gen} out of range for rank {rank}")
         if sign not in (-1, 1):
-            raise WordError(f"letter sign must be +1 or -1, got {sign}")
+            raise InputError(f"letter sign must be +1 or -1, got {sign}")
     return Word(_free_reduce(raw), rank)
 
 
@@ -291,9 +289,9 @@ def check_names(names: Sequence[str]) -> None:
     """The generator name rule: each name is one name token, and no two are equal."""
     for name in names:
         if not re.fullmatch(_NAME, name):
-            raise WordError(f"invalid generator name {json.dumps(name)}")
+            raise InputError(f"invalid generator name {json.dumps(name)}")
     if len(set(names)) != len(names):
-        raise WordError("duplicate generator names")
+        raise InputError("duplicate generator names")
 
 
 def _tokenize(text: str) -> list[str]:
@@ -304,7 +302,7 @@ def _tokenize(text: str) -> list[str]:
         if m is None:
             if text[pos:].strip() == "":
                 break
-            raise WordError(f"unexpected character at position {pos}: {text[pos:]!r}")
+            raise InputError(f"unexpected character at position {pos}: {json.dumps(text[pos:])}")
         tokens.append(m.group(1))
         pos = m.end()
     return tokens
@@ -323,7 +321,7 @@ class _Parser:
     def next(self) -> str:
         tok = self.peek()
         if tok is None:
-            raise WordError("unexpected end of word")
+            raise InputError("unexpected end of word")
         self.pos += 1
         return tok
 
@@ -340,16 +338,18 @@ class _Parser:
         if tok == "[":
             u = self.parse_word()
             if self.next() != ",":
-                raise WordError("expected ',' in commutator")
+                raise InputError("expected ',' in commutator")
             v = self.parse_word()
             if self.next() != "]":
-                raise WordError("expected ']' closing commutator")
+                raise InputError("expected ']' closing commutator")
             check_expanded_length(2 * (len(u) + len(v)), "commutator")
             atom = commutator(u, v)
-        else:
-            if tok not in self.index:
-                raise WordError(f"unknown generator {tok!r}")
+        elif tok in self.index:
             atom = generator(self.index[tok], self.rank)
+        elif tok.startswith("^"):  # a power with no base
+            raise InputError(f'expected a generator or "[", got {json.dumps(tok)}')
+        else:
+            raise InputError(f"unknown generator {json.dumps(tok)}")
         if self.peek() is not None and self.peek().startswith("^"):
             exp = int(self.next()[1:])
             check_expanded_length(len(atom) * abs(exp), "power")
@@ -360,11 +360,11 @@ class _Parser:
 def parse_word(text: str, alphabet: Sequence[str]) -> Word:
     """Parse a word like "x y x^-1 y^-2" or "[a,[b^-1,c]]" over named generators."""
     if not isinstance(text, str):
-        raise WordError(f"expected a word, got {json.dumps(text)}")
+        raise InputError(f"expected a word, got {json.dumps(text)}")
     parser = _Parser(_tokenize(text), alphabet)
     w = parser.parse_word()
     if parser.peek() is not None:
-        raise WordError(f"trailing token {parser.peek()!r}")
+        raise InputError(f"trailing token {json.dumps(parser.peek())}")
     return w
 
 

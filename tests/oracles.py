@@ -26,14 +26,14 @@ from typing import Iterator, NamedTuple, Optional
 from tcbounds import braids
 from tcbounds.braids import BraidWord
 from tcbounds.freeprod import (
-    B_SIDE, RANK1_FREE, Factor, FPWord, FreeProductError, build_tree_ball, cyclic_normal_form, normal_form,
+    B_SIDE, RANK1_FREE, Factor, FPWord, build_tree_ball, cyclic_normal_form, normal_form,
 )
 from tcbounds.groupexpr import (
-    BaumslagSolitar12, ExprError, Free, FreeAbelian, FreeProduct, GroupExpr,
+    BaumslagSolitar12, Free, FreeAbelian, FreeProduct, GroupExpr,
     Opaque, Product, PureBraid, Raag, SurfaceGroup, Trivial,
 )
 from tcbounds.raag import SimpleGraph
-from tcbounds.words import ResourceCapError, Word, identity, reduce as free_reduce
+from tcbounds.words import InputError, ResourceCapError, Word, identity, reduce as free_reduce
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +430,7 @@ def hyperbolic_length_bfs(ball, g) -> int:
         side = ball.side(vid)
         try:
             image = ball.coset_vertex(fp_multiply(g, ball.vertex_word(vid)), side)
-        except FreeProductError:
+        except InputError:
             continue
         d = tree_distance(ball, vid, image)
         if best is None or d < best:
@@ -438,7 +438,7 @@ def hyperbolic_length_bfs(ball, g) -> int:
             if best == 0:
                 break
     if best is None:
-        raise FreeProductError("ball too small to evaluate the length")
+        raise InputError("ball too small to evaluate the length")
     return best
 
 
@@ -624,7 +624,7 @@ def chd(e: GroupExpr) -> ChdResult:
                 "free product: chd = max of the (torsion-free) factors",
             )
             return ChdResult(lo, hi, trace)
-    raise ExprError(f"cannot evaluate chd of {e!r}")
+    raise InputError(f"cannot evaluate chd of {e!r}")
 
 
 def _chd_product(e: Product, l: GroupExpr, r: GroupExpr) -> ChdResult:

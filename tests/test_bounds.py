@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import re
 
 import pytest
 
@@ -24,11 +25,10 @@ from tcbounds.certificates import (
     DisjointnessCertificate,
     Provenance,
 )
-from tcbounds.braids import BraidError
 from tcbounds.cli import scenario_report
 from tcbounds.presentations import AbelianInvariants, FreeHom, Presentation
-from tcbounds.raag import GraphError, SimpleGraph, z_number
-from tcbounds.words import ResourceCapError, generator, identity, parse_word
+from tcbounds.raag import SimpleGraph, z_number
+from tcbounds.words import InputError, ResourceCapError, generator, identity, parse_word
 
 from oracles import first_noncommuting_alphas, status_counts
 
@@ -169,12 +169,12 @@ class TestCliquePairBound:
         assert status_counts(cert) == {"machine-verified": 3}
 
     def test_overlapping_cliques_rejected(self):
-        with pytest.raises(GraphError):
+        with pytest.raises(InputError, match="^cliques must be disjoint$"):
             clique_pair_bound(PATH3, [1, 2], [2, 3])
 
     def test_non_clique_rejected(self):
         path4 = SimpleGraph.from_edges(4, [(1, 2), (2, 3), (3, 4)])
-        with pytest.raises(GraphError):
+        with pytest.raises(InputError, match=re.escape("K2 = [2, 4] is not a clique")):
             clique_pair_bound(path4, [1], [2, 4])
 
     def test_matches_z_witness(self):
@@ -220,11 +220,11 @@ class TestPureBraidReport:
                    for s in cert.steps)
 
     def test_n_too_small(self):
-        with pytest.raises(BraidError):
+        with pytest.raises(InputError, match="^need at least 2 strands$"):
             pure_braid_report(1)
 
     @pytest.mark.parametrize("n, error, message", [
-        (1, BraidError, "need at least 2 strands"),
+        (1, InputError, "need at least 2 strands"),
         (1001, ResourceCapError, "braid on 1001 strands exceeds the cap of 1000 strands"),
     ])
     def test_strands_follow_parse_braid(self, n, error, message):

@@ -731,6 +731,14 @@ def hom_check_doc(a, b):
             "target_generators": ["x"], "images": {"a": a, "b": b}}
 
 
+def relator_doc(relator):
+    """A presentation on a and b with the one relator."""
+    return {"generators": ["a", "b"], "relators": [relator]}
+
+
+PATH_1_2 = {"n": 3, "edges": [[1, 2]]}  # the edge 1-2 and the isolated vertex 3
+
+
 class TestInputChecks:
     """Each check on outside input prints its own line.  An input with two
     faults reports the one its parser checks first."""
@@ -794,13 +802,13 @@ class TestInputChecks:
                   f"more than the cap of {MAX_EXPANDED_LENGTH}"),
         # two faults: the first check the parser runs wins
         bad_input("braid-token-before-strands", ["braid", "perm", "--n", "1", "t1"], None,
-                  EXIT_USAGE, "error: bad braid token 't1'; expected like s2 or s2^-1"),
+                  EXIT_USAGE, 'error: bad braid token "t1"; expected like s2 or s2^-1'),
         bad_input("braid-length-before-index", ["braid", "perm", "--n", "3", "s5^2000000"], None,
                   EXIT_RESOURCE, "resource cap exceeded: braid word expands to 2000000 letters, "
                   f"more than the cap of {MAX_EXPANDED_LENGTH}"),
         bad_input("relator-before-generators", ["pres", "abel"],
                   {"generators": ["a", "a"], "relators": ["b"]}, EXIT_USAGE,
-                  "error: {f}: unknown generator 'b'"),
+                  'error: {f}: unknown generator "b"'),
         bad_input("generators-before-relators", ["pres", "abel"],
                   {"generators": ["a", "a"], "relators": ["a a^-1"]}, EXIT_USAGE,
                   "error: {f}: duplicate generator names"),
@@ -864,6 +872,40 @@ class TestInputChecks:
                   {"n": 2, "edges": [], "kind": "free"}, EXIT_USAGE, 'error: {f}: unknown field "kind"'),
         bad_input("raag-z-file-kind", ["raag", "z"],
                   {"n": 2, "edges": [], "kind": "free"}, EXIT_USAGE, 'error: {f}: unknown field "kind"'),
+        # the word parser's own lines; outside text is quoted as JSON
+        bad_input("relator-character", ["pres", "abel"], relator_doc("a $"), EXIT_USAGE,
+                  'error: {f}: unexpected character at position 1: " $"'),
+        bad_input("relator-trailing-token", ["pres", "abel"], relator_doc("a ] a"), EXIT_USAGE,
+                  'error: {f}: trailing token "]"'),
+        bad_input("relator-end", ["pres", "abel"], relator_doc("[a"), EXIT_USAGE,
+                  "error: {f}: unexpected end of word"),
+        bad_input("relator-commutator-comma", ["pres", "abel"], relator_doc("[a b]"), EXIT_USAGE,
+                  "error: {f}: expected ',' in commutator"),
+        bad_input("relator-commutator-close", ["pres", "abel"], relator_doc("[a,b,a]"), EXIT_USAGE,
+                  "error: {f}: expected ']' closing commutator"),
+        # a power needs a base: these used to read as the unknown generators '^2' and '^3'
+        bad_input("relator-power-no-base", ["pres", "abel"], relator_doc("^2"), EXIT_USAGE,
+                  'error: {f}: expected a generator or "[", got "^2"'),
+        bad_input("relator-power-of-power", ["pres", "abel"], relator_doc("a^2^3"), EXIT_USAGE,
+                  'error: {f}: expected a generator or "[", got "^3"'),
+        bad_input("braid-lk-not-pure", ["braid", "lk", "--n", "3", "s1"], None, EXIT_USAGE,
+                  "error: linking numbers of the closure need a pure braid"),
+        # raag bound checks its cliques against the graph
+        bad_input("cliques-overlap", ["raag", "bound", "--k1", "1", "--k2", "1"], PATH_1_2, EXIT_USAGE,
+                  "error: cliques must be disjoint"),
+        bad_input("k1-not-a-clique", ["raag", "bound", "--k1", "1,3", "--k2", "2"], PATH_1_2, EXIT_USAGE,
+                  "error: K1 = [1, 3] is not a clique"),
+        bad_input("k2-not-a-clique", ["raag", "bound", "--k1", "2", "--k2", "1,3"], PATH_1_2, EXIT_USAGE,
+                  "error: K2 = [1, 3] is not a clique"),
+        bad_input("clique-vertex-range", ["raag", "bound", "--k1", "9", "--k2", "2"], PATH_1_2, EXIT_USAGE,
+                  "error: vertex 9 out of range"),
+        # the split-extension verifier's own checks
+        bad_input("scenario-pa-trivial", ["tc-report"],
+                  presentation_scenario({**BORROMEAN_IMAGES, "a": ""}), EXIT_VERIFICATION,
+                  "verification failure: p(a) is trivial; the cyclic subgroup <a> dies"),
+        bad_input("scenario-beta-trivial", ["tc-report"],
+                  {**presentation_scenario(BORROMEAN_IMAGES), "beta": ""}, EXIT_VERIFICATION,
+                  "verification failure: beta must be nontrivial"),
     ])
     def test_one_line(self, capsys, tmp_path, argv, doc, code, line):
         f = tmp_path / "input.json"

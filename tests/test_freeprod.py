@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import time
@@ -24,13 +25,12 @@ from oracles import (
 )
 import tcbounds
 from tcbounds import freeprod
-from tcbounds.words import MAX_EXPANDED_LENGTH
+from tcbounds.words import MAX_EXPANDED_LENGTH, InputError
 from tcbounds.freeprod import (
     A_SIDE,
     B_SIDE,
     RANK1_FREE,
     Factor,
-    FreeProductError,
     ResourceCapError,
     TreeBall,
     build_tree_ball,
@@ -50,7 +50,7 @@ def zz_word(*exps):
 
 class TestFactor:
     def test_bad_kind(self):
-        with pytest.raises(FreeProductError, match="unknown factor kind 'cyclic'"):
+        with pytest.raises(InputError, match="unknown factor kind 'cyclic'"):
             TreeBall((Factor("cyclic", 3), Factor("free", 1)), 1, 1)
 
     def test_abelian_elements_count(self):
@@ -260,13 +260,14 @@ class TestTreeBall:
         (RANK1_FREE, "radius must be >= 1"),
     ])
     def test_ball_checks_factors_then_radius(self, factors, message):
-        with pytest.raises(FreeProductError) as exc:
+        with pytest.raises(InputError) as exc:
             build_tree_ball(factors, 0, 0)
         assert str(exc.value) == message
 
     def test_cap_exceeded(self):
         ball = build_tree_ball(ZZ, radius=2, cap=1)
-        with pytest.raises(FreeProductError):
+        message = "syllable (5,) exceeds the exponent cap 1 of this ball"
+        with pytest.raises(InputError, match=re.escape(message)):
             ball.coset_vertex(zz_word(5), B_SIDE)
 
     def test_vertex_budget(self, monkeypatch):
@@ -385,7 +386,7 @@ def test_lemma_word_count_cap_is_exact(monkeypatch):
     (0, 1, "the tree lemma needs k_max >= 1, got 0"),
 ])
 def test_lemma_refuses_radius_below_deepest_word(k_max, radius, message):
-    with pytest.raises(FreeProductError) as exc:
+    with pytest.raises(InputError) as exc:
         verify_tree_lemma(k_max, 1, radius)
     assert str(exc.value) == message
 
@@ -453,7 +454,7 @@ class TestLemmaAgainstReference:
 
     def test_path_past_the_radius_is_refused(self):
         ball = build_tree_ball(ZZ, radius=4, cap=2)
-        with pytest.raises(FreeProductError, match="coset vertex lies outside this ball"):
+        with pytest.raises(InputError, match="coset vertex lies outside this ball"):
             ball.path_vertex([0] * 5, B_SIDE)
 
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from tcbounds.groupexpr import (
     BaumslagSolitar12,
     Evaluation,
-    ExprError,
     Free,
     FreeAbelian,
     FreeProduct,
@@ -22,6 +21,7 @@ from tcbounds.groupexpr import (
     leaves,
 )
 from tcbounds.raag import SimpleGraph
+from tcbounds.words import InputError
 
 import oracles
 
@@ -111,12 +111,14 @@ class TestFlags:
 
     # Opaque stores what it is given; expr_from_json refuses impossible data
     def test_opaque_flag_consistency(self):
-        with pytest.raises(ExprError, match="duality flag"):
+        with pytest.raises(InputError, match="duality flag"):
             expr_from_json({"kind": "opaque", "chd_lower": 1, "chd_upper": 2, "duality_dim": 2})
 
     @pytest.mark.parametrize("lo, hi, geom_dim", [(-3, -3, None), (-1, 2, None), (3, 3, 1)])
     def test_opaque_impossible_dimensions(self, lo, hi, geom_dim):
-        with pytest.raises(ExprError):
+        message = ("chd lower bound must be >= 0" if lo < 0
+                   else "geometric dimension is below the chd lower bound")
+        with pytest.raises(InputError, match=f"^{message}$"):
             expr_from_json({"kind": "opaque", "chd_lower": lo, "chd_upper": hi,
                             "geom_dim": geom_dim})
 
@@ -312,18 +314,18 @@ class TestJson:
         assert interval(e) == (2, 2)
 
     def test_unknown_kind(self):
-        with pytest.raises(ExprError):
+        with pytest.raises(InputError, match='^unknown expression kind "dihedral"$'):
             expr_from_json({"kind": "dihedral"})
 
     def test_missing_field(self):
-        with pytest.raises(ExprError):
+        with pytest.raises(InputError, match='^free: missing field "rank"$'):
             expr_from_json({"kind": "free"})
 
     def test_not_a_dict(self):
-        with pytest.raises(ExprError):
+        with pytest.raises(InputError, match="^expected a JSON object$"):
             expr_from_json(["free", 2])
 
 
 def test_invalid_interval():
-    with pytest.raises(ExprError):
+    with pytest.raises(InputError, match="^invalid interval$"):
         Evaluation(3, 2, (), None, None, 2, False)

@@ -5,9 +5,10 @@ words, presentations, raag, braids and freeprod hold group algebra only;
 certificates and reports are built in tcbounds.bounds on top of them.
 An import the other way, even one deferred inside a function, would make
 an algebra module depend on the report layer.  The schema string is
-written once, and every module's input error is a words.InputError,
-the one family the CLI reports with exit 1.  Records only store their
-fields, except the few that check what the engine computed.
+written once.  src/ defines three exception classes, one per failure exit
+code, and every module raises words.InputError for malformed input, the
+one class the CLI reports with exit 1.  Records only store their fields,
+except the few that check what the engine computed.
 
 The CLI imports a subcommand's modules only when it dispatches to it, so
 a request loads only what it runs; the subprocess tests below pin the
@@ -60,14 +61,54 @@ def test_schema_is_written_once():
     assert hits == ["words.py"]
 
 
-INPUT_ERRORS = [words.WordError, presentations.PresentationError, raag.GraphError,
-                groupexpr.ExprError, braids.BraidError, freeprod.FreeProductError]
+# the exception classes of src/: malformed input (exit 1), a failed check
+# (exit 2) and a size cap (exit 3)
+ERROR_CLASSES = {"InputError", "CertificateError", "ResourceCapError"}
+# the builtins a raise in src/ may name, for a misuse of the API or a
+# broken invariant, and argparse's error for a bad flag value
+BUILTIN_RAISES = {"IndexError", "TypeError", "AttributeError", "AssertionError",
+                  "NotImplementedError", "ArgumentTypeError"}
 
 
-@pytest.mark.parametrize("error", INPUT_ERRORS, ids=lambda e: e.__name__)
-def test_input_errors_share_one_family(error):
-    # the CLI maps exactly this family to exit 1
-    assert issubclass(error, words.InputError)
+def test_src_has_one_input_error_class():
+    # a per-module subclass of InputError, or a raise of another class, fails here
+    defined, raised = set(), set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(
+                    ast.unparse(base).endswith(("Error", "Exception")) for base in node.bases):
+                defined.add(node.name)
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(ast.unparse(exc).rpartition(".")[2])
+    assert defined == ERROR_CLASSES
+    # a Fields object words its errors through its problem method
+    assert raised - {"problem"} <= ERROR_CLASSES | BUILTIN_RAISES
+    assert type(words.Fields({}, "", None).problem("x")) is words.InputError
+
+
+# each module that once had its own InputError subclass, named by that
+# class, with one malformed input it refuses
+FORMER_SUBCLASSES = {
+    "WordError": (words, lambda: words.parse_word("c", ("a", "b"))),
+    "PresentationError": (presentations,
+                          lambda: presentations.Presentation.from_strings(["x"], ["x x^-1"])),
+    "GraphError": (raag, lambda: raag.SimpleGraph.from_edges(3, [(2, 2)])),
+    "ExprError": (groupexpr, lambda: groupexpr.expr_from_json({"kind": "dihedral"})),
+    "BraidError": (braids, lambda: braids.parse_braid("t1", 4)),
+    "FreeProductError": (freeprod, lambda: freeprod.TreeBall(
+        (freeprod.Factor("cyclic", 3), freeprod.Factor("free", 1)), 1, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORMER_SUBCLASSES))
+def test_input_errors_share_one_family(name):
+    # the CLI maps exactly this class to exit 1; the module raises it, not a subclass
+    module, refuse = FORMER_SUBCLASSES[name]
+    assert not hasattr(module, name)
+    with pytest.raises(words.InputError) as exc:
+        refuse()
+    assert type(exc.value) is words.InputError
 
 
 @pytest.mark.parametrize("error", [words.ResourceCapError, certificates.CertificateError],

@@ -8,14 +8,13 @@ from hypothesis import given, settings, strategies as st
 from tcbounds import raag
 from tcbounds.raag import (
     CliquePair,
-    GraphError,
     SimpleGraph,
     maximal_cliques,
     raag_presentation,
     z_number,
 )
 
-from tcbounds.words import ResourceCapError
+from tcbounds.words import InputError, ResourceCapError
 
 from oracles import all_pairs_z, brute_force_z, cone, multipartite
 
@@ -72,11 +71,11 @@ def random_graph(draw, max_n=7):
 
 class TestSimpleGraph:
     def test_loop_rejected(self):
-        with pytest.raises(GraphError, match="loop"):
+        with pytest.raises(InputError, match="loop"):
             SimpleGraph.from_edges(3, [(2, 2)])
 
     def test_out_of_range_edge_rejected(self):
-        with pytest.raises(GraphError, match="not of the form"):
+        with pytest.raises(InputError, match="not of the form"):
             SimpleGraph.from_edges(3, [(1, 4)])
 
     def test_from_edges_normalizes(self):

@@ -125,20 +125,26 @@ def test_wrong_arguments_raise_type_error(args, kwargs):
         groupexpr.Evaluation(*args, **kwargs)
 
 
-@pytest.mark.parametrize("build, error", [
-    (lambda: certificates.BoundReport("G", 3, 2, (), ()), words.CertificateError),
-    (lambda: groupexpr.Evaluation(3, 2, *FIELDS[2:]), groupexpr.ExprError),
-    (lambda: presentations.AbelianInvariants(0, (2, 3), ()), presentations.PresentationError),
-    (lambda: presentations.AbelianInvariants(0, (1,), ()), presentations.PresentationError),
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: certificates.BoundReport("G", 3, 2, (), ()), words.CertificateError,
+     "report for G: lower bound 3 exceeds upper 2"),
+    (lambda: groupexpr.Evaluation(3, 2, *FIELDS[2:]), words.InputError, "invalid interval"),
+    (lambda: presentations.AbelianInvariants(0, (2, 3), ()), words.InputError,
+     "torsion coefficients must form a divisibility chain"),
+    (lambda: presentations.AbelianInvariants(0, (1,), ()), words.InputError,
+     "torsion coefficients must be >= 2"),
     # a FreeHom only stores: the split-extension verifier runs check_hom
     # a Factor only stores; the ball it is built into checks kind and rank
-    (lambda: freeprod.TreeBall((freeprod.Factor("cyclic", 1),) * 2, 1, 1), freeprod.FreeProductError),
-    (lambda: freeprod.TreeBall((freeprod.Factor("free", 0),) * 2, 1, 1), freeprod.FreeProductError),
+    (lambda: freeprod.TreeBall((freeprod.Factor("cyclic", 1),) * 2, 1, 1), words.InputError,
+     "unknown factor kind 'cyclic'"),
+    (lambda: freeprod.TreeBall((freeprod.Factor("free", 0),) * 2, 1, 1), words.InputError,
+     "factor rank must be >= 1"),
 ], ids=["BoundReport", "Evaluation", "AbelianInvariants-chain", "AbelianInvariants-small",
         "Factor-kind", "Factor-rank"])
-def test_post_init_checks_still_raise(build, error):
-    with pytest.raises(error):
+def test_post_init_checks_still_raise(build, error, message):
+    with pytest.raises(error) as exc:
         build()
+    assert str(exc.value) == message
 
 
 def test_match_args_allow_positional_patterns():
