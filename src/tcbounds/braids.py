@@ -35,12 +35,13 @@ class BraidWord(Record):
 _BRAID_TOKEN = re.compile(r"s(\d+)(?:\^(-?\d+))?$")
 
 
-def check_strands(n: int) -> None:
-    """The strand rule of parse_braid and bounds.pure_braid_report."""
+def check_strands(n: int, limit: int) -> None:
+    """The strand rule of parse_braid (limit MAX_BRAID_STRANDS) and
+    bounds.pure_braid_report (limit MAX_PURE_BRAID_STRANDS)."""
     if n < 2:
         raise InputError("need at least 2 strands")
-    if n > MAX_BRAID_STRANDS:
-        raise ResourceCapError(f"braid on {n} strands exceeds the cap of {MAX_BRAID_STRANDS} strands")
+    if n > limit:
+        raise ResourceCapError(f"braid on {n} strands exceeds the cap of {limit} strands")
 
 
 def parse_braid(text: str, n: int) -> BraidWord:
@@ -54,7 +55,7 @@ def parse_braid(text: str, n: int) -> BraidWord:
         e = int(m.group(2)) if m.group(2) else 1
         check_expanded_length(len(letters) + abs(e), "braid word")
         letters.extend([(i, 1 if e > 0 else -1)] * abs(e))
-    check_strands(n)
+    check_strands(n, MAX_BRAID_STRANDS)
     for i, _ in letters:
         if not 1 <= i <= n - 1:
             raise InputError(f"generator index {i} out of range for B_{n}")
@@ -116,7 +117,7 @@ def act(images: tuple[tuple, ...], letters: tuple[tuple[int, int], ...],
     """The images after acting further by the braid letters, each reduced;
     an image longer than word_cap after any letter raises ResourceCapError.
     This is the one action loop: free_group_action runs it from the free
-    basis, and the pure-braid check continues cached states with it."""
+    basis, and the pure-braid check continues each alpha's state with it."""
     out = list(images)
     for i, s in letters:
         _act_letter(out, i, s)

@@ -231,8 +231,9 @@ def cmd_raag_z(args) -> dict:
 
 
 def _vertex_list(text: str, flag: str) -> list[int]:
+    """Comma-separated vertices, each by the json_int rule; "" is the empty clique."""
     try:
-        return [json_int(x.strip()) for x in text.split(",") if x]
+        return [json_int(x.strip()) for x in text.split(",")] if text else []
     except ValueError:
         raise InputError(f"{flag}: expected comma-separated vertices, got {json.dumps(text)}") from None
 

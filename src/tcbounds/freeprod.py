@@ -22,6 +22,7 @@ the end of their element index path (``path_vertex``).
 
 from __future__ import annotations
 
+import json
 from bisect import bisect_right
 from itertools import product
 from typing import Iterator, Sequence
@@ -183,7 +184,7 @@ class TreeBall:
     def __init__(self, factors: tuple[Factor, Factor], radius: int, cap: int):
         for f in factors:
             if f.kind not in ("free", "free_abelian"):
-                raise InputError(f"unknown factor kind {f.kind!r}")
+                raise InputError(f"unknown factor kind {json.dumps(f.kind)}")
             if f.rank < 1:
                 raise InputError("factor rank must be >= 1")
         if radius < 1:
@@ -271,7 +272,7 @@ class TreeBall:
             i = self.element_index[tag].get(elem)
             if i is None:
                 raise InputError(
-                    f"syllable {elem!r} exceeds the exponent cap {self.cap} of this ball"
+                    f"syllable {json.dumps(elem)} exceeds the exponent cap {self.cap} of this ball"
                 )
             path.append(i)
         return self.path_vertex(path, side)

@@ -210,7 +210,7 @@ def _base(e: GroupExpr) -> tuple[str, tuple]:
             line = f"{name}: chd in [{lo}, {hi}] ({e.justification})"
             geom = (e.geom_dim, False) if e.geom_dim is not None else (hi, hi == 2)
         case _:
-            raise InputError(f"cannot evaluate chd of {e!r}")
+            raise InputError(f"cannot evaluate chd of {json.dumps(e, default=repr)}")
     # the other base kinds carry explicit aspherical complexes (graph, torus,
     # configuration space, surface, Salvetti, one-relator presentation
     # complex), so chd is realized geometrically

@@ -86,8 +86,8 @@ SCHEMA = "tcbounds/1"  # the schema of every JSON document the CLI writes
 # under a free-group homomorphism expands into.
 MAX_EXPANDED_LENGTH = 1_000_000
 
-# Longest free-group image, in letters, that the braid action builds; the
-# default of --max-word.
+# The default of --max-word: the longest free-group image, in letters, that
+# braid equal builds.
 DEFAULT_WORD_CAP = 64
 
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import tcbounds
 from tcbounds import braids, freeprod, groupexpr, presentations, words
+from tcbounds.bounds import MAX_PURE_BRAID_STRANDS
 from tcbounds.certificates import CertificateError
 from tcbounds.cli import (
     EXIT_OK,
@@ -96,6 +97,10 @@ class TestRaag:
         # entries follow the JSON integer rule of words.json_int
         ("1_0", "2", '--k1: expected comma-separated vertices, got "1_0"'),
         ("1", "\u0663", '--k2: expected comma-separated vertices, got "\\u0663"'),
+        # an empty entry is no integer; only "" itself is the empty clique
+        ("1,,3", "2", '--k1: expected comma-separated vertices, got "1,,3"'),
+        ("1,", "2", '--k1: expected comma-separated vertices, got "1,"'),
+        ("1", ",2", '--k2: expected comma-separated vertices, got ",2"'),
     ])
     def test_bound_vertex_list_not_integers(self, capsys, path3_file, k1, k2, message):
         code, out, err = run(capsys, "raag", "bound", path3_file, "--k1", k1, "--k2", k2)
@@ -104,6 +109,14 @@ class TestRaag:
     def test_bound_vertex_list_entries_are_stripped(self, capsys, path3_file):
         doc = run_json(capsys, "raag", "bound", path3_file, "--k1", " 1", "--k2", "2, 3")
         assert (doc["k1"], doc["k2"]) == ([1], [2, 3])
+
+    def test_bound_empty_vertex_list_is_the_empty_clique(self, capsys, tmp_path):
+        # raag_report pairs the empty clique with the one vertex of a one-vertex graph
+        f = tmp_path / "one.json"
+        f.write_text(json.dumps({"n": 1, "edges": []}))
+        doc = run_json(capsys, "raag", "bound", str(f), "--k1", "", "--k2", "1")
+        assert (doc["k1"], doc["k2"], doc["tc_lower_bound"]) == ([], [1], 1)
+        assert doc["certificate"] == run_json(capsys, "raag", "z", str(f))["report"]["certificates"][0]
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "raag", "z", "/nonexistent.json")
@@ -171,13 +184,24 @@ class TestBraid:
         assert doc["tc_lower_bound"] == 7
         assert doc["report"]["tc_lower"] == 7
 
-    def test_tc_bound_meets_the_image_cap_in_little_memory(self):
-        # the commuting check builds only alpha_1 and alpha_2 before the cap
-        proc = run_limited(40, "--json", "braid", "tc-bound", "--n", str(braids.MAX_BRAID_STRANDS))
-        assert proc.returncode == EXIT_RESOURCE
-        assert proc.stdout == ""
-        assert proc.stderr == ("resource cap exceeded: free-group image length 65 "
-                               "exceeds cap 64\n")
+    @pytest.mark.parametrize("argv", [
+        ["braid", "tc-bound", "--n", "31"],
+        ["--max-word", "8", "braid", "tc-bound", "--n", "31"],  # the flag reaches only braid equal
+        ["tc-report", "--case", "pbn", "31"],
+    ])
+    def test_pure_braid_past_the_default_word_cap(self, capsys, argv):
+        # from n = 31 on, the commuting check builds images past 64 letters
+        doc = run_json(capsys, *argv)
+        assert doc.get("report", doc)["tc_lower"] == 59
+
+    def test_largest_pure_braid_report_finishes_in_time(self):
+        n = MAX_PURE_BRAID_STRANDS
+        start = time.perf_counter()
+        proc = subprocess.run([*CLI, "--json", "braid", "tc-bound", "--n", str(n)], env=CLI_ENV,
+                              capture_output=True, text=True, timeout=60)
+        assert time.perf_counter() - start < 5.0
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert json.loads(proc.stdout)["tc_lower_bound"] == 2 * n - 3
 
     @pytest.mark.parametrize("argv", [
         ["braid", "lk", "--n", "4000", ""],
@@ -187,14 +211,23 @@ class TestBraid:
         ["braid", "tc-bound", "--n", "5000000"],
         ["tc-report", "--case", "pbn", "1001"],
         ["tc-report", "--case", "pbn", "5000000"],
+        ["braid", "tc-bound", "--n", str(MAX_PURE_BRAID_STRANDS + 1)],
+        ["tc-report", "--case", "pbn", str(MAX_PURE_BRAID_STRANDS + 1)],
+        ["tc-report", "SCENARIO"],  # a braid scenario file with n = MAX_PURE_BRAID_STRANDS + 1
     ])
-    def test_strand_cap_refused_at_once(self, argv):
+    def test_strand_cap_refused_at_once(self, tmp_path, argv):
+        # parse_braid admits MAX_BRAID_STRANDS; the pure-braid report, whose
+        # commuting check is quartic in n, admits MAX_PURE_BRAID_STRANDS
+        n = argv[3] if len(argv) > 3 else str(MAX_PURE_BRAID_STRANDS + 1)
+        limit = braids.MAX_BRAID_STRANDS if argv[1] in ("lk", "perm", "equal") else MAX_PURE_BRAID_STRANDS
+        scenario = tmp_path / "pb.json"
+        scenario.write_text(json.dumps({"kind": "braid", "n": int(n)}))
         start = time.perf_counter()
-        proc = run_limited(40, "--json", *argv)
+        proc = run_limited(40, "--json", *(str(scenario) if a == "SCENARIO" else a for a in argv))
         assert time.perf_counter() - start < 1.0
         assert (proc.returncode, proc.stdout) == (EXIT_RESOURCE, "")
-        assert proc.stderr == (f"resource cap exceeded: braid on {argv[3]} strands exceeds "
-                               f"the cap of {braids.MAX_BRAID_STRANDS} strands\n")
+        assert proc.stderr == (f"resource cap exceeded: braid on {n} strands exceeds "
+                               f"the cap of {limit} strands\n")
 
     def test_strand_cap_is_inclusive(self, capsys):
         doc = run_json(capsys, "braid", "perm", "--n", str(braids.MAX_BRAID_STRANDS), "s1")
@@ -568,7 +601,7 @@ class TestTcReport:
                                  "beta": "v u"}))
         assert run(capsys, "tc-report", str(f)) == (
             EXIT_VERIFICATION, "",
-            "verification failure: nonzero powers of p(a) = 'u v' and beta = 'v u' are "
+            'verification failure: nonzero powers of p(a) = "u v" and beta = "v u" are '
             "conjugate in the free target; the disjointness hypothesis fails\n")
 
     def test_scenario_a_expr_must_be_z(self, capsys, tmp_path):

@@ -1,5 +1,4 @@
 import os
-import re
 import subprocess
 import sys
 import time
@@ -50,7 +49,7 @@ def zz_word(*exps):
 
 class TestFactor:
     def test_bad_kind(self):
-        with pytest.raises(InputError, match="unknown factor kind 'cyclic'"):
+        with pytest.raises(InputError, match='^unknown factor kind "cyclic"$'):
             TreeBall((Factor("cyclic", 3), Factor("free", 1)), 1, 1)
 
     def test_abelian_elements_count(self):
@@ -255,7 +254,7 @@ class TestTreeBall:
             assert tree_distance(ball, gw, ball.w) == 2 * k
 
     @pytest.mark.parametrize("factors, message", [
-        ((Factor("cyclic", 0), Factor("free", 1)), "unknown factor kind 'cyclic'"),
+        ((Factor("cyclic", 0), Factor("free", 1)), 'unknown factor kind "cyclic"'),
         ((Factor("free", 1), Factor("free_abelian", 0)), "factor rank must be >= 1"),
         (RANK1_FREE, "radius must be >= 1"),
     ])
@@ -266,9 +265,9 @@ class TestTreeBall:
 
     def test_cap_exceeded(self):
         ball = build_tree_ball(ZZ, radius=2, cap=1)
-        message = "syllable (5,) exceeds the exponent cap 1 of this ball"
-        with pytest.raises(InputError, match=re.escape(message)):
+        with pytest.raises(InputError) as exc:
             ball.coset_vertex(zz_word(5), B_SIDE)
+        assert str(exc.value) == "syllable [5] exceeds the exponent cap 1 of this ball"
 
     def test_vertex_budget(self, monkeypatch):
         monkeypatch.setattr(freeprod, "MAX_BALL_VERTICES", 100)

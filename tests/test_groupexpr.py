@@ -326,6 +326,14 @@ class TestJson:
             expr_from_json(["free", 2])
 
 
+@pytest.mark.parametrize("leaf, shown", [("x", '"x"'), (None, "null"), ({1}, '"{1}"')])
+def test_leaf_without_a_rule_is_named_in_json(leaf, shown):
+    # a value with no JSON spelling is shown by its quoted repr
+    with pytest.raises(InputError) as exc:
+        evaluate(Product(Free(1), leaf))
+    assert str(exc.value) == f"cannot evaluate chd of {shown}"
+
+
 def test_invalid_interval():
     with pytest.raises(InputError, match="^invalid interval$"):
         Evaluation(3, 2, (), None, None, 2, False)

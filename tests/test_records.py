@@ -136,7 +136,7 @@ def test_wrong_arguments_raise_type_error(args, kwargs):
     # a FreeHom only stores: the split-extension verifier runs check_hom
     # a Factor only stores; the ball it is built into checks kind and rank
     (lambda: freeprod.TreeBall((freeprod.Factor("cyclic", 1),) * 2, 1, 1), words.InputError,
-     "unknown factor kind 'cyclic'"),
+     'unknown factor kind "cyclic"'),
     (lambda: freeprod.TreeBall((freeprod.Factor("free", 0),) * 2, 1, 1), words.InputError,
      "factor rank must be >= 1"),
 ], ids=["BoundReport", "Evaluation", "AbelianInvariants-chain", "AbelianInvariants-small",
