@@ -127,7 +127,8 @@ def verify_split_extension_certificate(
     witness = presentations.check_hom(p)
     if witness is not None:
         raise CertificateError(
-            f"not a homomorphism: relator {format_word(witness, p.source.generators)} does not map to 1")
+            f"not a homomorphism: relator {json.dumps(format_word(witness, p.source.generators))} "
+            "does not map to 1")
     pa = p(words.generator(p.source.generator_index(a_gen), p.source.rank))
     pa_text = format_word(pa, p.target)
     if pa.is_identity:

@@ -181,7 +181,6 @@ def linking_matrix(b: BraidWord) -> LinkingMatrix:
         raise InputError("linking numbers of the closure need a pure braid")
     entries = [[0] * b.n for _ in range(b.n)]
     for (a, c), total in counts.items():
-        if total % 2:
-            raise InputError("internal error: odd crossing count for a pure braid")
+        # two strands of a pure braid cross an even number of times
         entries[a - 1][c - 1] = entries[c - 1][a - 1] = total // 2
     return LinkingMatrix(b.n, tuple(tuple(row) for row in entries))

@@ -10,10 +10,10 @@ The tree of the free product A * B has one vertex per coset gA or gB
 and one edge per group element.  A finite ball around the base edge,
 with factor elements enumerated up to a generator exponent cap, is
 numbered in BFS order and stored as a table of per-depth blocks of
-consecutive ids, O(radius) ints: parents, child ranges and coset
-vertices are arithmetic on it, so no per-vertex array is built.
-Distances inside the ball are edge counts of the tree (a BFS in
-``distance_map``, which visits each depth as runs of consecutive ids),
+consecutive ids, O(radius) ints: edges and coset vertices are
+arithmetic on it, so no per-vertex array is built.  Distances inside
+the ball are edge counts of the tree (a BFS from an end of the base
+edge in ``distance_map``, which visits each depth as whole blocks),
 never the syllable formula, so the tree lemma that ``verify_tree_lemma``
 checks on the ball can fail on its own.  The lemma builds no words: an
 alternating word of F(x) * F(y) is its exponents, and the vertex gw is
@@ -169,7 +169,8 @@ class TreeBall:
     A vertex's shortest coset representative is the sequence of factor
     elements along its path from v or w: each vertex of side s has one
     child per element of factor s.  The ball of a tree is a tree, so
-    edges are exactly the parent links plus the base edge.
+    edges are exactly the links from each vertex to its children plus
+    the base edge.
 
     Storage is a table of blocks, O(radius) ints.  In BFS order each depth
     d is two blocks of consecutive ids, the descendants of v and then
@@ -177,8 +178,8 @@ class TreeBall:
     same side.  Below the last depth, the children of block b form block
     b + 2 in their parents' order: with c children per vertex of block b,
     child i (the coset of element i of that block's factor) of the vertex
-    at offset j lies at offset j * c + i.  Parents, child ranges, sides
-    and coset vertices are arithmetic on the table.
+    at offset j lies at offset j * c + i.  Sides, edges, coset vertices
+    and distances from v and w are arithmetic on the table.
     """
 
     def __init__(self, factors: tuple[Factor, Factor], radius: int, cap: int):
@@ -211,30 +212,13 @@ class TreeBall:
 
     @property
     def edge_count(self) -> int:
-        # parent links (all vertices except the two roots) + base edge
+        # one edge up from every vertex but the two roots, + the base edge
         return self.vertex_count - 1
 
     def _block(self, vid: int) -> int:
         if not 0 <= vid < self.vertex_count:
             raise IndexError(f"vertex {vid} is not in this ball")
         return bisect_right(self._starts, vid) - 1
-
-    def parent(self, vid: int) -> int:
-        """The neighbour one step closer to the base edge; -1 for v and w."""
-        b = self._block(vid)
-        if b < 2:
-            return -1
-        up = b - 2
-        return self._starts[up] + (vid - self._starts[b]) // self._counts[self._sides[up]]
-
-    def children(self, vid: int) -> range:
-        """The ids of vid's children, empty at the ball's last depth."""
-        b = self._block(vid)
-        if b + 2 >= len(self._sides):
-            return range(0)
-        c = self._counts[self._sides[b]]
-        first = self._starts[b + 2] + (vid - self._starts[b]) * c
-        return range(first, first + c)
 
     def side(self, vid: int) -> int:
         return self._sides[self._block(vid)]
@@ -296,43 +280,22 @@ class TreeBall:
     # -- distances -----------------------------------------------------------
 
     def distance_map(self, source: int, max_depth: int) -> dict[int, int]:
-        """BFS distances (edge counts) from a vertex to the ball vertices at
-        most max_depth edges away, keyed by vertex id.
+        """BFS distances (edge counts) from v or w to the ball vertices at
+        most max_depth edges away, keyed by vertex id; any other source
+        raises IndexError.
 
-        The search runs depth by depth over the tree's edges: the parent
-        link, the child range and the base edge, and stops after depth
-        max_depth.  Each depth is a few runs of consecutive ids in one
-        block.  The children of a run in block b are one run in block
-        b + 2; a run reached from its parents has only new children, and
-        the source's ancestors, reached from below, add their parent (or,
-        at v or w, the other end of the base edge) and every child but the
-        one they were reached from.  A ball of a tree is convex, so every
-        distance it reports is the distance in the whole tree.
+        From a root every depth is whole blocks: the base edge leads to the
+        other root, so depth d >= 1 is block 2d - 1 - source on the other
+        root's side and block 2d + source on the source's.  A ball of a
+        tree is convex, so every distance it reports is the tree's.
         """
-        starts, sides, counts = self._starts, self._sides, self._counts
-        leaves = len(sides) - 2  # blocks from here on have no children
-
-        def child_run(b: int, first: int, end: int) -> tuple[int, int, int]:
-            c = counts[sides[b]]
-            return b + 2, starts[b + 2] + (first - starts[b]) * c, starts[b + 2] + (end - starts[b]) * c
-
-        dist = {source: 0}
-        runs: list[tuple[int, int, int]] = []  # (block, first id, end id), reached from their parents
-        up, b, below = source, self._block(source), -1  # an ancestor of the source, its block and child
+        if source not in (self.v, self.w):
+            raise IndexError(f"distance_map runs from v or w, not from vertex {source}")
+        starts, dist = self._starts, {source: 0}
         for d in range(1, max_depth + 1):
-            runs = [child_run(*run) for run in runs if run[0] < leaves]
-            if up >= 0:
-                if b < leaves:
-                    cb, first, end = child_run(b, up, up + 1)
-                    runs += [(cb, first, below), (cb, below + 1, end)] if below >= 0 else [(cb, first, end)]
-                if b >= 2:
-                    up, b, below = self.parent(up), b - 2, up
-                    dist[up] = d
-                else:
-                    runs.append((1 - b, 1 - b, 2 - b))  # the other root, across the base edge
-                    up = -1
-            for _, first, end in runs:
-                dist.update(dict.fromkeys(range(first, end), d))
+            for b in (2 * d - 1 - source, 2 * d + source):
+                if b < len(self._sides):
+                    dist.update(dict.fromkeys(range(starts[b], starts[b + 1]), d))
         return dist
 
     def to_dot(self) -> str:
@@ -355,7 +318,7 @@ class TreeBall:
 
 
 def build_tree_ball(factors: tuple[Factor, Factor], radius: int, cap: int) -> TreeBall:
-    """Materialize the ball of the given radius around the base edge."""
+    """The ball of the given radius around the base edge, as a block table."""
     return TreeBall(factors, radius, cap)
 
 

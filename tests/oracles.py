@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from functools import cache
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from math import gcd
 from typing import Iterator, NamedTuple, Optional
 
@@ -388,51 +388,59 @@ def is_elliptic(g) -> bool:
     return len(cyclic_normal_form(g).syllables) <= 1
 
 
-def tree_depth(ball, x: int) -> int:
-    """Edges from ball vertex x up its parent links to v or w."""
+def ball_parents(ball) -> list[int]:
+    """Each TreeBall vertex's parent, -1 at v and w, read from the ball's
+    edge list: every edge but the first, the base edge, is (parent, child)."""
+    parent = [-1] * ball.vertex_count
+    for up, vid in islice(ball.edges(), 1, None):
+        parent[vid] = up
+    return parent
+
+
+def tree_depth(parent: list[int], x: int) -> int:
+    """Edges from ball vertex x up its parent links (ball_parents) to v or w."""
     d = 0
-    while ball.parent(x) >= 0:
-        x, d = ball.parent(x), d + 1
+    while parent[x] >= 0:
+        x, d = parent[x], d + 1
     return d
 
 
-def tree_distance(ball, x: int, y: int) -> int:
+def tree_distance(parent: list[int], x: int, y: int) -> int:
     """Edge count of the geodesic between two vertices of a TreeBall.
 
-    Climbs the parent links to the lowest common ancestor:
+    Climbs the parent links (ball_parents) to the lowest common ancestor:
     depth(x) + depth(y) - 2 depth(lca), or depth(x) + depth(y) + 1 when
     x and y hang off different ends of the base edge.
     """
-    parent = ball.parent
-    dx, dy = tree_depth(ball, x), tree_depth(ball, y)
+    dx, dy = tree_depth(parent, x), tree_depth(parent, y)
     total = dx + dy
     while dx > dy:
-        x, dx = parent(x), dx - 1
+        x, dx = parent[x], dx - 1
     while dy > dx:
-        y, dy = parent(y), dy - 1
+        y, dy = parent[y], dy - 1
     while x != y:
         if dx == 0:
             return total + 1
-        x, y, dx = parent(x), parent(y), dx - 1
+        x, y, dx = parent[x], parent[y], dx - 1
     return total - 2 * dx
 
 
 def hyperbolic_length_bfs(ball, g) -> int:
     """min over ball vertices x of d(x, g.x), for an FPWord g.
 
-    Distances are edge counts in the materialized ball (tree_distance),
-    not the syllable formula.  Only vertices whose translate stays inside
+    Distances are edge counts in the ball (tree_distance over its edge
+    list), not the syllable formula.  Only vertices whose translate stays inside
     the ball participate; the ball must be large enough for the minimum
     to be attained.
     """
-    best = None
+    best, parent = None, ball_parents(ball)
     for vid in range(ball.vertex_count):
         side = ball.side(vid)
         try:
             image = ball.coset_vertex(fp_multiply(g, ball.vertex_word(vid)), side)
         except InputError:
             continue
-        d = tree_distance(ball, vid, image)
+        d = tree_distance(parent, vid, image)
         if best is None or d < best:
             best = d
             if best == 0:

@@ -584,7 +584,7 @@ class TestTcReport:
         f.write_text(json.dumps(presentation_scenario(images)))
         assert run(capsys, "tc-report", str(f)) == (
             EXIT_VERIFICATION, "",
-            f"verification failure: not a homomorphism: relator {relator} does not map to 1\n")
+            f'verification failure: not a homomorphism: relator "{relator}" does not map to 1\n')
         f.write_text(json.dumps({"presentation": BORROMEAN, "target_generators": ["u", "v"],
                                  "images": images}))
         code, out, _ = run(capsys, "--json", "pres", "hom-check", str(f))
